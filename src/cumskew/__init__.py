@@ -42,6 +42,7 @@ from .errors import (
     CountTooLarge,
     CumskewError,
     EmptyOrTooSmall,
+    FloatRangeError,
     NonFiniteValue,
     ParseError,
 )
@@ -78,5 +79,5 @@ __all__ = [
     "parse_csv",
     # errors
     "CumskewError", "EmptyOrTooSmall", "NonFiniteValue", "ConstantSample",
-    "CountTooLarge", "ColumnNotFound", "ParseError",
+    "CountTooLarge", "ColumnNotFound", "ParseError", "FloatRangeError",
 ]

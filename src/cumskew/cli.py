@@ -7,7 +7,6 @@ usage or configuration.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from contextlib import contextmanager
 
@@ -162,10 +161,9 @@ def cmd_experiment(args) -> int:
 
 def cmd_lorenz(args) -> int:
     sample = parse_csv(args.path, args.column)
-    values = sample.values
-    if math.fsum(values) > 0:
+    try:
         grid = raw_lorenz_grid(sample)
-    else:
+    except ValueError:  # the classical curve needs a positive total
         grid = lorenz_grid(sample)
     weights = weight_vector(sample.n)
 

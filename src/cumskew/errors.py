@@ -36,3 +36,7 @@ class ParseError(CumskewError, ValueError):
     def __init__(self, line: int, message: str):
         self.line = line
         super().__init__(f"line {line}: {message}")
+
+
+class FloatRangeError(CumskewError, ArithmeticError):
+    """A statistic of finite data falls outside the float range."""

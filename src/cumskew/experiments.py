@@ -13,7 +13,9 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .core import cumulative_skew, skew_report, validate_sample
+import numpy as np
+
+from .core import _score_rows, cumulative_skew, validate_sample
 from .distributions import (
     ContaminationSpec,
     DistributionSpec,
@@ -49,6 +51,13 @@ DEFAULT_GCURVE_SDS = (1.0, 3.0)
 # CS follows them toward its lower bound.
 TABLE1_HIGH_MAGNITUDES = (10.0, 20.0)
 TABLE1_LOW_MAGNITUDES = (1.05, 1.5)
+
+# Replications are scored in blocks of about this many values (256 KB of
+# float64): large enough to amortise numpy's per-call overhead, small enough
+# for the block's temporaries to stay in cache.  At n=100 on a 2-CPU x86
+# host, blocks of 256-512 rows scored about twice as fast per row as blocks
+# of 2048-4096 rows.
+_BLOCK_VALUES = 32_768
 
 
 def derive_stream_id(*parts) -> int:
@@ -136,7 +145,8 @@ class GCurvePoint:
     n: int
 
 
-def _replicate(spec: ConditionSpec, base_seed: int, rep: int) -> tuple[float, float, bool]:
+def _draw(spec: ConditionSpec, base_seed: int, rep: int) -> np.ndarray:
+    """Values of replication `rep`, contaminated when the condition says so."""
     rng = RngStream(base_seed, derive_stream_id(spec.id, rep))
     sample = draw_sample(spec.distribution, rng, spec.n)
     plan = spec.contamination
@@ -149,13 +159,25 @@ def _replicate(spec: ConditionSpec, base_seed: int, rep: int) -> tuple[float, fl
                               magnitude_range=plan.magnitude_range),
             crng,
         )
-    report = skew_report(sample)
-    return report.cs, report.b1, report.degenerate
+    return sample.values
 
 
-def _replicate_range(args) -> list[tuple[float, float, bool]]:
+def _replicate_range(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CS, b1 and degenerate flags of replications start..stop-1.
+
+    Draws are stacked into blocks of about _BLOCK_VALUES values and each
+    block is scored at once; a row's scores do not depend on its block,
+    so any split of the range gives the same results.
+    """
     spec, base_seed, start, stop = args
-    return [_replicate(spec, base_seed, rep) for rep in range(start, stop)]
+    rows = max(1, _BLOCK_VALUES // spec.n)
+    parts = []
+    for lo in range(start, stop, rows):
+        block = np.stack([_draw(spec, base_seed, rep)
+                          for rep in range(lo, min(lo + rows, stop))])
+        scores = _score_rows(block)
+        parts.append((scores.cs, scores.b1, scores.degenerate))
+    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 def _chunk_bounds(reps: int, chunks: int) -> list[tuple[int, int]]:
@@ -181,17 +203,15 @@ def run_condition(spec: ConditionSpec, base_seed: int, jobs: int = 1) -> Conditi
     if jobs > 1 and spec.reps > 1:
         tasks = [(spec, base_seed, start, stop)
                  for start, stop in _chunk_bounds(spec.reps, jobs * 4)]
-        rows: list[tuple[float, float, bool]] = []
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for chunk in pool.map(_replicate_range, tasks):
-                rows.extend(chunk)
+            chunks = list(pool.map(_replicate_range, tasks))
+        cs, b1, degenerate = (np.concatenate(col) for col in zip(*chunks))
     else:
-        rows = [_replicate(spec, base_seed, rep) for rep in range(1, spec.reps + 1)]
+        cs, b1, degenerate = _replicate_range((spec, base_seed, 1, spec.reps + 1))
 
-    cs_vals = [cs for cs, _, _ in rows]
-    b1_vals = [b1 for _, b1, deg in rows if not deg]
-    degenerate_count = len(rows) - len(b1_vals)
-    cs_ave, cs_se = aggregate(cs_vals)
+    b1_vals = b1[~degenerate].tolist()
+    degenerate_count = int(degenerate.sum())
+    cs_ave, cs_se = aggregate(cs.tolist())
     b1_ave, b1_se = aggregate(b1_vals) if b1_vals else (0.0, 0.0)
     return ConditionResult(
         id=spec.id, reps=spec.reps,

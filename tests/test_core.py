@@ -1,11 +1,15 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from cumskew import (
     ConstantSample,
+    CumskewError,
     EmptyOrTooSmall,
+    FloatRangeError,
     NonFiniteValue,
     cumulative_skew,
     gini,
@@ -16,6 +20,7 @@ from cumskew import (
     validate_sample,
     weight_vector,
 )
+from cumskew.core import _compensated_cumsum, _score_rows, _sum2
 
 
 def cs(values):
@@ -235,3 +240,150 @@ class TestSkewReport:
             x[0] *= 10 ** rng.integers(0, 9)  # plant an extreme outlier
             r = skew_report(validate_sample(x))
             assert abs(r.cs) <= 1 - 2 / n + 1e-12
+
+
+def exact_cs(values):
+    """CS in exact rational arithmetic from the unshifted gap numerators."""
+    x = sorted(Fraction(v) for v in values)
+    n = len(x)
+    if x[0] == x[-1]:
+        return Fraction(0)
+    partial = list(itertools.accumulate(x))
+    gaps = [i * partial[-1] - n * partial[i - 1] for i in range(1, n)]
+    return Fraction(3, n) * sum(g * (2 * i - n) for i, g in enumerate(gaps, 1)) / sum(gaps)
+
+
+def exact_b1(values):
+    """b1 from exact rational moments; only the final float and sqrt round."""
+    x = [Fraction(v) for v in values]
+    mean = sum(x) / len(x)
+    m2 = sum((v - mean) ** 2 for v in x) / len(x)
+    m3 = sum((v - mean) ** 3 for v in x) / len(x)
+    return math.sqrt(m3 ** 2 / m2 ** 3) * (1 if m3 >= 0 else -1)
+
+
+class TestCompensatedSums:
+    def test_prefix_sums_within_one_rounding_of_exact(self):
+        rng = np.random.default_rng(10)
+        rows = [np.array([1 / 3, 2 / 3, 1 / 3])]
+        rows += [np.exp(rng.standard_normal(300)) for _ in range(20)]
+        for row in rows:
+            got = _compensated_cumsum(row)
+            exact = Fraction(0)
+            for value, prefix in zip(row, got):
+                exact += Fraction(value)
+                assert abs(Fraction(prefix) - exact) <= Fraction(1, 2 ** 53) * exact
+
+    def test_sum2_within_one_ulp_of_fsum(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = int(rng.integers(1, 2000))
+            row = rng.standard_normal(n) * 10.0 ** rng.integers(-5, 6, n)
+            want = math.fsum(row)
+            assert abs(_sum2(row) - want) <= math.ulp(want)
+
+    def test_block_sums_are_the_row_sums(self):
+        block = np.random.default_rng(12).lognormal(size=(5, 77))
+        sums = _sum2(block)
+        for row, total in zip(block, sums):
+            assert _sum2(row) == total
+
+
+def kernel_rows(rng, kind, n):
+    if kind == 0:
+        return rng.standard_normal(n)
+    if kind == 1:
+        return np.exp(2.0 * rng.standard_normal(n))
+    if kind == 2:
+        return rng.integers(0, 3, n).astype(float)  # heavy ties
+    if kind == 3:
+        return np.full(n, rng.standard_normal())  # constant
+    if kind == 4:  # spread below the resolution of the mean-one shift
+        return 1e-300 * (1.0 + rng.integers(0, 2, n) * 2.0 ** -52)
+    if kind == 5:  # contaminated: a few wild values on either side
+        x = np.exp(rng.standard_normal(n))
+        k = max(1, n // 20)
+        x[rng.choice(n, k, replace=False)] = rng.choice([-1, 1], k) * 1e6 * x.max()
+        return x
+    # wide scales, kept below 2**53: above it the mean-one shift can vanish
+    # in rounding and a row raise FloatRangeError (see TestFloatRange)
+    return rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 15)
+
+
+class TestBlockKernel:
+    @pytest.mark.parametrize("k", [1, 3, 257])
+    @pytest.mark.parametrize("n", [2, 3, 100, 1000])
+    def test_rows_score_as_they_would_alone(self, k, n):
+        rng = np.random.default_rng([13, k, n])
+        block = np.stack([kernel_rows(rng, i % 7, n) for i in range(k)])
+        whole = _score_rows(block)
+        for i in range(k):
+            alone = _score_rows(block[i:i + 1])
+            for field, value in zip(whole._fields, alone):
+                assert getattr(whole, field)[i:i + 1].tobytes() == value.tobytes(), (field, i)
+
+    def test_single_sample_functions_are_the_one_row_case(self):
+        rng = np.random.default_rng(14)
+        block = np.stack([kernel_rows(rng, kind, 50) for kind in range(7)])
+        scores = _score_rows(block)
+        for i, row in enumerate(block):
+            sample = validate_sample(row)
+            report = skew_report(sample)
+            assert report.cs == scores.cs[i] == cumulative_skew(sample)
+            assert report.b1 == scores.b1[i]
+            assert report.gini == scores.gini[i]
+            assert report.degenerate == scores.degenerate[i]
+            if not report.degenerate:
+                assert moment_skewness(sample) == report.b1
+
+    def test_degenerate_rows_score_zero(self):
+        scores = _score_rows(np.array([[2.0, 2.0, 2.0], [1.0, 2.0, 4.0]]))
+        assert scores.degenerate.tolist() == [True, False]
+        assert (scores.cs[0], scores.b1[0], scores.gini[0]) == (0.0, 0.0, 0.0)
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize("values", [
+        [1e200, 1e-200, 3.0],
+        [1e-300, 2e-300, 7e-300],
+        [1e308, 1e308, -1e308],
+        [-1.7e308, 1.7e308, 1.7e308, 0.0],
+    ])
+    def test_b1_across_the_float_range(self, values):
+        sample = validate_sample(values)
+        assert moment_skewness(sample) == pytest.approx(exact_b1(values), rel=1e-9)
+        assert not skew_report(sample).degenerate
+
+    def test_extreme_magnitudes_give_exact_statistics(self):
+        # [-a, a, a] scores like [-1, 1, 1]: CS -1/3, b1 -1/sqrt(2), Gini 4/3
+        report = skew_report(validate_sample([1e308, 1e308, -1e308]))
+        assert report.cs == pytest.approx(-1 / 3, abs=1e-12)
+        assert report.b1 == pytest.approx(-1 / math.sqrt(2), rel=1e-9)
+        assert report.gini == pytest.approx(4 / 3, rel=1e-9)
+        grid = raw_lorenz_grid(validate_sample([1e308, 1e308, -1e308]))
+        assert grid.q == pytest.approx([-1.0, 0.0], abs=1e-12)
+        assert gini(grid) == pytest.approx(4 / 3, rel=1e-9)
+
+    def test_large_scales_score_exactly_or_raise_a_typed_error(self):
+        rng = np.random.default_rng(15)
+        for _ in range(200):
+            n = int(rng.integers(2, 40))
+            x = rng.standard_normal(n) * 10.0 ** rng.uniform(0, 300)
+            x += rng.integers(0, 2) * 10.0 ** rng.uniform(0, 300)
+            try:
+                report = skew_report(validate_sample(x))
+            except FloatRangeError:
+                continue
+            assert report.cs == pytest.approx(float(exact_cs(x)), abs=1e-12)
+            mean = sum(map(Fraction, x)) / n
+            if mean > 0 and not report.degenerate:
+                pairs = sum(abs(Fraction(a) - Fraction(b)) for a in x for b in x)
+                assert report.gini == pytest.approx(float(pairs / (2 * n * n * mean)), rel=1e-9)
+
+    def test_results_outside_the_float_range_raise_a_typed_error(self):
+        # the mean-one shift of subnormal data is 2**1074 in scaled units
+        sample = validate_sample([0.0, 1e-310, 3e-310])
+        for fn in (skew_report, cumulative_skew, lorenz_grid):
+            with pytest.raises(FloatRangeError):
+                fn(sample)
+        assert issubclass(FloatRangeError, CumskewError)

@@ -76,6 +76,12 @@ class TestRunCondition:
             parallel = run_condition(spec, base_seed=13, jobs=3)
             assert serial == parallel
 
+    def test_parallel_matches_serial_across_block_boundaries(self):
+        # n=40 scores 819 replications per block; 1000 reps leave a partial
+        # block serially and split into 125-rep chunks across the pool
+        spec = small_spec(reps=1000, contaminated=True)
+        assert run_condition(spec, base_seed=17, jobs=1) == run_condition(spec, base_seed=17, jobs=2)
+
     def test_seed_changes_results(self):
         spec = small_spec()
         assert run_condition(spec, 1) != run_condition(spec, 2)

@@ -120,6 +120,21 @@ class TestComputeCommand:
         path = write(tmp_path, "1\nabc\n")
         assert main(["compute", path]) == 1
 
+    def test_extreme_magnitudes_report_exact_values(self, tmp_path, capsys):
+        # [-a, a, a] scores like [-1, 1, 1]
+        path = write(tmp_path, "1e308\n1e308\n-1e308\n")
+        assert main(["compute", path, "--format", "json"]) == 0
+        row = json.loads(capsys.readouterr().out)["rows"][0]
+        assert row["cs"] == pytest.approx(-1 / 3, abs=1e-12)
+        assert row["b1"] == pytest.approx(-2 ** -0.5, rel=1e-9)
+        assert row["gini"] == pytest.approx(4 / 3, rel=1e-9)
+
+    def test_float_range_failure_exits_1(self, tmp_path, capsys):
+        path = write(tmp_path, "0\n1e-310\n3e-310\n")
+        assert main(["compute", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("cumskew:") and captured.out == ""
+
 
 class TestLorenzCommand:
     def test_rows_match_hand_values(self, tmp_path, capsys):
@@ -156,6 +171,18 @@ class TestLorenzCommand:
         lines = capsys.readouterr().out.splitlines()
         gaps = [float(line.split("\t")[3]) for line in lines[1:]]
         assert all(g >= 0 for g in gaps)
+
+    def test_extreme_magnitudes_give_the_classical_grid(self, tmp_path, capsys):
+        path = write(tmp_path, "1e308\n1e308\n-1e308\n")
+        assert main(["lorenz", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [float(v) for line in lines[2:4] for v in line.split("\t")[:4]]
+        assert rows == pytest.approx([1, 1 / 3, -1, 4 / 3, 2, 2 / 3, 0, 2 / 3], abs=1e-12)
+
+    def test_float_range_failure_exits_1(self, tmp_path, capsys):
+        path = write(tmp_path, "0\n-1e-310\n-3e-310\n")
+        assert main(["lorenz", path]) == 1
+        assert capsys.readouterr().err.startswith("cumskew:")
 
     def test_svg_emitted(self, tmp_path, capsys):
         path = write(tmp_path, "1\n1\n4\n")
