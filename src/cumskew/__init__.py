@@ -44,6 +44,7 @@ from .errors import (
     EmptyOrTooSmall,
     FloatRangeError,
     NonFiniteValue,
+    NonNumericData,
     ParseError,
 )
 from .experiments import (
@@ -80,4 +81,5 @@ __all__ = [
     # errors
     "CumskewError", "EmptyOrTooSmall", "NonFiniteValue", "ConstantSample",
     "CountTooLarge", "ColumnNotFound", "ParseError", "FloatRangeError",
+    "NonNumericData",
 ]

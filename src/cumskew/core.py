@@ -38,7 +38,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConstantSample, EmptyOrTooSmall, FloatRangeError, NonFiniteValue
+from .errors import (
+    ConstantSample,
+    EmptyOrTooSmall,
+    FloatRangeError,
+    NonFiniteValue,
+    NonNumericData,
+)
 
 __all__ = [
     "Sample",
@@ -181,12 +187,19 @@ def _score_rows(block: np.ndarray) -> _Scores:
     e = _scale_rows(x)
     mean = _centre_rows(x)
     # x now holds the scaled deviations; the buffers below are reused in
-    # place to keep the peak memory of large single samples down
+    # place to keep the peak memory of large single samples down.  The
+    # moments are corrected by the deviations' own mean r, which rounding
+    # of the mean leaves nonzero (the corrected two-pass algorithm): with
+    # s_k = sum(dev**k) / n, m2 = s2 - r**2 and m3 = s3 - 3 r s2 + 2 r**3.
+    # Without it b1 drifts when the mean dwarfs the spread.
+    r = _sum2(x) / n
     power = x * x
-    m2 = _sum2(power) / n
+    s2 = _sum2(power) / n
     power *= x
-    m3 = _sum2(power) / n
+    s3 = _sum2(power) / n
     del power
+    m2 = s2 - r * r
+    m3 = s3 - 3.0 * r * s2 + 2.0 * (r * r * r)
     degenerate |= m2 == 0.0
     q, total = _canonical_shares(x, e)
     d = np.subtract(p, q, out=q)
@@ -262,7 +275,7 @@ class SkewReport:
 
 
 def validate_sample(raw) -> Sample:
-    """Check finiteness and size, preserving input order.
+    """Check type, finiteness and size, preserving input order.
 
     Args:
         raw: sequence of real numbers.
@@ -271,10 +284,16 @@ def validate_sample(raw) -> Sample:
         A Sample wrapping a read-only float64 copy of the data.
 
     Raises:
+        NonNumericData: the data are strings, bytes or booleans (judged by
+            the dtype numpy gives them, so a list mixing booleans with
+            numbers passes as numbers).
         EmptyOrTooSmall: fewer than two values.
         NonFiniteValue: a NaN or infinity is present (first index reported).
     """
-    values = np.array(raw, dtype=np.float64)
+    values = np.array(raw)  # a copy, so converting it below never copies twice
+    if values.dtype.kind in "bSU":
+        raise NonNumericData(f"expected real numbers, got {values.dtype} data")
+    values = values.astype(np.float64, copy=False)
     if values.ndim != 1:
         raise ValueError(f"expected 1-D data, got shape {values.shape}")
     if values.size < 2:

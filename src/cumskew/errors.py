@@ -18,6 +18,10 @@ class NonFiniteValue(CumskewError, ValueError):
         super().__init__(f"non-finite value {value!r} at index {index}")
 
 
+class NonNumericData(CumskewError, TypeError):
+    """The input holds strings, bytes or booleans rather than real numbers."""
+
+
 class ConstantSample(CumskewError, ValueError):
     """All observations are equal, so a moment ratio is undefined."""
 

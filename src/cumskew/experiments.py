@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -20,6 +21,7 @@ from .distributions import (
     ContaminationSpec,
     DistributionSpec,
     RngStream,
+    _seed_words,
     contaminate,
     draw_sample,
     tukey_g_transform,
@@ -145,13 +147,19 @@ class GCurvePoint:
     n: int
 
 
-def _draw(spec: ConditionSpec, base_seed: int, rep: int) -> np.ndarray:
-    """Values of replication `rep`, contaminated when the condition says so."""
-    rng = RngStream(base_seed, derive_stream_id(spec.id, rep))
+def _streams(base_seed: int, stream_ids: list[int]) -> list[RngStream]:
+    """The stream of every id, seeded in one batched pass."""
+    words = _seed_words(base_seed, stream_ids)
+    return [RngStream(base_seed, sid, seed_words=row)
+            for sid, row in zip(stream_ids, words)]
+
+
+def _draw(spec: ConditionSpec, rng: RngStream, crng: RngStream | None) -> np.ndarray:
+    """Values of one replication drawn from its stream, contaminated from
+    its contamination stream when the condition says so."""
     sample = draw_sample(spec.distribution, rng, spec.n)
     plan = spec.contamination
     if plan is not None:
-        crng = RngStream(base_seed, derive_stream_id(spec.id, rep, "contamination"))
         count = crng.integers(plan.count_min, plan.count_max + 1)
         sample = contaminate(
             sample,
@@ -173,8 +181,14 @@ def _replicate_range(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rows = max(1, _BLOCK_VALUES // spec.n)
     parts = []
     for lo in range(start, stop, rows):
-        block = np.stack([_draw(spec, base_seed, rep)
-                          for rep in range(lo, min(lo + rows, stop))])
+        reps = range(lo, min(lo + rows, stop))
+        rngs = _streams(base_seed, [derive_stream_id(spec.id, rep) for rep in reps])
+        if spec.contamination is None:
+            crngs = [None] * len(reps)
+        else:
+            crngs = _streams(base_seed, [derive_stream_id(spec.id, rep, "contamination")
+                                         for rep in reps])
+        block = np.stack([_draw(spec, rng, crng) for rng, crng in zip(rngs, crngs)])
         scores = _score_rows(block)
         parts.append((scores.cs, scores.b1, scores.degenerate))
     return tuple(np.concatenate(col) for col in zip(*parts))
@@ -193,17 +207,23 @@ def _chunk_bounds(reps: int, chunks: int) -> list[tuple[int, int]]:
     return bounds
 
 
+def _pool_workers(jobs: int, tasks: int) -> int:
+    """Worker processes for `tasks` pool tasks: jobs, capped by the host's
+    CPU count and by the number of tasks."""
+    return min(jobs, os.cpu_count() or 1, tasks)
+
+
 def run_condition(spec: ConditionSpec, base_seed: int, jobs: int = 1) -> ConditionResult:
     """Run all replications of one condition and aggregate.
 
-    jobs > 1 fans replications out over a process pool; results are
-    reduced in replication order either way, so output is identical to a
-    serial run.
+    jobs > 1 fans replications out over a process pool of at most jobs
+    workers (fewer on a host with fewer CPUs); results are reduced in
+    replication order either way, so output is identical to a serial run.
     """
     if jobs > 1 and spec.reps > 1:
         tasks = [(spec, base_seed, start, stop)
                  for start, stop in _chunk_bounds(spec.reps, jobs * 4)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=_pool_workers(jobs, len(tasks))) as pool:
             chunks = list(pool.map(_replicate_range, tasks))
         cs, b1, degenerate = (np.concatenate(col) for col in zip(*chunks))
     else:

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from cumskew import (
     ContaminationSpec,
     CountTooLarge,
     DistributionSpec,
+    RngStream,
     cauchy_transform,
     contaminate,
     cumulative_skew,
@@ -20,6 +23,11 @@ from cumskew import (
     tukey_g_transform,
     validate_sample,
 )
+from cumskew.distributions import _seed_words
+
+M64 = (1 << 64) - 1
+EDGE_BASES = (0, 1, 42, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1, -1)
+EDGE_IDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, -9, 5406966257379951050)
 
 
 class TestRngStream:
@@ -42,6 +50,32 @@ class TestRngStream:
         a = rng_stream(-3, -9).random(5)
         b = rng_stream(-3, -9).random(5)
         assert np.array_equal(a, b)
+
+
+class TestBatchedSeeding:
+    @pytest.mark.parametrize("base", EDGE_BASES)
+    def test_seed_words_match_seed_sequence(self, base):
+        words = _seed_words(base, EDGE_IDS)
+        assert words.shape == (len(EDGE_IDS), 4) and words.dtype == np.uint64
+        for sid, row in zip(EDGE_IDS, words):
+            ref = np.random.SeedSequence([base & M64, sid & M64]).generate_state(4, np.uint64)
+            assert np.array_equal(row, ref)
+
+    @pytest.mark.parametrize("base", EDGE_BASES)
+    def test_preset_stream_equals_seeded_stream(self, base):
+        for sid, row in zip(EDGE_IDS, _seed_words(base, EDGE_IDS)):
+            batched = RngStream(base, sid, seed_words=row)
+            single = RngStream(base, sid)
+            assert batched._gen.bit_generator.state == single._gen.bit_generator.state
+            assert np.array_equal(batched.random(8), single.random(8))
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        # numpy imports numpy.random lazily; loading it on `import cumskew`
+        # would add its import time to every CLI start-up
+        code = "import sys, cumskew; print('numpy.random' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "False"
 
 
 class TestNormal:
@@ -151,6 +185,14 @@ class TestContaminate:
         s = self.lognormal(3, n=10)
         with pytest.raises(CountTooLarge):
             contaminate(s, ContaminationSpec(6, "high"), rng_stream(6, 103))
+
+    def test_negative_sample_outliers_leave_its_range(self):
+        s = validate_sample([-5, -3, -2, -1, -4, -6])
+        high = contaminate(s, ContaminationSpec(2, "high"), rng_stream(6, 104))
+        low = contaminate(s, ContaminationSpec(2, "low"), rng_stream(6, 104))
+        changed = high.values != s.values
+        assert changed.sum() == 2 and np.all(high.values[changed] > -1)
+        assert np.all(low.values[changed] < -6)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

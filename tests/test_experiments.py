@@ -1,13 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 
 from cumskew import (
     ConditionSpec,
     ContaminationPlan,
+    ContaminationSpec,
     DistributionSpec,
     RngStream,
     aggregate,
+    contaminate,
     derive_stream_id,
     draw_sample,
     run_condition,
@@ -17,6 +20,8 @@ from cumskew import (
     skew_report,
     table1_conditions,
 )
+from cumskew import experiments
+from cumskew.core import _score_rows
 
 
 class TestAggregate:
@@ -81,6 +86,42 @@ class TestRunCondition:
         # block serially and split into 125-rep chunks across the pool
         spec = small_spec(reps=1000, contaminated=True)
         assert run_condition(spec, base_seed=17, jobs=1) == run_condition(spec, base_seed=17, jobs=2)
+
+    @pytest.mark.parametrize("spec", [
+        ConditionSpec("b-normal", DistributionSpec.normal(1.0, 2.0), 30, 40),
+        ConditionSpec("b-lognormal", DistributionSpec.lognormal(0.5), 30, 40),
+        ConditionSpec("b-cauchy", DistributionSpec.cauchy(), 30, 40),
+        ConditionSpec("b-tukey", DistributionSpec.tukey_g(0.7, 0.5, 2.0), 30, 40),
+        ConditionSpec("b-low", DistributionSpec.lognormal(1.0), 30, 40,
+                      contamination=ContaminationPlan(side="low", count_max=9)),
+    ])
+    def test_batched_seeding_draws_every_stream_as_seeded_alone(self, spec):
+        # each replication's row, drawn through its own RngStream as a
+        # single caller would, scores exactly as the batched run did
+        base = 2**64 - 3
+        rows = []
+        for rep in range(1, spec.reps + 1):
+            sample = draw_sample(spec.distribution,
+                                 RngStream(base, derive_stream_id(spec.id, rep)), spec.n)
+            plan = spec.contamination
+            if plan is not None:
+                crng = RngStream(base, derive_stream_id(spec.id, rep, "contamination"))
+                count = crng.integers(plan.count_min, plan.count_max + 1)
+                sample = contaminate(sample, ContaminationSpec(
+                    count=count, side=plan.side, magnitude_range=plan.magnitude_range), crng)
+            rows.append(sample.values)
+        ref = _score_rows(np.stack(rows))
+        cs, b1, degenerate = experiments._replicate_range((spec, base, 1, spec.reps + 1))
+        assert np.array_equal(cs, ref.cs) and np.array_equal(b1, ref.b1)
+        assert np.array_equal(degenerate, ref.degenerate)
+
+    def test_pool_workers_capped_by_cpus_and_tasks(self, monkeypatch):
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+        assert experiments._pool_workers(2, 8) == 2
+        assert experiments._pool_workers(64, 256) == 4
+        assert experiments._pool_workers(8, 3) == 3
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+        assert experiments._pool_workers(8, 32) == 1
 
     def test_seed_changes_results(self):
         spec = small_spec()
