@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from .core import lorenz_grid, raw_lorenz_grid, skew_report, weight_vector
 from .distributions import DistributionSpec
 from .errors import CumskewError
-from .experiments import run_gcurve, run_null, run_table1, table1_conditions
+from .experiments import ConditionSpec, run_gcurve, run_null, run_table1, table1_conditions
 from .io import (
     format_sig,
     parse_csv,
@@ -127,19 +127,7 @@ def cmd_experiment(args) -> int:
         else:
             dist = DistributionSpec.cauchy()
         result = run_null(dist, n=n, reps=reps, base_seed=seed, jobs=args.jobs)
-        rows = [{
-            "id": result.id,
-            "sigma": dist.sigma if dist.kind == "normal" else "",
-            "contamination": "none",
-            "n": n,
-            "reps": reps,
-            "seed": seed,
-            "b1_ave": result.b1_ave,
-            "b1_se": result.b1_se,
-            "cs_ave": result.cs_ave,
-            "cs_se": result.cs_se,
-            "degenerate_count": result.degenerate_count,
-        }]
+        rows = _condition_rows([result], [ConditionSpec(result.id, dist, n, reps)], seed)
         fields = RESULT_FIELDS
         meta = run_metadata(f"experiment {name}", seed=seed, n=n, reps=reps)
     else:  # gcurve

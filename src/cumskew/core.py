@@ -9,11 +9,17 @@ for gap indices i = 1..n-1.  The rank-linear weights are antisymmetric
 around the median gap, so symmetric samples score exactly zero, and the
 statistic is bounded by +/-(1 - 2/n) no matter how extreme an outlier is.
 
-Gaps are evaluated on a canonical shift of the data that fixes the mean at
-one.  CS is invariant under positive affine maps, so the shift never changes
-its value; it only keeps the construction well defined for data whose raw
-sum is zero or negative, and well conditioned when the mean dwarfs the
-spread.
+Every Lorenz quantity comes from one gap vector, the running sums C_i of
+the deviations x - mean of the sorted sample: with r = C_n / n, the mean
+the deviations are left with after rounding of the mean,
+
+    n * g_i = i * r - C_i = i * mean - S_i,
+
+the gap between the diagonal and the curve in the data's own units, with
+no shift of the data and no division by their total.  CS is the ratio of
+two sums of these gaps and needs no footing; Gini is their area, over the
+mean when the mean is positive; `lorenz_grid` reports them in the data's
+units and `raw_lorenz_grid` as shares of the mean.
 
 One kernel, `_score_rows`, scores a whole (k, n) block of samples at once:
 the Monte Carlo harness stacks its replications into blocks, and the
@@ -111,53 +117,52 @@ def _sum2(x: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4)
-def _grid_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only grid points p_i = i/n and weights w_i for i = 1..n-1."""
-    i = np.arange(1, n)
-    return _readonly(i / n), _readonly((2 * i - n) * 3.0 / n)
+def _grid_rows(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only ranks i, grid points p_i = i/n and weights w_i, i = 1..n-1."""
+    i = np.arange(1.0, n)
+    return _readonly(i), _readonly(i / n), _readonly((2 * i - n) * 3.0 / n)
 
 
-def _scale_rows(x: np.ndarray) -> np.ndarray:
+def _centre_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scale each sorted row of x in place by 2**-e, with e per row chosen
-    by frexp so that the largest magnitude lies in [0.5, 1); return e."""
+    by frexp so that the largest magnitude lies in [0.5, 1), and subtract
+    its mean; return e and the scaled means."""
     _, e = np.frexp(np.maximum(-x[:, 0], x[:, -1]))
     np.ldexp(x, -e[:, None], out=x)
-    return e
-
-
-def _centre_rows(x: np.ndarray) -> np.ndarray:
-    """Subtract each row's mean from x in place; return the means."""
     mean = _sum2(x) / x.shape[1]
     x -= mean[:, None]
-    return mean
+    return e, mean
 
 
-def _canonical_shares(dev: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Shares q_i = S_i / S_n of the mean-one shift x - mean + 1, i < n.
+def _gaps(sums: np.ndarray, r: np.ndarray, i: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """n * g_i = i * r - C_i for i = 1..n-1, into out, from the running sums
+    C of the deviations and their own mean r = C_n / n: n times the Lorenz
+    gaps, in the units of the deviations."""
+    gaps = np.multiply(i, r[:, None], out=out)
+    gaps -= sums[:, :-1]
+    return gaps
 
-    Takes scaled deviations, in whose units the shift 1 is 2**-e, and
-    shifts them in place; q is a ratio, so it equals that of the unscaled
-    shift.  Returns q and the unscaled total S_n.
+
+def _raw_means(values: np.ndarray, mean: np.ndarray,
+               e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's mean in the data's own units and in the scaled ones.
+
+    The scaled mean is right unless it is zero or subnormal: scaling a row
+    that spans more than the float range flushes its smallest values to
+    zero, and they decide the mean when the rest cancel ([-1e308, 1e308,
+    1e-300] has a scaled mean of 0), so such rows are summed again with
+    what the scaling flushed.
     """
-    dev += np.ldexp(1.0, -e)[:, None]
-    sums = _compensated_cumsum(dev)
-    total = sums[:, -1].copy()
-    sums /= total[:, None]
-    return sums[:, :-1], np.ldexp(total, e)
-
-
-def _gini(gap_sum, total, n: int, raw_mean):
-    """Twice the gap area, over the raw mean when that is positive.
-
-    A gap d_i is a share of the grid's total, so d_i * total / n is the gap
-    in the data's own units, (i * mean - S_i) / n, on either footing; with
-    the total as computed, not as intended, the area stays right when
-    rounding has moved the total of the mean-one shift away from n (CS, a
-    ratio of gap sums, never sees that).  A non-positive mean leaves the
-    area itself, the canonical coefficient.
-    """
-    area = 2.0 * gap_sum / n * (total / n)
-    return np.where(raw_mean > 0.0, area / raw_mean, area)
+    raw = np.ldexp(mean, e)
+    small = np.abs(mean) < np.finfo(np.float64).tiny
+    if small.any():
+        rows = np.sort(values[small], axis=1)
+        es = e[small, None]
+        scaled = np.ldexp(rows, -es)
+        flushed = rows - np.ldexp(scaled, es)
+        raw[small] = (np.ldexp(_sum2(scaled), e[small]) + _sum2(flushed)) / rows.shape[1]
+        mean = np.where(small, np.ldexp(raw, -e), mean)
+    return raw, mean
 
 
 class _Scores(NamedTuple):
@@ -175,46 +180,50 @@ def _score_rows(block: np.ndarray) -> _Scores:
 
     A row is degenerate when it is constant or its variance vanishes; its
     statistics are reported as 0.  A row's results are bit-identical
-    whichever block it is scored in.
+    whichever block it is scored in.  A Gini outside the float range is
+    returned as it is, for the caller that needs it to raise.
 
     Raises:
         FloatRangeError: a row's CS or b1 is not finite.
     """
     x = np.sort(block, axis=1)
     n = x.shape[1]
-    p, w = _grid_rows(n)
+    i, _, w = _grid_rows(n)
     degenerate = x[:, 0] == x[:, -1]
-    e = _scale_rows(x)
-    mean = _centre_rows(x)
-    # x now holds the scaled deviations; the buffers below are reused in
-    # place to keep the peak memory of large single samples down.  The
+    e, mean = _centre_rows(x)
+    # x now holds the scaled deviations; the buffers below are freed or
+    # reused in place to keep the peak memory of large samples down.  The
     # moments are corrected by the deviations' own mean r, which rounding
     # of the mean leaves nonzero (the corrected two-pass algorithm): with
     # s_k = sum(dev**k) / n, m2 = s2 - r**2 and m3 = s3 - 3 r s2 + 2 r**3.
     # Without it b1 drifts when the mean dwarfs the spread.
-    r = _sum2(x) / n
     power = x * x
     s2 = _sum2(power) / n
     power *= x
     s3 = _sum2(power) / n
     del power
+    sums = _compensated_cumsum(x)
+    r = sums[:, -1] / n
     m2 = s2 - r * r
     m3 = s3 - 3.0 * r * s2 + 2.0 * (r * r * r)
     degenerate |= m2 == 0.0
-    q, total = _canonical_shares(x, e)
-    d = np.subtract(p, q, out=q)
-    den = _sum2(d)
-    d *= w
-    num = _sum2(d)
+    gaps = _gaps(sums, r, i, out=x[:, :-1])
+    del sums
+    den = _sum2(gaps)
+    gaps *= w
+    num = _sum2(gaps)
     cs = np.where(degenerate | (den == 0.0), 0.0, num / den)
     # m2 * sqrt(m2), not m2 ** 1.5: sqrt and * round correctly on every
     # platform and in every SIMD lane, a vectorised pow need not
     b1 = np.where(degenerate, 0.0, m3 / (m2 * np.sqrt(m2)))
-    gini = np.where(degenerate, 0.0, _gini(den, total, n, np.ldexp(mean, e)))
     if not (np.isfinite(cs).all() and np.isfinite(b1).all()):
         raise FloatRangeError("CS or b1 of the sample cannot be computed "
                               "within the float range")
-    return _Scores(cs=cs, b1=b1, gini=gini, degenerate=degenerate)
+    area = 2.0 * den / n / n  # twice the area between diagonal and curve
+    raw_mean, mean = _raw_means(block, mean, e)
+    gini = np.where(raw_mean > 0.0, area / mean, np.ldexp(area, e))
+    return _Scores(cs=cs, b1=b1, gini=np.where(degenerate, 0.0, gini),
+                   degenerate=degenerate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,9 +246,11 @@ class LorenzGrid:
         q: cumulative proportion of total size.
         d: signed gaps p - q.
         n: sample size (one more than the number of grid points).
-        total: sum of the (possibly shifted) values behind q.
-        raw_mean: mean of the unshifted sample, kept so that statistics
-            on the classical (unshifted) footing can be recovered.
+        total: sum of the values behind q: n on the canonical grid, the
+            curve of the data shifted to mean one, and the sum of the
+            data on the classical grid.
+        raw_mean: mean of the sample as given, kept so that statistics
+            on the classical footing can be recovered.
     """
 
     p: np.ndarray
@@ -306,68 +317,58 @@ def validate_sample(raw) -> Sample:
 
 
 @np.errstate(all="ignore")  # a grid that leaves the float range raises below
-def lorenz_grid(sample: Sample) -> LorenzGrid:
-    """Build the gap grid on the canonical mean-one shift of the sample.
-
-    Values are shifted by (1 - mean), sorted ascending, and accumulated;
-    q_i is the running sum over the shifted total.  On this footing every
-    gap is nonnegative and the gap sequence is concave.  A constant sample
-    yields all-zero gaps (the curve coincides with the diagonal).
-
-    Raises:
-        FloatRangeError: the grid is not finite.
-    """
+def _lorenz(sample: Sample, classical: bool) -> LorenzGrid:
+    """The grid of a sample from its gap vector: the gaps in the data's own
+    units, or as shares of the mean on the classical footing."""
     x = np.sort(sample.values)[None, :]
     n = x.shape[1]
-    p = _grid_rows(n)[0]
-    constant = x[0, 0] == x[0, -1]
-    e = _scale_rows(x)
-    raw_mean = float(np.ldexp(_centre_rows(x), e)[0])
-    if constant:
-        return LorenzGrid(p=p, q=p, d=_readonly(np.zeros(n - 1)),
-                          n=n, total=float(n), raw_mean=raw_mean)
-    q, total = _canonical_shares(x, e)
-    d = p - q
-    if not (np.isfinite(d).all() and np.isfinite(total).all()):
-        raise FloatRangeError("the canonical Lorenz grid cannot be computed "
-                              "within the float range")
-    return LorenzGrid(
-        p=p, q=_readonly(q[0]), d=_readonly(d[0]),
-        n=n, total=float(total[0]), raw_mean=raw_mean,
-    )
+    i, p, _ = _grid_rows(n)
+    e, mean = _centre_rows(x)
+    sums = _compensated_cumsum(x)
+    d = _gaps(sums, sums[:, -1] / n, i, out=x[:, :-1])[0]
+    del sums  # keeps the peak memory of large samples down
+    raw_mean, mean = _raw_means(sample.values[None, :], mean, e)
+    if not classical:
+        d /= n
+        np.ldexp(d, e[0], out=d)
+        total = float(n)
+    elif raw_mean[0] > 0.0:
+        d /= n * mean[0]
+        total = n * float(raw_mean[0])
+    else:
+        raise ValueError("classical Lorenz curve needs a positive total")
+    if not (np.isfinite(d).all() and math.isfinite(total)):
+        raise FloatRangeError("the Lorenz grid cannot be computed within "
+                              "the float range")
+    return LorenzGrid(p=p, q=_readonly(p - d), d=_readonly(d),
+                      n=n, total=total, raw_mean=float(raw_mean[0]))
 
 
-@np.errstate(all="ignore")  # a grid that leaves the float range raises below
+def lorenz_grid(sample: Sample) -> LorenzGrid:
+    """Build the canonical gap grid, d_i = (i * mean - S_i) / n on sorted
+    values, the gaps in the data's own units.
+
+    It is the classical curve of the data shifted to mean one (total n),
+    defined whatever the sign of the total: every gap is nonnegative, the
+    gap sequence is concave, and a constant sample yields all-zero gaps
+    (the curve coincides with the diagonal).
+    """
+    return _lorenz(sample, classical=False)
+
+
 def raw_lorenz_grid(sample: Sample) -> LorenzGrid:
     """Build the classical Lorenz grid on the data as given (no shift).
 
-    This is the textbook curve with q_i = S_i / S_n on sorted values; it
-    requires a positive total.  Prefer :func:`lorenz_grid` for computing
-    cumulative skew, which is identical on both footings whenever the raw
-    total is positive.
+    This is the textbook curve with q_i = S_i / S_n on sorted values, the
+    canonical gaps over the mean; it requires a positive total.  Prefer
+    :func:`lorenz_grid` for computing cumulative skew, which is identical
+    on both footings whenever the raw total is positive.
 
     Raises:
         ValueError: the values sum to zero or less.
         FloatRangeError: the grid or the total is not finite.
     """
-    xs = np.sort(sample.values)[None, :]
-    n = xs.shape[1]
-    e = _scale_rows(xs)
-    sums = _compensated_cumsum(xs[0])
-    total = sums[-1]
-    if total <= 0.0:
-        raise ValueError("classical Lorenz curve needs a positive total")
-    p = _grid_rows(n)[0]
-    q = sums[:-1] / total
-    d = p - q
-    raw_total = float(np.ldexp(total, e[0]))
-    if not (np.isfinite(d).all() and math.isfinite(raw_total)):
-        raise FloatRangeError("the classical Lorenz grid cannot be computed "
-                              "within the float range")
-    return LorenzGrid(
-        p=p, q=_readonly(q), d=_readonly(d),
-        n=n, total=raw_total, raw_mean=float(np.ldexp(total / n, e[0])),
-    )
+    return _lorenz(sample, classical=True)
 
 
 def weight_vector(n: int) -> WeightVector:
@@ -378,7 +379,7 @@ def weight_vector(n: int) -> WeightVector:
     """
     if n < 2:
         raise EmptyOrTooSmall(f"need n >= 2, got {n}")
-    return WeightVector(w=_grid_rows(n)[1], n=n)
+    return WeightVector(w=_grid_rows(n)[2], n=n)
 
 
 def cumulative_skew(sample: Sample) -> float:
@@ -412,17 +413,20 @@ def moment_skewness(sample: Sample) -> float:
 def gini(grid: LorenzGrid) -> float:
     """Gini coefficient, twice the gap area under the grid.
 
-    Evaluated on the classical footing of the original data (gaps are
-    rescaled by the raw mean, undoing the canonical shift) so that
-    positive data yield the standard trapezoid Gini in [0, 1).  When the
-    raw mean is not positive the shift-invariant canonical value is
-    returned instead, since the classical coefficient is undefined there.
-    Unlike CS, Gini depends on the location of the data.
+    Evaluated on the classical footing of the original data so that
+    positive data yield the standard trapezoid Gini in [0, 1): total / n
+    turns a grid's gaps into the data's units (it is 1 on the canonical
+    grid and the mean on the classical one), and the area is divided by
+    the raw mean.  When the raw mean is not positive the shift-invariant
+    canonical value, the area itself, is returned instead, since the
+    classical coefficient is undefined there.  Unlike CS, Gini depends on
+    the location of the data.
 
     Raises:
         FloatRangeError: the coefficient is outside the float range.
     """
-    value = float(_gini(_sum2(grid.d), grid.total, grid.n, grid.raw_mean))
+    area = 2.0 * _sum2(grid.d) / grid.n * (grid.total / grid.n)
+    value = float(area / grid.raw_mean if grid.raw_mean > 0.0 else area)
     if not math.isfinite(value):
         raise FloatRangeError("the Gini coefficient is outside the float range")
     return value

@@ -327,9 +327,7 @@ def kernel_rows(rng, kind, n):
         k = max(1, n // 20)
         x[rng.choice(n, k, replace=False)] = rng.choice([-1, 1], k) * 1e6 * x.max()
         return x
-    # wide scales, kept below 2**53: above it the mean-one shift can vanish
-    # in rounding and a row raise FloatRangeError (see TestFloatRange)
-    return rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 15)
+    return rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 300)  # wide scales
 
 
 class TestBlockKernel:
@@ -420,9 +418,62 @@ class TestFloatRange:
                 assert report.gini == pytest.approx(float(pairs / (2 * n * n * mean)), rel=1e-9)
 
     def test_results_outside_the_float_range_raise_a_typed_error(self):
-        # the mean-one shift of subnormal data is 2**1074 in scaled units
-        sample = validate_sample([0.0, 1e-310, 3e-310])
-        for fn in (skew_report, cumulative_skew, lorenz_grid):
+        # the spread dwarfs the positive mean: the classical grid and Gini
+        # overflow, while CS and b1 stay finite
+        values = [-1e300, 1e300, 1e-10]
+        sample = validate_sample(values)
+        for fn in (skew_report, raw_lorenz_grid, lambda s: gini(lorenz_grid(s))):
             with pytest.raises(FloatRangeError):
                 fn(sample)
         assert issubclass(FloatRangeError, CumskewError)
+        assert cs(values) == pytest.approx(float(exact_cs(values)), abs=1e-15)
+        assert moment_skewness(sample) == pytest.approx(exact_b1(values), abs=1e-300)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_subnormal_samples_score_exactly(self, sign):
+        values = [0.0, sign * 1e-310, sign * 3e-310]
+        assert exact_cs(values) == sign * Fraction(1, 9)
+        report = skew_report(validate_sample(values))
+        assert report.cs == pytest.approx(sign / 9, abs=1e-15)
+        assert report.b1 == pytest.approx(exact_b1(values), rel=1e-12)
+        # sum|xi - xj| / (2 n^2 mean) = 12 / 24 for [0, 1, 3]; for the
+        # negative sample the canonical area, 2 * (5 + 4) * 1e-310 / 9 / 3
+        want = 0.5 if sign > 0 else 2e-310 / 3
+        assert report.gini == pytest.approx(want, rel=1e-12, abs=0)
+        assert lorenz_grid(validate_sample(values)).d == pytest.approx(
+            [4e-310 / 9, 5e-310 / 9] if sign > 0 else [5e-310 / 9, 4e-310 / 9], abs=1e-323)
+
+    def test_gaps_need_no_shift(self):
+        # what a shift of the data to mean one loses: a spread below its
+        # resolution, and a total that rounds to 0 at large magnitudes
+        assert cs([1, 1, 1, 1 + 2 ** -52]) == 0.5
+        report = skew_report(validate_sample([1e20, -3e20]))
+        assert (report.cs, report.b1, report.gini) == (0.0, 0.0, 1e20)
+        z = np.random.default_rng(1).lognormal(size=200)
+        assert cs(1e-300 * z) == pytest.approx(cs(z), abs=1e-15)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_mean_flushed_by_the_scaling_decides_the_gini_footing(self, sign):
+        # scaled by 2**-1024 the third value flushes to 0 and the rest
+        # cancel; the positive mean makes the classical Gini overflow, the
+        # negative one leaves the canonical area, 2 * (2e308 / 9)
+        values = [-1e308, 1e308, sign * 1e-300]
+        sample = validate_sample(values)
+        assert cumulative_skew(sample) == 0.0
+        assert moment_skewness(sample) == pytest.approx(exact_b1(values), abs=1e-300)
+        if sign > 0:
+            for fn in (skew_report, raw_lorenz_grid, lambda s: gini(lorenz_grid(s))):
+                with pytest.raises(FloatRangeError):
+                    fn(sample)
+        else:
+            assert skew_report(sample).gini == pytest.approx(4 / 9 * 1e308, rel=1e-12)
+            assert gini(lorenz_grid(sample)) == pytest.approx(4 / 9 * 1e308, rel=1e-12)
+
+    def test_cs_is_exact_at_every_scale_and_offset(self):
+        rng = np.random.default_rng(17)
+        for _ in range(400):
+            n = int(rng.integers(2, 40))
+            x = (rng.standard_normal(n) if rng.integers(0, 2) else rng.lognormal(0, 1, n))
+            x = x * 10.0 ** rng.uniform(-300, 300)
+            x = x + rng.choice([-1, 1]) * 10.0 ** rng.uniform(-3, 15) * np.abs(x).max()
+            assert cs(x) == pytest.approx(float(exact_cs(x)), abs=1e-15)

@@ -1,10 +1,12 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from cumskew import ColumnNotFound, EmptyOrTooSmall, ParseError, parse_csv
-from cumskew.cli import main
+from cumskew import ConditionSpec, DistributionSpec, run_condition
+from cumskew.cli import _condition_rows, main
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -130,10 +132,18 @@ class TestComputeCommand:
         assert row["gini"] == pytest.approx(4 / 3, rel=1e-9)
 
     def test_float_range_failure_exits_1(self, tmp_path, capsys):
-        path = write(tmp_path, "0\n1e-310\n3e-310\n")
+        # the spread dwarfs the positive mean: the classical Gini overflows
+        path = write(tmp_path, "-1e300\n1e300\n1e-10\n")
         assert main(["compute", path]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("cumskew:") and captured.out == ""
+
+    def test_subnormal_data_report_exact_values(self, tmp_path, capsys):
+        path = write(tmp_path, "0\n1e-310\n3e-310\n")
+        assert main(["compute", path, "--format", "json"]) == 0
+        row = json.loads(capsys.readouterr().out)["rows"][0]
+        assert row["cs"] == pytest.approx(1 / 9, abs=1e-15)
+        assert row["gini"] == pytest.approx(0.5, rel=1e-15)
 
 
 class TestLorenzCommand:
@@ -179,8 +189,22 @@ class TestLorenzCommand:
         rows = [float(v) for line in lines[2:4] for v in line.split("\t")[:4]]
         assert rows == pytest.approx([1, 1 / 3, -1, 4 / 3, 2, 2 / 3, 0, 2 / 3], abs=1e-12)
 
+    def test_negative_extremes_give_the_canonical_grid(self, tmp_path, capsys):
+        # q_i = p_i - (i * mean - S_i) / n, exactly -2/9 and -4/9 of 1e308
+        values = [-1e308, -1e308, 1e308]
+        path = write(tmp_path, "".join(f"{v!r}\n" for v in values))
+        assert main(["lorenz", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        x = [Fraction(v) for v in values]
+        mean = sum(x) / 3
+        for i in (1, 2):
+            q = float(Fraction(i, 3) - (i * mean - sum(x[:i])) / 3)
+            assert float(lines[i + 1].split("\t")[2]) == pytest.approx(q, rel=1e-15)
+        assert float(lines[2].split("\t")[2]) == pytest.approx(-2 / 9 * 1e308, rel=1e-15)
+
     def test_float_range_failure_exits_1(self, tmp_path, capsys):
-        path = write(tmp_path, "0\n-1e-310\n-3e-310\n")
+        # the spread dwarfs the positive mean: the classical grid overflows
+        path = write(tmp_path, "-1e300\n1e300\n1e-10\n")
         assert main(["lorenz", path]) == 1
         assert capsys.readouterr().err.startswith("cumskew:")
 
@@ -256,6 +280,16 @@ class TestExperimentCommand:
                      "--seed", "2", "--out", str(out)]) == 0
         lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert lines[1].startswith("null-cauchy,,none,20,30,2,")
+
+    @pytest.mark.parametrize("name", ["null-normal", "null-cauchy"])
+    def test_null_rows_are_the_condition_rows_of_their_spec(self, tmp_path, name):
+        out = tmp_path / "n.json"
+        assert main(["experiment", name, "--reps", "30", "--n", "20", "--seed", "4",
+                     "--format", "json", "--out", str(out)]) == 0
+        dist = DistributionSpec.normal(0.0, 1.0) if name == "null-normal" else DistributionSpec.cauchy()
+        spec = ConditionSpec(name, dist, 20, 30)
+        want = _condition_rows([run_condition(spec, 4)], [spec], 4)
+        assert json.loads(out.read_text())["rows"] == want
 
     def test_jobs_do_not_change_output(self, tmp_path):
         a, b = tmp_path / "s.csv", tmp_path / "p.csv"

@@ -6,7 +6,7 @@ identities can be asserted at tight tolerances.
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cumskew import cumulative_skew, validate_sample
@@ -56,3 +56,17 @@ def test_mirrored_pairs_score_zero(deltas, mu, include_center):
     if include_center:
         values.append(mu)
     assert abs(cs(values)) <= 1e-12
+
+
+@given(st.lists(st.integers(min_value=-8, max_value=8), min_size=2, max_size=80),
+       st.integers(min_value=-996, max_value=996),
+       st.sampled_from([-1, 1]), st.integers(min_value=0, max_value=15))
+@settings(deadline=None)
+def test_affine_invariance_across_the_float_range(xs, k, sign, j):
+    # scales 2**k from 1e-300 to 1e300 and offsets b = +-10**j * max|x| up
+    # to 1e15 * max|x|; with |x| <= 8 both are exact, (x + b) * 2**k,
+    # since |x + b| stays below 2**53
+    b = sign * 10 ** j * max(abs(v) for v in xs)
+    mapped = [(v + b) * 2.0 ** k for v in xs]
+    assume(all(math.isfinite(v) for v in mapped))
+    assert math.isclose(cs(mapped), cs(xs), rel_tol=0.0, abs_tol=1e-12)
