@@ -158,7 +158,7 @@ def cmd_lorenz(args) -> int:
     rows = [{"i": 0, "p": 0.0, "q": 0.0, "d": 0.0}]
     for k in range(grid.p.size):
         rows.append({"i": k + 1, "p": float(grid.p[k]), "q": float(grid.q[k]),
-                     "d": float(grid.d[k]), "w": float(weights.w[k])})
+                     "d": float(grid.d[k]), "w": float(weights[k])})
     rows.append({"i": grid.n, "p": 1.0, "q": 1.0, "d": 0.0})
 
     with _output(args.out) as fh:

@@ -55,7 +55,6 @@ from .errors import (
 __all__ = [
     "Sample",
     "LorenzGrid",
-    "WeightVector",
     "SkewReport",
     "validate_sample",
     "lorenz_grid",
@@ -165,6 +164,22 @@ def _raw_means(values: np.ndarray, mean: np.ndarray,
     return raw, mean
 
 
+def _gini(den: np.ndarray, n: int, raw_mean: np.ndarray, mean: np.ndarray,
+          e: np.ndarray) -> np.ndarray:
+    """Gini of each row from den, the Sum2 of its scaled n * g_i: twice the
+    area between the diagonal and the curve, over the mean when the raw mean
+    is positive and in the data's units otherwise; inf outside the float
+    range.  The one Gini rule of the package."""
+    area = 2.0 * den / n / n
+    return np.where(raw_mean > 0.0, area / mean, np.ldexp(area, e))
+
+
+def _finite_gini(value: float) -> float:
+    if not math.isfinite(value):
+        raise FloatRangeError("the Gini coefficient is outside the float range")
+    return value
+
+
 class _Scores(NamedTuple):
     """Per-row results of the block kernel."""
 
@@ -219,9 +234,7 @@ def _score_rows(block: np.ndarray) -> _Scores:
     if not (np.isfinite(cs).all() and np.isfinite(b1).all()):
         raise FloatRangeError("CS or b1 of the sample cannot be computed "
                               "within the float range")
-    area = 2.0 * den / n / n  # twice the area between diagonal and curve
-    raw_mean, mean = _raw_means(block, mean, e)
-    gini = np.where(raw_mean > 0.0, area / mean, np.ldexp(area, e))
+    gini = _gini(den, n, *_raw_means(block, mean, e), e)
     return _Scores(cs=cs, b1=b1, gini=np.where(degenerate, 0.0, gini),
                    degenerate=degenerate)
 
@@ -246,27 +259,16 @@ class LorenzGrid:
         q: cumulative proportion of total size.
         d: signed gaps p - q.
         n: sample size (one more than the number of grid points).
-        total: sum of the values behind q: n on the canonical grid, the
-            curve of the data shifted to mean one, and the sum of the
-            data on the classical grid.
-        raw_mean: mean of the sample as given, kept so that statistics
-            on the classical footing can be recovered.
+        gini: the sample's Gini coefficient, the same on both footings and
+            bit-identical to `skew_report`'s; inf when it is outside the
+            float range (`gini` then raises).
     """
 
     p: np.ndarray
     q: np.ndarray
     d: np.ndarray
     n: int
-    total: float
-    raw_mean: float
-
-
-@dataclass(frozen=True, eq=False)
-class WeightVector:
-    """Rank-linear gap weights w_i = (2*i - n) * 3 / n, i = 1..n-1."""
-
-    w: np.ndarray
-    n: int
+    gini: float
 
 
 @dataclass(frozen=True)
@@ -325,23 +327,22 @@ def _lorenz(sample: Sample, classical: bool) -> LorenzGrid:
     i, p, _ = _grid_rows(n)
     e, mean = _centre_rows(x)
     sums = _compensated_cumsum(x)
-    d = _gaps(sums, sums[:, -1] / n, i, out=x[:, :-1])[0]
+    gaps = _gaps(sums, sums[:, -1] / n, i, out=x[:, :-1])
     del sums  # keeps the peak memory of large samples down
     raw_mean, mean = _raw_means(sample.values[None, :], mean, e)
-    if not classical:
+    if classical and not raw_mean[0] > 0.0:
+        raise ValueError("classical Lorenz curve needs a positive total")
+    g = float(_gini(_sum2(gaps), n, raw_mean, mean, e)[0])
+    d = gaps[0]
+    if classical:
+        d /= n * mean[0]
+    else:
         d /= n
         np.ldexp(d, e[0], out=d)
-        total = float(n)
-    elif raw_mean[0] > 0.0:
-        d /= n * mean[0]
-        total = n * float(raw_mean[0])
-    else:
-        raise ValueError("classical Lorenz curve needs a positive total")
-    if not (np.isfinite(d).all() and math.isfinite(total)):
+    if not np.isfinite(d).all():
         raise FloatRangeError("the Lorenz grid cannot be computed within "
                               "the float range")
-    return LorenzGrid(p=p, q=_readonly(p - d), d=_readonly(d),
-                      n=n, total=total, raw_mean=float(raw_mean[0]))
+    return LorenzGrid(p=p, q=_readonly(p - d), d=_readonly(d), n=n, gini=g)
 
 
 def lorenz_grid(sample: Sample) -> LorenzGrid:
@@ -366,20 +367,21 @@ def raw_lorenz_grid(sample: Sample) -> LorenzGrid:
 
     Raises:
         ValueError: the values sum to zero or less.
-        FloatRangeError: the grid or the total is not finite.
+        FloatRangeError: the grid is not finite.
     """
     return _lorenz(sample, classical=True)
 
 
-def weight_vector(n: int) -> WeightVector:
+def weight_vector(n: int) -> np.ndarray:
     """Weights (2*i - n) * 3 / n for gap indices i = 1..n-1.
 
     Antisymmetric (w_i = -w_{n-i}), summing to zero, with the median gap
-    carrying weight zero when n is even.  Magnitudes stay below 3.
+    carrying weight zero when n is even.  Magnitudes stay below 3.  The
+    row is cached and read-only.
     """
     if n < 2:
         raise EmptyOrTooSmall(f"need n >= 2, got {n}")
-    return WeightVector(w=_grid_rows(n)[2], n=n)
+    return _grid_rows(n)[2]
 
 
 def cumulative_skew(sample: Sample) -> float:
@@ -409,27 +411,21 @@ def moment_skewness(sample: Sample) -> float:
     return float(scores.b1[0])
 
 
-@np.errstate(all="ignore")  # a coefficient outside the float range raises below
 def gini(grid: LorenzGrid) -> float:
-    """Gini coefficient, twice the gap area under the grid.
+    """Gini coefficient, twice the gap area between the diagonal and the
+    curve, over the raw mean.
 
-    Evaluated on the classical footing of the original data so that
-    positive data yield the standard trapezoid Gini in [0, 1): total / n
-    turns a grid's gaps into the data's units (it is 1 on the canonical
-    grid and the mean on the classical one), and the area is divided by
-    the raw mean.  When the raw mean is not positive the shift-invariant
-    canonical value, the area itself, is returned instead, since the
-    classical coefficient is undefined there.  Unlike CS, Gini depends on
-    the location of the data.
+    Positive data yield the standard trapezoid Gini in [0, 1).  When the
+    raw mean is not positive the classical coefficient is undefined and
+    the shift-invariant canonical value, the area itself in the data's
+    units, is returned instead.  Unlike CS, Gini depends on the location
+    of the data.  The grid carries the value, computed by the rule the
+    Monte Carlo kernel uses, so it is the same on either footing.
 
     Raises:
         FloatRangeError: the coefficient is outside the float range.
     """
-    area = 2.0 * _sum2(grid.d) / grid.n * (grid.total / grid.n)
-    value = float(area / grid.raw_mean if grid.raw_mean > 0.0 else area)
-    if not math.isfinite(value):
-        raise FloatRangeError("the Gini coefficient is outside the float range")
-    return value
+    return _finite_gini(grid.gini)
 
 
 def skew_report(sample: Sample) -> SkewReport:
@@ -443,6 +439,5 @@ def skew_report(sample: Sample) -> SkewReport:
     """
     scores = _score_rows(sample.values[None, :])
     cs, b1, g, degenerate = (v[0].item() for v in scores)
-    if not math.isfinite(g):
-        raise FloatRangeError("the Gini coefficient is outside the float range")
-    return SkewReport(n=sample.n, cs=cs, b1=b1, gini=g, degenerate=degenerate)
+    return SkewReport(n=sample.n, cs=cs, b1=b1, gini=_finite_gini(g),
+                      degenerate=degenerate)

@@ -27,7 +27,6 @@ from .errors import CountTooLarge
 
 __all__ = [
     "RngStream",
-    "rng_stream",
     "DistributionSpec",
     "ContaminationSpec",
     "sample_normal",
@@ -178,11 +177,6 @@ class RngStream:
     def choose_indices(self, n: int, k: int) -> np.ndarray:
         """k distinct indices drawn uniformly from range(n)."""
         return self._gen.choice(n, size=k, replace=False)
-
-
-def rng_stream(base_seed: int, stream_id: int = 0) -> RngStream:
-    """Create a deterministic random stream."""
-    return RngStream(base_seed, stream_id)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,11 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "CumskewError", "EmptyOrTooSmall", "NonFiniteValue", "ConstantSample",
+    "CountTooLarge", "ColumnNotFound", "ParseError", "FloatRangeError",
+    "NonNumericData",
+]
+
 
 class CumskewError(Exception):
     """Base class for all cumskew errors."""

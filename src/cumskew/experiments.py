@@ -39,8 +39,6 @@ __all__ = [
     "run_table1",
     "run_null",
     "run_gcurve",
-    "DEFAULT_G_GRID",
-    "DEFAULT_GCURVE_SDS",
 ]
 
 DEFAULT_G_GRID = tuple(k / 10 for k in range(1, 16))

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from .core import LorenzGrid, WeightVector
+import numpy as np
+
+from .core import LorenzGrid
 
 SIZE = 600
 MARGIN = 60
@@ -25,9 +27,10 @@ def _sign(w: float) -> str:
     return "zero"
 
 
-def lorenz_svg(grid: LorenzGrid, weights: WeightVector) -> str:
+def lorenz_svg(grid: LorenzGrid, weights: np.ndarray) -> str:
     """Render the curve, the 45-degree line, and gap segments colored by
-    weight sign, in a fixed 600x600 viewport."""
+    the sign of their weight (`weight_vector(grid.n)`), in a fixed 600x600
+    viewport."""
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
         f'viewBox="0 0 {SIZE} {SIZE}">',
@@ -37,7 +40,7 @@ def lorenz_svg(grid: LorenzGrid, weights: WeightVector) -> str:
         f'<line x1="{_x(0):.1f}" y1="{_y(0):.1f}" x2="{_x(1):.1f}" y2="{_y(1):.1f}" '
         f'stroke="gray" stroke-width="1.5"/>',
     ]
-    for p, q, w in zip(grid.p, grid.q, weights.w):
+    for p, q, w in zip(grid.p, grid.q, weights):
         parts.append(
             f'<line x1="{_x(p):.2f}" y1="{_y(p):.2f}" x2="{_x(p):.2f}" '
             f'y2="{_y(q):.2f}" stroke="{GAP_COLORS[_sign(w)]}" '

@@ -15,7 +15,6 @@ from cumskew import (
     cumulative_skew,
     draw_sample,
     moment_skewness,
-    rng_stream,
     sample_cauchy,
     sample_lognormal,
     sample_normal,
@@ -32,23 +31,23 @@ EDGE_IDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, -9, 5406966257379951050)
 
 class TestRngStream:
     def test_same_key_reproduces(self):
-        a = rng_stream(42, 7).random(1000)
-        b = rng_stream(42, 7).random(1000)
+        a = RngStream(42, 7).random(1000)
+        b = RngStream(42, 7).random(1000)
         assert np.array_equal(a, b)
 
     def test_streams_separate_quickly(self):
-        a = rng_stream(42, 7).random(10)
-        b = rng_stream(42, 8).random(10)
+        a = RngStream(42, 7).random(10)
+        b = RngStream(42, 8).random(10)
         assert not np.array_equal(a, b)
 
     def test_uniform_mean(self):
-        u = rng_stream(1, 0).random(100_000)
+        u = RngStream(1, 0).random(100_000)
         assert abs(u.mean() - 0.5) < 0.005
         assert u.min() >= 0.0 and u.max() < 1.0
 
     def test_negative_seeds_accepted(self):
-        a = rng_stream(-3, -9).random(5)
-        b = rng_stream(-3, -9).random(5)
+        a = RngStream(-3, -9).random(5)
+        b = RngStream(-3, -9).random(5)
         assert np.array_equal(a, b)
 
 
@@ -78,42 +77,72 @@ class TestBatchedSeeding:
         assert out.stdout.strip() == "False"
 
 
+PUBLIC_NAMES = [
+    "__version__",
+    "Sample", "LorenzGrid", "SkewReport",
+    "validate_sample", "lorenz_grid", "raw_lorenz_grid", "weight_vector",
+    "cumulative_skew", "moment_skewness", "gini", "skew_report",
+    "RngStream", "DistributionSpec", "ContaminationSpec",
+    "sample_normal", "sample_lognormal", "sample_cauchy", "sample_tukey_g",
+    "cauchy_transform", "tukey_g_transform", "contaminate", "draw_sample",
+    "ContaminationPlan", "ConditionSpec", "ConditionResult", "GCurvePoint",
+    "aggregate", "derive_stream_id", "run_condition", "table1_conditions",
+    "run_table1", "run_null", "run_gcurve",
+    "parse_csv",
+    "CumskewError", "EmptyOrTooSmall", "NonFiniteValue", "ConstantSample",
+    "CountTooLarge", "ColumnNotFound", "ParseError", "FloatRangeError",
+    "NonNumericData",
+]
+
+
+class TestPackageSurface:
+    def test_all_is_pinned_and_resolves(self):
+        # __all__ is built from the modules' own lists; it must neither
+        # grow nor lose a name unnoticed
+        import cumskew
+
+        assert len(cumskew.__all__) == len(set(cumskew.__all__))
+        assert sorted(cumskew.__all__) == sorted(PUBLIC_NAMES)
+        for name in cumskew.__all__:
+            assert getattr(cumskew, name) is not None, name
+
+
 class TestNormal:
     def test_zero_sd_is_constant(self):
-        s = sample_normal(rng_stream(2, 0), 5.0, 0.0, 100)
+        s = sample_normal(RngStream(2, 0), 5.0, 0.0, 100)
         assert np.all(s.values == 5.0)
 
     def test_moments_large_sample(self):
-        s = sample_normal(rng_stream(2, 1), 0.0, 1.0, 1_000_000)
+        s = sample_normal(RngStream(2, 1), 0.0, 1.0, 1_000_000)
         assert abs(s.values.mean()) < 0.004
         assert 0.997 < s.values.std(ddof=1) < 1.003
 
     def test_symmetric_null_cs_small(self):
-        s = sample_normal(rng_stream(2, 2), 0.0, 1.0, 100_000)
+        s = sample_normal(RngStream(2, 2), 0.0, 1.0, 100_000)
         assert abs(cumulative_skew(s)) < 0.01
 
 
 class TestLognormal:
     def test_tiny_shape_collapses_to_one(self):
-        s = sample_lognormal(rng_stream(3, 0), 1e-9, 1000)
+        s = sample_lognormal(RngStream(3, 0), 1e-9, 1000)
         assert np.max(np.abs(s.values - 1.0)) < 1e-7
 
     def test_median_near_one(self):
-        s = sample_lognormal(rng_stream(3, 1), 0.5, 1_000_000)
+        s = sample_lognormal(RngStream(3, 1), 0.5, 1_000_000)
         assert 0.99 < np.median(s.values) < 1.01
 
     def test_all_positive(self):
-        s = sample_lognormal(rng_stream(3, 2), 2.0, 100_000)
+        s = sample_lognormal(RngStream(3, 2), 2.0, 100_000)
         assert np.min(s.values) > 0.0
 
     def test_b1_approaches_population_value_from_below(self):
         # population skewness at sigma=0.2 is (e^{s^2}+2)sqrt(e^{s^2}-1) ~ 0.614
-        s = sample_lognormal(rng_stream(3, 3), 0.2, 1_000_000)
+        s = sample_lognormal(RngStream(3, 3), 0.2, 1_000_000)
         assert 0.55 < moment_skewness(s) < 0.65
 
     def test_shape_must_be_positive(self):
         with pytest.raises(ValueError):
-            sample_lognormal(rng_stream(3, 4), 0.0, 10)
+            sample_lognormal(RngStream(3, 4), 0.0, 10)
 
 
 class TestCauchy:
@@ -121,22 +150,22 @@ class TestCauchy:
         assert cauchy_transform(0.5) == 0.0
 
     def test_median_near_zero(self):
-        s = sample_cauchy(rng_stream(4, 0), 1_000_000)
+        s = sample_cauchy(RngStream(4, 0), 1_000_000)
         assert abs(np.median(s.values)) < 0.005
 
     def test_symmetric_null_mean_cs_small(self):
         # single-sample CS does not concentrate for Cauchy (the largest
         # observations dominate the cumulative sums at every n), so the
         # symmetric null shows up in the mean across samples instead
-        values = [cumulative_skew(sample_cauchy(rng_stream(4, 1 + k), 1000))
+        values = [cumulative_skew(sample_cauchy(RngStream(4, 1 + k), 1000))
                   for k in range(400)]
         assert abs(float(np.mean(values))) < 0.07  # sd ~ 0.4 per sample
 
 
 class TestTukeyG:
     def test_g_zero_matches_normal_sampler(self):
-        a = sample_tukey_g(rng_stream(5, 0), 0.0, 1.5, 2.0, 1000)
-        b = sample_normal(rng_stream(5, 0), 1.5, 2.0, 1000)
+        a = sample_tukey_g(RngStream(5, 0), 0.0, 1.5, 2.0, 1000)
+        b = sample_normal(RngStream(5, 0), 1.5, 2.0, 1000)
         assert np.array_equal(a.values, b.values)
 
     def test_transform_fixes_zero(self):
@@ -147,7 +176,7 @@ class TestTukeyG:
         assert tukey_g_transform(1.0, 1.0) == pytest.approx(math.e - 1.0, rel=1e-15)
 
     def test_transform_preserves_ranks(self):
-        z = rng_stream(5, 1).standard_normal(500)
+        z = RngStream(5, 1).standard_normal(500)
         order = np.argsort(z)
         for g in (0.1, 0.7, 1.5):
             t = tukey_g_transform(z, g)
@@ -161,35 +190,35 @@ class TestTukeyG:
 
 class TestContaminate:
     def lognormal(self, key, n=200):
-        return sample_lognormal(rng_stream(6, key), 1.0, n)
+        return sample_lognormal(RngStream(6, key), 1.0, n)
 
     def test_zero_count_is_identity(self):
         s = self.lognormal(0)
-        out = contaminate(s, ContaminationSpec(0, "high"), rng_stream(6, 100))
+        out = contaminate(s, ContaminationSpec(0, "high"), RngStream(6, 100))
         assert np.array_equal(out.values, s.values)
 
     def test_high_side_single(self):
         s = self.lognormal(1)
-        out = contaminate(s, ContaminationSpec(1, "high"), rng_stream(6, 101))
+        out = contaminate(s, ContaminationSpec(1, "high"), RngStream(6, 101))
         assert out.n == s.n
         assert np.max(out.values) > np.max(s.values)
         assert int(np.sum(out.values != s.values)) == 1
 
     def test_untouched_entries_survive(self):
         s = self.lognormal(2)
-        out = contaminate(s, ContaminationSpec(5, "low"), rng_stream(6, 102))
+        out = contaminate(s, ContaminationSpec(5, "low"), RngStream(6, 102))
         assert int(np.sum(out.values == s.values)) == s.n - 5
         assert np.min(out.values) < 0
 
     def test_count_limit(self):
         s = self.lognormal(3, n=10)
         with pytest.raises(CountTooLarge):
-            contaminate(s, ContaminationSpec(6, "high"), rng_stream(6, 103))
+            contaminate(s, ContaminationSpec(6, "high"), RngStream(6, 103))
 
     def test_negative_sample_outliers_leave_its_range(self):
         s = validate_sample([-5, -3, -2, -1, -4, -6])
-        high = contaminate(s, ContaminationSpec(2, "high"), rng_stream(6, 104))
-        low = contaminate(s, ContaminationSpec(2, "low"), rng_stream(6, 104))
+        high = contaminate(s, ContaminationSpec(2, "high"), RngStream(6, 104))
+        low = contaminate(s, ContaminationSpec(2, "low"), RngStream(6, 104))
         changed = high.values != s.values
         assert changed.sum() == 2 and np.all(high.values[changed] > -1)
         assert np.all(low.values[changed] < -6)
@@ -208,8 +237,8 @@ class TestContaminate:
         # five large negative outliers make b1 negative almost surely
         flipped = 0
         for trial in range(1000):
-            s = sample_lognormal(rng_stream(7, trial), 1.0, 200)
-            out = contaminate(s, ContaminationSpec(5, "low"), rng_stream(8, trial))
+            s = sample_lognormal(RngStream(7, trial), 1.0, 200)
+            out = contaminate(s, ContaminationSpec(5, "low"), RngStream(8, trial))
             flipped += moment_skewness(out) < 0
         assert flipped >= 950
 
@@ -234,11 +263,11 @@ class TestDistributionSpec:
     def test_determinism_of_samplers(self):
         for spec in (DistributionSpec.normal(0, 1), DistributionSpec.lognormal(1.0),
                      DistributionSpec.cauchy(), DistributionSpec.tukey_g(0.5)):
-            a = draw_sample(spec, rng_stream(9, 0), 64)
-            b = draw_sample(spec, rng_stream(9, 0), 64)
+            a = draw_sample(spec, RngStream(9, 0), 64)
+            b = draw_sample(spec, RngStream(9, 0), 64)
             assert np.array_equal(a.values, b.values)
 
     def test_validated_output(self):
-        s = sample_cauchy(rng_stream(9, 1), 1000)
+        s = sample_cauchy(RngStream(9, 1), 1000)
         assert np.all(np.isfinite(s.values))
         assert validate_sample(s.values).n == 1000

@@ -202,6 +202,18 @@ class TestLorenzCommand:
             assert float(lines[i + 1].split("\t")[2]) == pytest.approx(q, rel=1e-15)
         assert float(lines[2].split("\t")[2]) == pytest.approx(-2 / 9 * 1e308, rel=1e-15)
 
+    @pytest.mark.parametrize("values, q, d", [
+        ("1e308\n1e308\n0\n", [0.0, 0.5], [1 / 3, 1 / 6]),
+        ("1e308\n1e308\n1e308\n", [1 / 3, 2 / 3], [0.0, 0.0]),
+    ], ids=["1e308,1e308,0", "1e308x3"])
+    def test_overflowing_total_gives_the_classical_grid(self, tmp_path, capsys, values, q, d):
+        # the total, 2e308 or 3e308, is outside the float range; the grid is not
+        assert main(["lorenz", write(tmp_path, values)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [[float(v) for v in line.split("\t")[2:4]] for line in lines[2:4]]
+        assert [r[0] for r in rows] == pytest.approx(q, abs=1e-15)
+        assert [r[1] for r in rows] == pytest.approx(d, abs=1e-15)
+
     def test_float_range_failure_exits_1(self, tmp_path, capsys):
         # the spread dwarfs the positive mean: the classical grid overflows
         path = write(tmp_path, "-1e300\n1e300\n1e-10\n")
