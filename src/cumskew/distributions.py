@@ -6,24 +6,27 @@ Parallel work should create one stream per task instead of sharing one.
 
 A stream is numpy's PCG64 seeded by SeedSequence([base_seed, stream_id]).
 Seeding a stream that way costs more than drawing a hundred values from
-it, so the Monte Carlo harness seeds a whole block of streams at once:
-`_seed_words` runs SeedSequence's hash on arrays, one lane per stream id,
-and each RngStream is built from its row of words.  The words, and so the
-streams and every value drawn from them, are bit-identical to those of
-SeedSequence (O'Neill, "PCG: A Family of Simple Fast Space-Efficient
+it, so the Monte Carlo harness does not build streams at all.  Its block
+sampler, `_BlockSampler`, runs SeedSequence's hash on arrays, one lane per
+stream id (`_seed_words`), computes each PCG64 state from its seed words as
+PCG64's own seeding does (`_seed_stream`), sets that state on one reused
+generator and draws straight into the stream's row of the block.  The
+family's transform and the finite check then run once per block.  Every
+state, and so every value drawn, is bit-identical to that of the stream
+built alone (O'Neill, "PCG: A Family of Simple Fast Space-Efficient
 Statistically Good Algorithms for Random Number Generation", 2014, for
-PCG64; numpy's SeedSequence for the hash).
+PCG64 and its seeding; numpy's SeedSequence for the hash).  The
+single-stream samplers apply the same in-place transforms to their one row.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Sample, validate_sample
-from .errors import CountTooLarge
+from .errors import CountTooLarge, NonFiniteValue
 
 __all__ = [
     "RngStream",
@@ -41,6 +44,10 @@ __all__ = [
 
 _MASK32 = 0xFFFF_FFFF
 _MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+
+# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 # numpy's SeedSequence hash: constants, pool size and shift of its
 # documented algorithm (numpy/random/bit_generator.pyx)
@@ -111,24 +118,31 @@ def _seed_words(base_seed: int, stream_ids) -> np.ndarray:
                      for k in range(4)], axis=1)
 
 
-class _PresetSeed:
-    """Stands in for a SeedSequence whose PCG64 seed words are known."""
+def _generator():
+    """A Generator over a PCG64 whose state its user sets per stream.
 
-    __slots__ = ("words",)
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        # PCG64 asks for exactly generate_state(4, np.uint64)
-        return self.words
+    Built on use, not at import: touching np.random loads numpy.random,
+    which numpy otherwise imports lazily.
+    """
+    return np.random.Generator(np.random.PCG64(0))
 
 
-@functools.cache
-def _register_preset_seed() -> None:
-    # on first use, not at import: touching np.random loads numpy.random,
-    # which numpy otherwise imports lazily
-    np.random.bit_generator.ISeedSequence.register(_PresetSeed)
+def _seed_stream(bit_generator, words) -> None:
+    """Put a PCG64 in the state PCG64(SeedSequence) reaches from `words`.
+
+    `words` is one row of `_seed_words` as Python ints: the 128-bit seed
+    and stream selector, high word first, as PCG64 reads them.  PCG64's
+    srandom step sets inc = 2*initseq + 1, steps once from state 0 (giving
+    inc), adds the seed and steps again.
+    """
+    seed = words[0] << 64 | words[1]
+    inc = ((words[2] << 64 | words[3]) << 1 | 1) & _MASK128
+    bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": ((inc + seed) * _PCG_MULT + inc) & _MASK128, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 class RngStream:
@@ -139,22 +153,14 @@ class RngStream:
     are statistically independent.
 
     The stream is seeded by SeedSequence([base_seed, stream_id]) (both
-    masked to 64 bits).  Callers that build many streams at once pass
-    `seed_words`, their row of `_seed_words(base_seed, ids)`; the stream is
-    then the same, its seeding cheaper.
+    masked to 64 bits).  The Monte Carlo harness draws the same streams
+    without building an RngStream each (see `_BlockSampler`).
     """
 
-    def __init__(self, base_seed: int, stream_id: int = 0, *,
-                 seed_words: np.ndarray | None = None):
+    def __init__(self, base_seed: int, stream_id: int = 0):
         self.base_seed = int(base_seed)
         self.stream_id = int(stream_id)
-        if seed_words is None:
-            seed = np.random.SeedSequence(
-                [self.base_seed & _MASK64, self.stream_id & _MASK64]
-            )
-        else:
-            _register_preset_seed()
-            seed = _PresetSeed(seed_words)
+        seed = np.random.SeedSequence([self.base_seed & _MASK64, self.stream_id & _MASK64])
         self._gen = np.random.Generator(np.random.PCG64(seed))
 
     def __repr__(self) -> str:
@@ -251,28 +257,80 @@ class ContaminationSpec:
             raise ValueError("magnitude multipliers must exceed 1")
 
 
+def _cauchy(u: np.ndarray) -> None:
+    # tan(pi*(u - 1/2)) in place
+    u -= 0.5
+    u *= np.pi
+    np.tan(u, out=u)
+
+
+def _tukey_g(z: np.ndarray, g: float) -> None:
+    # (exp(g*z) - 1) / g in place; g = 0 is the identity
+    if g != 0.0:
+        z *= g
+        np.expm1(z, out=z)
+        z /= g
+
+
+@np.errstate(over="ignore", invalid="ignore")  # the caller's finite check reports it
+def _transform(values: np.ndarray, kind: str, mu: float = 0.0, sigma: float = 1.0,
+               g: float = 0.0) -> None:
+    """Map standard variates (uniforms for the Cauchy, standard normals
+    otherwise) to the family's values in place, any number of rows at once."""
+    if kind == "cauchy":
+        _cauchy(values)
+        return
+    values *= sigma
+    if kind == "lognormal":
+        np.exp(values, out=values)
+        return
+    values += mu
+    if kind == "tukey_g":
+        _tukey_g(values, g)
+
+
+def _draw_row(rng: RngStream, n: int, kind: str, mu: float = 0.0, sigma: float = 1.0,
+              g: float = 0.0) -> Sample:
+    values = rng.random(n) if kind == "cauchy" else rng.standard_normal(n)
+    _transform(values, kind, mu, sigma, g)
+    return validate_sample(values)
+
+
+def _check_finite(block: np.ndarray) -> None:
+    """Raise NonFiniteValue for the first row of a (k, n) block holding a
+    NaN or infinity, with the index and value that validate_sample reports
+    for that row."""
+    finite = np.isfinite(block)
+    if not finite.all():
+        row = int(np.argmin(finite.all(axis=1)))
+        idx = int(np.argmin(finite[row]))
+        raise NonFiniteValue(idx, float(block[row, idx]))
+
+
 def sample_normal(rng: RngStream, mu: float, sigma: float, n: int) -> Sample:
     """n draws from N(mu, sigma**2); sigma = 0 gives a constant sample."""
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
-    return validate_sample(mu + sigma * rng.standard_normal(n))
+    return _draw_row(rng, n, "normal", mu, sigma)
 
 
 def sample_lognormal(rng: RngStream, sigma: float, n: int) -> Sample:
     """n draws of exp(Z) with Z ~ N(0, sigma**2)."""
     if sigma <= 0:
         raise ValueError("sigma must be > 0")
-    return validate_sample(np.exp(sigma * rng.standard_normal(n)))
+    return _draw_row(rng, n, "lognormal", sigma=sigma)
 
 
 def cauchy_transform(u):
     """Map uniforms in [0, 1) to standard Cauchy via tan(pi*(u - 1/2))."""
-    return np.tan(np.pi * (np.asarray(u, dtype=float) - 0.5))
+    u = np.array(u, dtype=float)
+    _cauchy(u)
+    return u[()]  # a scalar for scalar input
 
 
 def sample_cauchy(rng: RngStream, n: int) -> Sample:
     """n standard Cauchy draws by inverting the CDF of uniforms."""
-    return validate_sample(cauchy_transform(rng.random(n)))
+    return _draw_row(rng, n, "cauchy")
 
 
 def tukey_g_transform(z, g: float):
@@ -280,10 +338,9 @@ def tukey_g_transform(z, g: float):
 
     Strictly increasing in z for every g >= 0, so ranks are preserved.
     """
-    z = np.asarray(z, dtype=float)
-    if g == 0.0:
-        return z.copy()
-    return np.expm1(g * z) / g
+    z = np.array(z, dtype=float)
+    _tukey_g(z, g)
+    return z[()]  # a scalar for scalar input
 
 
 def sample_tukey_g(rng: RngStream, g: float, mu: float, sigma: float, n: int) -> Sample:
@@ -294,10 +351,27 @@ def sample_tukey_g(rng: RngStream, g: float, mu: float, sigma: float, n: int) ->
     """
     if g < 0:
         raise ValueError("g must be >= 0")
-    z = mu + sigma * rng.standard_normal(n)
-    return validate_sample(tukey_g_transform(z, g))
+    return _draw_row(rng, n, "tukey_g", mu, sigma, g)
 
 
+def _replace(values: np.ndarray, count: int, side: str, magnitude_range, gen,
+             scale: float) -> np.ndarray | None:
+    """Overwrite `count` entries of values in place with outliers scale*U(lo, hi),
+    negated on the low side, drawing the indices and then the magnitudes
+    from gen; returns the magnitudes (None when count is 0)."""
+    if count == 0:
+        return None
+    n = values.size
+    if 2 * count > n:
+        raise CountTooLarge(f"cannot replace {count} of {n} values (limit n/2)")
+    idx = gen.choice(n, size=count, replace=False)
+    lo, hi = magnitude_range
+    magnitudes = gen.uniform(lo, hi, count) * scale
+    values[idx] = magnitudes if side == "high" else -magnitudes
+    return magnitudes
+
+
+@np.errstate(over="ignore")  # validate_sample reports an outlier beyond the float range
 def contaminate(sample: Sample, spec: ContaminationSpec, rng: RngStream) -> Sample:
     """Overwrite spec.count randomly chosen entries with outliers.
 
@@ -307,28 +381,77 @@ def contaminate(sample: Sample, spec: ContaminationSpec, rng: RngStream) -> Samp
     Raises:
         CountTooLarge: spec.count exceeds half the sample size.
     """
-    k = spec.count
-    if k == 0:
+    if spec.count == 0:
         return sample
-    n = sample.n
-    if 2 * k > n:
-        raise CountTooLarge(f"cannot replace {k} of {n} values (limit n/2)")
-    idx = rng.choose_indices(n, k)
-    lo, hi = spec.magnitude_range
-    magnitudes = rng.uniform(lo, hi, k) * float(np.max(np.abs(sample.values)))
     values = sample.values.copy()
-    values[idx] = magnitudes if spec.side == "high" else -magnitudes
+    _replace(values, spec.count, spec.side, spec.magnitude_range, rng._gen,
+             float(np.max(np.abs(values))))
     return validate_sample(values)
 
 
 def draw_sample(spec: DistributionSpec, rng: RngStream, n: int) -> Sample:
     """Draw n observations from the specified distribution."""
-    if spec.kind == "normal":
-        return sample_normal(rng, spec.mu, spec.sigma, n)
-    if spec.kind == "lognormal":
-        return sample_lognormal(rng, spec.sigma, n)
-    if spec.kind == "cauchy":
-        return sample_cauchy(rng, n)
-    if spec.kind == "tukey_g":
-        return sample_tukey_g(rng, spec.g, spec.mu, spec.sigma, n)
-    raise ValueError(f"unknown distribution kind {spec.kind!r}")
+    if spec.kind not in DISTRIBUTION_KINDS:
+        raise ValueError(f"unknown distribution kind {spec.kind!r}")
+    return _draw_row(rng, n, spec.kind, spec.mu, spec.sigma, spec.g)
+
+
+class _BlockSampler:
+    """Draws Monte Carlo replications straight into the rows of a block.
+
+    Row r of `draw(ids, cids)` is bit-identical to
+    draw_sample(dist, RngStream(base_seed, ids[r]), n), contaminated, when
+    a plan is given, as `contaminate` would from
+    RngStream(base_seed, cids[r]) after drawing the outlier count from
+    [plan.count_min, plan.count_max] on that stream.  `plan` has the
+    fields of experiments.ContaminationPlan.
+
+    Per row it only sets the state of one reused PCG64 (`_seed_stream`)
+    and draws into the row, plus the contamination draws; the family's
+    transform and the finite check run once per block.  Errors are those
+    of the one-row path, raised for the first row that has one.  Each
+    sampler owns its generators: concurrent callers each build their own.
+    """
+
+    def __init__(self, dist: DistributionSpec, n: int, base_seed: int, plan=None):
+        if plan is not None:  # checks side and magnitudes as contaminate's spec does
+            ContaminationSpec(plan.count_min, plan.side, plan.magnitude_range)
+        self.dist = dist
+        self.n = n
+        self.base_seed = base_seed
+        self.plan = plan
+        self._gen = _generator()
+        self._cgen = None if plan is None else _generator()
+
+    def draw(self, ids, cids=None) -> np.ndarray:
+        """The (len(ids), n) block of the streams `ids`, contaminated from
+        the streams `cids` when the sampler has a plan."""
+        dist = self.dist
+        block = np.empty((len(ids), self.n))
+        bit_generator = self._gen.bit_generator
+        fill = self._gen.random if dist.kind == "cauchy" else self._gen.standard_normal
+        for row, words in zip(block, _seed_words(self.base_seed, ids).tolist()):
+            _seed_stream(bit_generator, words)
+            fill(out=row)
+        _transform(block, dist.kind, dist.mu, dist.sigma, dist.g)
+        if self.plan is None:
+            _check_finite(block)
+        else:
+            self._contaminate(block, cids)
+        return block
+
+    @np.errstate(over="ignore")  # an outlier beyond the float range is reported below
+    def _contaminate(self, block: np.ndarray, cids) -> None:
+        plan, gen = self.plan, self._cgen
+        bit_generator = gen.bit_generator
+        finite = np.isfinite(block).all(axis=1).tolist()
+        scales = np.max(np.abs(block), axis=1).tolist()
+        words = _seed_words(self.base_seed, cids).tolist()
+        for row, ok, scale, row_words in zip(block, finite, scales, words):
+            if not ok:
+                _check_finite(row[None])
+            _seed_stream(bit_generator, row_words)
+            count = int(gen.integers(plan.count_min, plan.count_max + 1))
+            magnitudes = _replace(row, count, plan.side, plan.magnitude_range, gen, scale)
+            if magnitudes is not None and not np.isfinite(magnitudes).all():
+                _check_finite(row[None])

@@ -8,7 +8,11 @@ __all__ = [
 
 
 class CumskewError(Exception):
-    """Base class for all cumskew errors."""
+    """Base class for all cumskew errors.
+
+    Every subclass keeps its constructor arguments in `args`, so an error
+    raised in a pool worker pickles back to the caller unchanged.
+    """
 
 
 class EmptyOrTooSmall(CumskewError, ValueError):
@@ -19,9 +23,12 @@ class NonFiniteValue(CumskewError, ValueError):
     """A NaN or infinity was found in the input data."""
 
     def __init__(self, index: int, value: float):
+        super().__init__(index, value)
         self.index = index
         self.value = value
-        super().__init__(f"non-finite value {value!r} at index {index}")
+
+    def __str__(self) -> str:
+        return f"non-finite value {self.value!r} at index {self.index}"
 
 
 class NonNumericData(CumskewError, TypeError):
@@ -44,8 +51,12 @@ class ParseError(CumskewError, ValueError):
     """A CSV cell could not be parsed as a number."""
 
     def __init__(self, line: int, message: str):
+        super().__init__(line, message)
         self.line = line
-        super().__init__(f"line {line}: {message}")
+        self.message = message
+
+    def __str__(self) -> str:
+        return f"line {self.line}: {self.message}"
 
 
 class FloatRangeError(CumskewError, ArithmeticError):

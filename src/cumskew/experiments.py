@@ -3,7 +3,9 @@
 Each replication owns an independent random stream whose id is a stable
 hash of (condition id, replication index), so results are bit-identical
 whether replications run serially or across a process pool, and across
-repeated invocations with the same base seed.
+repeated invocations with the same base seed.  Replications are drawn
+straight into blocks (`distributions._BlockSampler`) and each block is
+scored at once (`core._score_rows`).
 """
 
 from __future__ import annotations
@@ -17,15 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _score_rows, cumulative_skew, validate_sample
-from .distributions import (
-    ContaminationSpec,
-    DistributionSpec,
-    RngStream,
-    _seed_words,
-    contaminate,
-    draw_sample,
-    tukey_g_transform,
-)
+from .distributions import DistributionSpec, RngStream, _BlockSampler, tukey_g_transform
 
 __all__ = [
     "ContaminationPlan",
@@ -60,11 +54,20 @@ TABLE1_LOW_MAGNITUDES = (1.05, 1.5)
 _BLOCK_VALUES = 32_768
 
 
+def _hash_id(text: bytes) -> int:
+    return int.from_bytes(hashlib.blake2b(text, digest_size=8).digest(), "big")
+
+
 def derive_stream_id(*parts) -> int:
     """Stable 64-bit stream id from string-convertible parts."""
-    text = ":".join(str(p) for p in parts)
-    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
+    return _hash_id(":".join(str(p) for p in parts).encode("utf-8"))
+
+
+def _stream_ids(prefix: bytes, reps, suffix: bytes = b"") -> list[int]:
+    """derive_stream_id(condition id, rep) of every rep, or with the
+    "contamination" part, from the condition id's text encoded once:
+    prefix is b"<id>:" and suffix b"" or b":contamination"."""
+    return [_hash_id(b"%s%d%s" % (prefix, rep, suffix)) for rep in reps]
 
 
 def aggregate(values) -> tuple[float, float]:
@@ -145,49 +148,24 @@ class GCurvePoint:
     n: int
 
 
-def _streams(base_seed: int, stream_ids: list[int]) -> list[RngStream]:
-    """The stream of every id, seeded in one batched pass."""
-    words = _seed_words(base_seed, stream_ids)
-    return [RngStream(base_seed, sid, seed_words=row)
-            for sid, row in zip(stream_ids, words)]
-
-
-def _draw(spec: ConditionSpec, rng: RngStream, crng: RngStream | None) -> np.ndarray:
-    """Values of one replication drawn from its stream, contaminated from
-    its contamination stream when the condition says so."""
-    sample = draw_sample(spec.distribution, rng, spec.n)
-    plan = spec.contamination
-    if plan is not None:
-        count = crng.integers(plan.count_min, plan.count_max + 1)
-        sample = contaminate(
-            sample,
-            ContaminationSpec(count=count, side=plan.side,
-                              magnitude_range=plan.magnitude_range),
-            crng,
-        )
-    return sample.values
-
-
 def _replicate_range(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """CS, b1 and degenerate flags of replications start..stop-1.
 
-    Draws are stacked into blocks of about _BLOCK_VALUES values and each
-    block is scored at once; a row's scores do not depend on its block,
-    so any split of the range gives the same results.
+    Replications are drawn straight into blocks of about _BLOCK_VALUES
+    values and each block is scored at once; a row's draws and scores do
+    not depend on its block, so any split of the range gives the same
+    results.
     """
     spec, base_seed, start, stop = args
     rows = max(1, _BLOCK_VALUES // spec.n)
+    sampler = _BlockSampler(spec.distribution, spec.n, base_seed, spec.contamination)
+    prefix = f"{spec.id}:".encode("utf-8")
     parts = []
     for lo in range(start, stop, rows):
         reps = range(lo, min(lo + rows, stop))
-        rngs = _streams(base_seed, [derive_stream_id(spec.id, rep) for rep in reps])
-        if spec.contamination is None:
-            crngs = [None] * len(reps)
-        else:
-            crngs = _streams(base_seed, [derive_stream_id(spec.id, rep, "contamination")
-                                         for rep in reps])
-        block = np.stack([_draw(spec, rng, crng) for rng, crng in zip(rngs, crngs)])
-        scores = _score_rows(block)
+        cids = None if spec.contamination is None else \
+            _stream_ids(prefix, reps, b":contamination")
+        scores = _score_rows(sampler.draw(_stream_ids(prefix, reps), cids))
         parts.append((scores.cs, scores.b1, scores.degenerate))
     return tuple(np.concatenate(col) for col in zip(*parts))
 

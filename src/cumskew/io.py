@@ -110,7 +110,7 @@ def run_metadata(command: str, seed: int | None = None, **settings) -> dict:
         "command": command,
         "rng": "pcg64",
         "normal_method": f"numpy-{np.__version__} standard_normal (ziggurat)",
-        "cs_footing": "canonical mean-1 shift",
+        "cs_footing": "gap vector n*g_i = i*mean - S_i, no shift",
         "b1_definition": "population m3/m2^1.5",
     }
     if seed is not None:

@@ -22,7 +22,7 @@ from cumskew import (
     tukey_g_transform,
     validate_sample,
 )
-from cumskew.distributions import _seed_words
+from cumskew.distributions import _generator, _seed_stream, _seed_words
 
 M64 = (1 << 64) - 1
 EDGE_BASES = (0, 1, 42, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1, -1)
@@ -62,10 +62,12 @@ class TestBatchedSeeding:
 
     @pytest.mark.parametrize("base", EDGE_BASES)
     def test_preset_stream_equals_seeded_stream(self, base):
-        for sid, row in zip(EDGE_IDS, _seed_words(base, EDGE_IDS)):
-            batched = RngStream(base, sid, seed_words=row)
-            single = RngStream(base, sid)
-            assert batched._gen.bit_generator.state == single._gen.bit_generator.state
+        batched = _generator()
+        for sid, row in zip(EDGE_IDS, _seed_words(base, EDGE_IDS).tolist()):
+            _seed_stream(batched.bit_generator, row)
+            single = np.random.Generator(
+                np.random.PCG64(np.random.SeedSequence([base & M64, sid & M64])))
+            assert batched.bit_generator.state == single.bit_generator.state
             assert np.array_equal(batched.random(8), single.random(8))
 
     def test_import_leaves_numpy_random_unloaded(self):

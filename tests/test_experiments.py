@@ -1,18 +1,24 @@
 import math
+import pickle
+import threading
 
 import numpy as np
 import pytest
 
+import cumskew
 from cumskew import (
     ConditionSpec,
     ContaminationPlan,
     ContaminationSpec,
+    CumskewError,
     DistributionSpec,
+    NonFiniteValue,
     RngStream,
     aggregate,
     contaminate,
     derive_stream_id,
     draw_sample,
+    errors,
     run_condition,
     run_gcurve,
     run_null,
@@ -22,6 +28,7 @@ from cumskew import (
 )
 from cumskew import experiments
 from cumskew.core import _score_rows
+from cumskew.distributions import _BlockSampler
 
 
 class TestAggregate:
@@ -50,6 +57,15 @@ class TestStreamDerivation:
         assert derive_stream_id("a", 1) != derive_stream_id("a", 2)
         assert derive_stream_id("a", 1) != derive_stream_id("b", 1)
         assert derive_stream_id("a", 1, "contamination") != derive_stream_id("a", 1)
+
+    @pytest.mark.parametrize("cid", ["unit", "1. sigma=0.2", "null-cauchy", "\u00e9t\u00e9:x"])
+    def test_block_ids_are_derive_stream_id(self, cid):
+        prefix = f"{cid}:".encode("utf-8")
+        reps = [1, 2, 9, 10, 99_999, 100_000, 2**40]
+        assert experiments._stream_ids(prefix, reps) == \
+            [derive_stream_id(cid, rep) for rep in reps]
+        assert experiments._stream_ids(prefix, reps, b":contamination") == \
+            [derive_stream_id(cid, rep, "contamination") for rep in reps]
 
 
 def small_spec(reps=64, contaminated=False):
@@ -141,6 +157,200 @@ class TestRunCondition:
             ConditionSpec("bad", DistributionSpec.cauchy(), 10, 0)
         with pytest.raises(ValueError):
             ContaminationPlan(side="high", count_min=3, count_max=2)
+
+
+def drawn_alone(dist, n, base, ids, cids=None, plan=None):
+    """Rows drawn one stream at a time through the public samplers."""
+    rows = []
+    for r, sid in enumerate(ids):
+        sample = draw_sample(dist, RngStream(base, sid), n)
+        if plan is not None:
+            crng = RngStream(base, cids[r])
+            count = crng.integers(plan.count_min, plan.count_max + 1)
+            sample = contaminate(sample, ContaminationSpec(
+                count=count, side=plan.side, magnitude_range=plan.magnitude_range), crng)
+        rows.append(sample.values)
+    return np.stack(rows)
+
+
+BLOCK_FAMILIES = [
+    DistributionSpec.normal(1.0, 2.0),
+    DistributionSpec.normal(3.0, 0.0),
+    DistributionSpec.lognormal(0.2),
+    DistributionSpec.lognormal(2.0),
+    DistributionSpec.cauchy(),
+    DistributionSpec.tukey_g(0.0, 0.5, 2.0),
+    DistributionSpec.tukey_g(0.7, 0.5, 2.0),
+]
+# lengths on both sides of 4- and 8-lane vector widths, so that the rows of
+# a block start at every lane offset of the block's vector loops
+SIMD_NS = (2, 3, 7, 8, 9, 15, 16, 17, 100, 200, 1000)
+
+
+class TestBlockSampler:
+    @pytest.mark.parametrize("n", SIMD_NS)
+    @pytest.mark.parametrize("dist", BLOCK_FAMILIES, ids=lambda d: f"{d.kind}-{d.sigma}-{d.g}")
+    def test_rows_equal_rows_drawn_alone(self, dist, n):
+        base = 2**63 + 11
+        ids = [derive_stream_id("rows", n, r) for r in range(13)]
+        block = _BlockSampler(dist, n, base).draw(ids)
+        assert block.shape == (13, n)
+        assert np.array_equal(block, drawn_alone(dist, n, base, ids))
+
+    @pytest.mark.parametrize("n", SIMD_NS)
+    @pytest.mark.parametrize("side,dist", [
+        ("high", DistributionSpec.lognormal(1.0)),
+        ("low", DistributionSpec.lognormal(1.0)),
+        ("high", DistributionSpec.normal(-4.0, 2.0)),
+        ("low", DistributionSpec.cauchy()),
+    ])
+    def test_contaminated_rows_equal_rows_drawn_alone(self, side, dist, n):
+        base = 42
+        plan = ContaminationPlan(side=side, count_min=0, count_max=n // 2,
+                                 magnitude_range=(1.05, 20.0))
+        ids = [derive_stream_id("rows", n, r) for r in range(13)]
+        cids = [derive_stream_id("rows", n, r, "contamination") for r in range(13)]
+        block = _BlockSampler(dist, n, base, plan).draw(ids, cids)
+        assert np.array_equal(block, drawn_alone(dist, n, base, ids, cids, plan))
+
+    def test_plan_checked_as_contaminate_checks_it(self):
+        with pytest.raises(ValueError):
+            _BlockSampler(DistributionSpec.lognormal(1.0), 10, 1,
+                          ContaminationPlan(side="sideways"))
+        with pytest.raises(ValueError):
+            _BlockSampler(DistributionSpec.lognormal(1.0), 10, 1,
+                          ContaminationPlan(side="high", magnitude_range=(0.5, 2.0)))
+
+
+def first_error_drawn_alone(spec, base):
+    """The error the replications raise when drawn one at a time, in order."""
+    try:
+        drawn_alone(spec.distribution, spec.n, base,
+                    [derive_stream_id(spec.id, rep) for rep in range(1, spec.reps + 1)],
+                    [derive_stream_id(spec.id, rep, "contamination")
+                     for rep in range(1, spec.reps + 1)],
+                    spec.contamination)
+    except CumskewError as exc:
+        return exc
+    raise AssertionError("expected the one-row path to fail")
+
+
+class TestDrawErrors:
+    @pytest.mark.parametrize("spec", [
+        # a draw overflows
+        ConditionSpec("big", DistributionSpec.lognormal(1000.0), 100, 20),
+        ConditionSpec("wide", DistributionSpec.normal(0.0, 6e307), 50, 400),
+        # outliers overflow though the draws are finite
+        ConditionSpec("outliers", DistributionSpec.normal(0.0, 1e307), 50, 20,
+                      contamination=ContaminationPlan(side="high")),
+        # draws and outliers both overflow, in different rows of one block:
+        # at sd 5e307 a draw first (replication 202, outliers at 225), at
+        # 5.1e307 outliers first (125, a draw at 202)
+        ConditionSpec("mixed", DistributionSpec.normal(0.0, 5e307), 30, 300,
+                      contamination=ContaminationPlan(side="low",
+                                                      magnitude_range=(1.01, 1.02))),
+        ConditionSpec("mixed", DistributionSpec.normal(0.0, 5.1e307), 30, 300,
+                      contamination=ContaminationPlan(side="low",
+                                                      magnitude_range=(1.01, 1.02))),
+        # more outliers than half the sample
+        ConditionSpec("count", DistributionSpec.lognormal(1.0), 10, 50,
+                      contamination=ContaminationPlan(side="high", count_min=3,
+                                                      count_max=8)),
+    ], ids=lambda spec: f"{spec.id}-{spec.distribution.sigma}")
+    def test_first_error_is_the_one_row_path_error(self, spec):
+        want = first_error_drawn_alone(spec, 5)
+        with pytest.raises(CumskewError) as got:
+            experiments._replicate_range((spec, 5, 1, spec.reps + 1))
+        assert type(got.value) is type(want)
+        assert got.value.args == want.args and str(got.value) == str(want)
+
+    def test_pool_raises_the_serial_error(self):
+        spec = ConditionSpec("big", DistributionSpec.lognormal(1000.0), 100, 20)
+        with pytest.raises(NonFiniteValue) as serial:
+            run_condition(spec, 1, jobs=1)
+        with pytest.raises(NonFiniteValue) as pooled:
+            run_condition(spec, 1, jobs=2)
+        assert (pooled.value.index, pooled.value.value) == \
+            (serial.value.index, serial.value.value)
+        assert serial.value.value == math.inf
+
+    def test_no_overflow_warning(self, recwarn):
+        spec = ConditionSpec("big", DistributionSpec.lognormal(1000.0), 100, 20)
+        with pytest.raises(NonFiniteValue):
+            run_condition(spec, 1)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("name", errors.__all__)
+    def test_every_error_survives_pickling(self, name):
+        cls = getattr(cumskew, name)
+        exc = {"NonFiniteValue": lambda: cls(6, math.inf),
+               "ParseError": lambda: cls(3, "could not parse 'x' as a number")}.get(
+            name, lambda: cls("some message"))()
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is cls and back.args == exc.args and str(back) == str(exc)
+        assert vars(back) == vars(exc)
+
+    def test_messages_keep_their_wording(self):
+        assert str(NonFiniteValue(6, math.inf)) == "non-finite value inf at index 6"
+        assert str(errors.ParseError(3, "bad")) == "line 3: bad"
+
+
+class TestConcurrentRuns:
+    def test_threads_reproduce_their_serial_runs(self):
+        specs = [small_spec(reps=900, contaminated=True),
+                 ConditionSpec("t-cauchy", DistributionSpec.cauchy(), 60, 900)]
+        want = [run_condition(spec, 23) for spec in specs]
+        got = [None] * len(specs)
+
+        def run(k):
+            got[k] = run_condition(specs[k], 23)
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(specs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+        assert got == want
+
+
+# float.hex of (cs_ave, cs_se, b1_ave, b1_se) and degenerate_count, taken
+# before the block sampler replaced per-replication RngStreams
+GOLDEN_TABLE1 = [
+    ("0x1.96c7dea1445d2p-4", "0x1.e8edf6315ba0ap-10", "0x1.3c5011e027dc1p-1",
+     "0x1.c4648f8ca2771p-7", 0),
+    ("0x1.f0618e99d149dp-3", "0x1.1d8e6d588d5fdp-9", "0x1.9ebb6eafdb78fp+0",
+     "0x1.d72a5452c3e67p-6", 0),
+    ("0x1.d5078a6e8c6f4p-2", "0x1.841bfe429cc83p-9", "0x1.e8490910ec8e8p+1",
+     "0x1.7f2847d2bffd1p-4", 0),
+    ("0x1.81ad6dca40f3cp-1", "0x1.01e55f003ef90p-8", "0x1.e682cd301eee8p+2",
+     "0x1.484fd01f1b702p-3", 0),
+    ("0x1.7bcca1332a10bp-1", "0x1.4b0f1d2f3ca6fp-8", "0x1.1f13f6cc6b1d3p+3",
+     "0x1.2e9914eefa263p-3", 0),
+    ("0x1.8ffac91e4e3d0p-4", "0x1.2bcf71eea9170p-7", "-0x1.584a570f626c0p+1",
+     "0x1.289824b71dd56p-4", 0),
+]
+GOLDEN_NULLS = {
+    "normal": ("0x1.cd3a96de3a3bfp-11", "0x1.02efc1d2d5f17p-9", "0x1.3f30a482af5f3p-7",
+               "0x1.644986a579b99p-7", 0),
+    "cauchy": ("0x1.0176b445d09f9p-7", "0x1.35c65b3bb2209p-6", "-0x1.9145a239b8ec6p-5",
+               "0x1.17618e2cee1c5p-2", 0),
+}
+
+
+def hexed(res):
+    return (res.cs_ave.hex(), res.cs_se.hex(), res.b1_ave.hex(), res.b1_se.hex(),
+            res.degenerate_count)
+
+
+class TestGoldenOutputs:
+    def test_table1(self):
+        assert [hexed(r) for r in run_table1(42, reps=300)] == GOLDEN_TABLE1
+
+    @pytest.mark.parametrize("dist", [DistributionSpec.normal(0, 1), DistributionSpec.cauchy()],
+                             ids=lambda d: d.kind)
+    def test_nulls(self, dist):
+        assert hexed(run_null(dist, 100, 500, 42)) == GOLDEN_NULLS[dist.kind]
 
 
 class TestRunTable1:

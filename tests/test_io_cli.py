@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from cumskew import ColumnNotFound, EmptyOrTooSmall, ParseError, parse_csv
 from cumskew import ConditionSpec, DistributionSpec, run_condition
 from cumskew.cli import _condition_rows, main
+from cumskew.io import run_metadata
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -317,3 +320,23 @@ class TestExperimentCommand:
         text = out.read_text()
         assert "# seed=123" in text
         assert ",123," in text.splitlines()[-1]
+
+    def test_footing_label_describes_the_gap_vector(self, tmp_path):
+        label = "gap vector n*g_i = i*mean - S_i, no shift"
+        assert run_metadata("experiment table1")["cs_footing"] == label
+        out = tmp_path / "m.csv"
+        assert main(["experiment", "null-normal", "--reps", "5", "--n", "10",
+                     "--out", str(out)]) == 0
+        assert f"# cs_footing={label}\n" in out.read_text()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_overflowing_draw_gives_one_message_line(self, jobs):
+        # an error raised in a pool worker reaches the CLI as the serial
+        # run's typed error, with no traceback and no numpy warning
+        proc = subprocess.run(
+            [sys.executable, "-m", "cumskew", "experiment", "null-normal",
+             "--sigma", "1e308", "--reps", "50", "--jobs", jobs],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "cumskew: non-finite value inf at index 6\n"
