@@ -28,11 +28,6 @@ EXIT_OK = 0
 EXIT_DATA = 1
 EXIT_CONFIG = 2
 
-RESULT_FIELDS = ["id", "sigma", "contamination", "n", "reps", "seed",
-                 "b1_ave", "b1_se", "cs_ave", "cs_se", "degenerate_count"]
-GCURVE_FIELDS = ["id", "g", "sd", "n", "seed", "cs"]
-REPORT_FIELDS = ["n", "cs", "b1", "gini", "cs_bound", "degenerate"]
-
 
 class UsageError(Exception):
     pass
@@ -72,15 +67,13 @@ def cmd_compute(args) -> int:
         else:
             trimmed = {k: format_sig(v) if isinstance(v, float) else v
                        for k, v in row.items()}
-            write_rows_csv(fh, REPORT_FIELDS, [trimmed], meta)
+            write_rows_csv(fh, [trimmed], meta)
     return EXIT_OK
 
 
 def _condition_rows(results, conditions, seed):
-    by_id = {spec.id: spec for spec in conditions}
     rows = []
-    for res in results:
-        spec = by_id[res.id]
+    for res, spec in zip(results, conditions, strict=True):
         dist = spec.distribution
         rows.append({
             "id": res.id,
@@ -117,7 +110,6 @@ def cmd_experiment(args) -> int:
         reps = args.reps or 10_000
         results = run_table1(seed, n=n, reps=reps, jobs=args.jobs)
         rows = _condition_rows(results, table1_conditions(n=n, reps=reps), seed)
-        fields = RESULT_FIELDS
         meta = run_metadata("experiment table1", seed=seed, n=n, reps=reps)
     elif name in ("null-normal", "null-cauchy"):
         n = args.n or 100
@@ -128,14 +120,12 @@ def cmd_experiment(args) -> int:
             dist = DistributionSpec.cauchy()
         result = run_null(dist, n=n, reps=reps, base_seed=seed, jobs=args.jobs)
         rows = _condition_rows([result], [ConditionSpec(result.id, dist, n, reps)], seed)
-        fields = RESULT_FIELDS
         meta = run_metadata(f"experiment {name}", seed=seed, n=n, reps=reps)
     else:  # gcurve
         n = args.n or 100_000
         points = run_gcurve(n=n, base_seed=seed)
         rows = [{"id": "gcurve", "g": pt.g, "sd": pt.sd, "n": pt.n,
                  "seed": seed, "cs": pt.cs} for pt in points]
-        fields = GCURVE_FIELDS
         meta = run_metadata("experiment gcurve", seed=seed, n=n, loc=0.0,
                             g_grid="0.1..1.5 step 0.1", sds="1,3")
 
@@ -143,7 +133,7 @@ def cmd_experiment(args) -> int:
         if args.format == "json":
             write_rows_json(fh, rows, meta)
         else:
-            write_rows_csv(fh, fields, rows, meta)
+            write_rows_csv(fh, rows, meta)
     return EXIT_OK
 
 
@@ -153,19 +143,18 @@ def cmd_lorenz(args) -> int:
         grid = raw_lorenz_grid(sample)
     except ValueError:  # the classical curve needs a positive total
         grid = lorenz_grid(sample)
-    weights = weight_vector(sample.n)
-
-    rows = [{"i": 0, "p": 0.0, "q": 0.0, "d": 0.0}]
-    for k in range(grid.p.size):
-        rows.append({"i": k + 1, "p": float(grid.p[k]), "q": float(grid.q[k]),
-                     "d": float(grid.d[k]), "w": float(weights[k])})
-    rows.append({"i": grid.n, "p": 1.0, "q": 1.0, "d": 0.0})
-
+    columns = {
+        "i": range(grid.n + 1),
+        "p": [0.0, *grid.p.tolist(), 1.0],
+        "q": [0.0, *grid.q.tolist(), 1.0],
+        "d": [0.0, *grid.d.tolist(), 0.0],
+        "w": ["", *weight_vector(grid.n).tolist(), ""],
+    }
     with _output(args.out) as fh:
-        write_rows_tsv(fh, ["i", "p", "q", "d", "w"], rows)
+        write_rows_tsv(fh, columns)
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(lorenz_svg(grid, weights))
+            fh.write(lorenz_svg(grid))
     return EXIT_OK
 
 

@@ -403,8 +403,8 @@ class _BlockSampler:
     draw_sample(dist, RngStream(base_seed, ids[r]), n), contaminated, when
     a plan is given, as `contaminate` would from
     RngStream(base_seed, cids[r]) after drawing the outlier count from
-    [plan.count_min, plan.count_max] on that stream.  `plan` has the
-    fields of experiments.ContaminationPlan.
+    [plan.count_min, plan.count_max] on that stream.  `plan` is an
+    experiments.ContaminationPlan, which checks itself when built.
 
     Per row it only sets the state of one reused PCG64 (`_seed_stream`)
     and draws into the row, plus the contamination draws; the family's
@@ -414,8 +414,6 @@ class _BlockSampler:
     """
 
     def __init__(self, dist: DistributionSpec, n: int, base_seed: int, plan=None):
-        if plan is not None:  # checks side and magnitudes as contaminate's spec does
-            ContaminationSpec(plan.count_min, plan.side, plan.magnitude_range)
         self.dist = dist
         self.n = n
         self.base_seed = base_seed

@@ -19,7 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _score_rows, cumulative_skew, validate_sample
-from .distributions import DistributionSpec, RngStream, _BlockSampler, tukey_g_transform
+from .distributions import (
+    ContaminationSpec,
+    DistributionSpec,
+    RngStream,
+    _BlockSampler,
+    tukey_g_transform,
+)
 
 __all__ = [
     "ContaminationPlan",
@@ -100,6 +106,8 @@ class ContaminationPlan:
     def __post_init__(self):
         if not 0 <= self.count_min <= self.count_max:
             raise ValueError("need 0 <= count_min <= count_max")
+        # side and magnitudes, checked as contaminate's spec checks them
+        ContaminationSpec(self.count_min, self.side, self.magnitude_range)
 
 
 @dataclass(frozen=True)

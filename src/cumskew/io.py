@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 
 import numpy as np
 
@@ -27,59 +28,87 @@ __all__ = [
 ]
 
 
-def _resolve_index(header_row: list[str], column) -> tuple[int, bool]:
-    """Return (column index, first row is a header)."""
-    if column is None:
-        return 0, False
-    text = str(column).strip()
+def _resolve_index(first_row: list[str], column) -> tuple[int, bool]:
+    """The selected column's index, and whether the first non-blank row is
+    a header: it is when the column is named, or when its cell there is not
+    numeric."""
+    text = "0" if column is None else str(column).strip()
     try:
-        return int(text), False
+        idx = int(text)
     except ValueError:
-        pass
-    names = [cell.strip() for cell in header_row]
-    if text not in names:
-        raise ColumnNotFound(f"column {text!r} not found in header {names}")
-    return names.index(text), True
+        names = [cell.strip() for cell in first_row]
+        if text not in names:
+            raise ColumnNotFound(f"column {text!r} not found in header {names}") from None
+        return names.index(text), True
+    if not 0 <= idx < len(first_row):
+        raise ColumnNotFound(
+            f"column index {idx} out of range for {len(first_row)} column(s)")
+    try:
+        float(first_row[idx])
+    except ValueError:
+        return idx, True  # non-numeric first cell means a header row
+    return idx, False
 
 
 def parse_csv(path, column=None) -> Sample:
     """Read one numeric column from a CSV file.
 
     Args:
-        path: file to read (UTF-8, comma separated).
+        path: file to read (UTF-8, with or without a byte-order mark,
+            comma separated).
         column: optional selector; a 0-based index or a header name.
             Defaults to the first column.
 
     A header row is detected automatically: if the selected cell of the
     first row is not numeric it is skipped.  Blank lines are ignored.
+    Cells are converted as they are read, so only the selected column is
+    held in memory.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [(lineno, row) for lineno, row in enumerate(csv.reader(fh), 1)
-                if any(cell.strip() for cell in row)]
-    if not rows:
+    values = array("d")  # 8 bytes a value, where a list of floats takes 32
+    idx = None
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            for lineno, row in enumerate(reader, 1):
+                if not any(cell.strip() for cell in row):
+                    continue
+                if idx is None:
+                    idx, header = _resolve_index(row, column)
+                    if header:
+                        continue
+                if idx >= len(row):
+                    raise ParseError(lineno, f"row has no column {idx}")
+                cell = row[idx].strip()
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    raise ParseError(lineno, f"could not parse {cell!r} as a number") from None
+    except csv.Error as exc:
+        raise ParseError(reader.line_num, str(exc)) from None
+    except UnicodeDecodeError:
+        raise _undecodable(path, reader.line_num + 1) from None
+    if idx is None:
         raise EmptyOrTooSmall("no data rows in file")
-
-    first_line, first_row = rows[0]
-    idx, header = _resolve_index(first_row, column)
-    if idx < 0 or idx >= len(first_row):
-        raise ColumnNotFound(
-            f"column index {idx} out of range for {len(first_row)} column(s)")
-    if not header:
-        try:
-            float(first_row[idx])
-        except ValueError:
-            header = True  # non-numeric first cell means a header row
-
-    values = []
-    for lineno, row in rows[1:] if header else rows:
-        if idx >= len(row):
-            raise ParseError(lineno, f"row has no column {idx}")
-        cell = row[idx].strip()
-        try:
-            values.append(float(cell))
-        except ValueError:
-            raise ParseError(lineno, f"could not parse {cell!r} as a number") from None
     return validate_sample(values)
+
+
+def _undecodable(path, line: int) -> ParseError:
+    """The error for the first byte of `path` that is not UTF-8.
+
+    The text layer decodes ahead of the reader, in chunks, so the byte's
+    line is found by reading the file's bytes again; LF, CRLF and a lone CR
+    each end a line, as they do for the reader.  `line` stands if the file
+    no longer holds such a byte.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        return ParseError(line, f"invalid UTF-8 byte 0x{data[exc.start]:02x}")
+    return ParseError(line, "invalid UTF-8")
 
 
 def format_number(value) -> str:
@@ -119,15 +148,16 @@ def run_metadata(command: str, seed: int | None = None, **settings) -> dict:
     return meta
 
 
-def write_rows_csv(fh, fieldnames: list[str], rows: list[dict], meta: dict | None = None) -> None:
-    """CSV with '# key=value' provenance comments above the header."""
+def write_rows_csv(fh, rows: list[dict], meta: dict | None = None) -> None:
+    """CSV with '# key=value' provenance comments above the header, which
+    is the first row's keys; every row has them in that order."""
     if meta:
         for key, value in meta.items():
             fh.write(f"# {key}={value}\n")
     writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(fieldnames)
-    for row in rows:
-        writer.writerow([format_number(row[name]) for name in fieldnames])
+    if rows:
+        writer.writerow(rows[0])
+    writer.writerows(map(format_number, row.values()) for row in rows)
 
 
 def write_rows_json(fh, rows: list[dict], meta: dict | None = None) -> None:
@@ -136,10 +166,8 @@ def write_rows_json(fh, rows: list[dict], meta: dict | None = None) -> None:
     fh.write("\n")
 
 
-def write_rows_tsv(fh, fieldnames: list[str], rows: list[dict]) -> None:
-    """Plot-ready TSV; missing fields serialize as empty cells."""
-    fh.write("\t".join(fieldnames) + "\n")
-    for row in rows:
-        cells = [format_number(row[name]) if name in row else ""
-                 for name in fieldnames]
-        fh.write("\t".join(cells) + "\n")
+def write_rows_tsv(fh, columns: dict) -> None:
+    """Plot-ready TSV from equal-length columns, headed by their names."""
+    fh.write("\t".join(columns) + "\n")
+    for row in zip(*columns.values(), strict=True):
+        fh.write("\t".join(map(format_number, row)) + "\n")

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import numpy as np
-
-from .core import LorenzGrid
+from .core import LorenzGrid, weight_vector
 
 SIZE = 600
 MARGIN = 60
@@ -27,7 +25,7 @@ def _sign(w: float) -> str:
     return "zero"
 
 
-def lorenz_svg(grid: LorenzGrid, weights: np.ndarray) -> str:
+def lorenz_svg(grid: LorenzGrid) -> str:
     """Render the curve, the 45-degree line, and gap segments colored by
     the sign of their weight (`weight_vector(grid.n)`), in a fixed 600x600
     viewport."""
@@ -40,7 +38,7 @@ def lorenz_svg(grid: LorenzGrid, weights: np.ndarray) -> str:
         f'<line x1="{_x(0):.1f}" y1="{_y(0):.1f}" x2="{_x(1):.1f}" y2="{_y(1):.1f}" '
         f'stroke="gray" stroke-width="1.5"/>',
     ]
-    for p, q, w in zip(grid.p, grid.q, weights):
+    for p, q, w in zip(grid.p, grid.q, weight_vector(grid.n)):
         parts.append(
             f'<line x1="{_x(p):.2f}" y1="{_y(p):.2f}" x2="{_x(p):.2f}" '
             f'y2="{_y(q):.2f}" stroke="{GAP_COLORS[_sign(w)]}" '

@@ -221,6 +221,13 @@ class TestBlockSampler:
             _BlockSampler(DistributionSpec.lognormal(1.0), 10, 1,
                           ContaminationPlan(side="high", magnitude_range=(0.5, 2.0)))
 
+    def test_plan_checks_itself_when_built(self):
+        # so a bad plan fails where it is written, not later in a pool worker
+        with pytest.raises(ValueError, match="side must be one of"):
+            ContaminationPlan(side="sideways")
+        with pytest.raises(ValueError, match="multipliers must exceed 1"):
+            ContaminationPlan(side="high", magnitude_range=(0.5, 2.0))
+
 
 def first_error_drawn_alone(spec, base):
     """The error the replications raise when drawn one at a time, in order."""

@@ -1,7 +1,9 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +13,18 @@ from cumskew import ConditionSpec, DistributionSpec, run_condition
 from cumskew.cli import _condition_rows, main
 from cumskew.io import run_metadata
 
+GOLDEN = Path(__file__).parent / "golden"
+
 
 def write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def write_bytes(tmp_path, data, name="data.csv"):
+    path = tmp_path / name
+    path.write_bytes(data)
     return str(path)
 
 
@@ -72,6 +82,30 @@ class TestParseCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             parse_csv(str(tmp_path / "nope.csv"))
+
+    def test_byte_order_mark_keeps_the_header_name(self, tmp_path):
+        s = parse_csv(write_bytes(tmp_path, b"\xef\xbb\xbfx,y\n1,5\n2,6\n"), column="x")
+        assert np.array_equal(s.values, [1.0, 2.0])
+
+    def test_invalid_utf8_past_the_first_read_reports_line(self, tmp_path):
+        # the text layer decodes 8 KB at a time; the line is that of the
+        # byte, counting CRLF, lone CR and LF line ends as the reader does
+        data = b"1\r\n2.5\r\n" * 2000 + b"3\r7,\xc3\n4\r\n"
+        assert data.index(b"\xc3") > 8192
+        with pytest.raises(ParseError) as exc:
+            parse_csv(write_bytes(tmp_path, data))
+        assert exc.value.line == 4002
+
+    def test_holds_only_the_selected_column(self, tmp_path):
+        path = write(tmp_path, "".join(f"{i},{i / 7!r}\n" for i in range(100_000)))
+        tracemalloc.start()
+        try:
+            s = parse_csv(path, column=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.n == 100_000
+        assert peak < 8e6
 
 
 def data_lines(output):
@@ -140,6 +174,22 @@ class TestComputeCommand:
         assert main(["compute", path]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("cumskew:") and captured.out == ""
+
+    def test_byte_order_mark_gives_the_full_sample(self, tmp_path, capsys):
+        path = write_bytes(tmp_path, b"\xef\xbb\xbf1\n1\n4\n")
+        assert main(["compute", path, "--format", "json"]) == 0
+        row = json.loads(capsys.readouterr().out)["rows"][0]
+        assert row["n"] == 3 and row["cs"] == 1 / 3
+
+    @pytest.mark.parametrize("data, message", [
+        (b"1\n2\n\xff\xfe\n3\n", "cumskew: line 3: invalid UTF-8 byte 0xff\n"),
+        (b'1\n2\n"' + b"1" * 131_073 + b'"\n3\n',
+         "cumskew: line 3: field larger than field limit (131072)\n"),
+    ], ids=["undecodable", "over-long-cell"])
+    def test_malformed_file_exits_1_with_its_line(self, tmp_path, capsys, data, message):
+        assert main(["compute", write_bytes(tmp_path, data)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == message
 
     def test_subnormal_data_report_exact_values(self, tmp_path, capsys):
         path = write(tmp_path, "0\n1e-310\n3e-310\n")
@@ -230,6 +280,30 @@ class TestLorenzCommand:
         text = svg.read_text()
         assert text.startswith("<svg")
         assert "crimson" in text and "seagreen" in text
+
+
+class TestGoldenOutputs:
+    """Outputs pinned byte for byte."""
+
+    @pytest.mark.parametrize("values, name", [
+        ("1\n1\n4\n", "lorenz_1_1_4"),
+        ("-3\n-1\n2\n5\n", "lorenz_mixed_sign"),
+    ])
+    def test_lorenz_tsv_and_svg(self, tmp_path, values, name):
+        tsv, svg = tmp_path / "grid.tsv", tmp_path / "grid.svg"
+        assert main(["lorenz", write(tmp_path, values),
+                     "--out", str(tsv), "--svg", str(svg)]) == 0
+        assert tsv.read_bytes() == (GOLDEN / f"{name}.tsv").read_bytes()
+        assert svg.read_bytes() == (GOLDEN / f"{name}.svg").read_bytes()
+
+    @pytest.mark.parametrize("values, row", [
+        ("1\n1\n4\n", "3,0.333333,0.707107,0.333333,0.333333,false"),
+        ("-3\n-1\n2\n5\n", "4,0.0555556,0.185156,2.25,0.5,false"),
+    ])
+    def test_compute_csv_data_lines(self, tmp_path, values, row):
+        out = tmp_path / "report.csv"
+        assert main(["compute", write(tmp_path, values), "--out", str(out)]) == 0
+        assert data_lines(out.read_text()) == ["n,cs,b1,gini,cs_bound,degenerate", row]
 
 
 class TestExperimentCommand:
