@@ -6,6 +6,10 @@ whether replications run serially or across a process pool, and across
 repeated invocations with the same base seed.  Replications are drawn
 straight into blocks (`distributions._BlockSampler`) and each block is
 scored at once (`core._score_rows`).
+
+Runs with jobs > 1 share one process pool per process (`_SharedPool`):
+it is built on first use, rebuilt when the worker count changes or a
+worker has died, never used by a forked child, and closed at exit.
 """
 
 from __future__ import annotations
@@ -13,8 +17,11 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from multiprocessing.util import Finalize
 
 import numpy as np
 
@@ -197,18 +204,79 @@ def _pool_workers(jobs: int, tasks: int) -> int:
     return min(jobs, os.cpu_count() or 1, tasks)
 
 
+class _SharedPool:
+    """The process pool that run_condition maps its chunks onto.
+
+    The pool is built on the first call and reused while the worker count
+    stays the same.  A new count, or a pool found broken as a call starts
+    (a worker died since the last call), shuts the old pool down, waiting
+    for its workers, and builds a new one.  Workers exit with the
+    interpreter through concurrent.futures' exit hook.  A multiprocessing
+    child joins its child processes before that hook runs, so a
+    multiprocessing finalizer also shuts the pool down, ahead of the
+    queues' own finalizers (priority 10) that the shutdown still needs.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._executor = None
+        self._workers = 0
+        self._finalizer = None
+
+    def map(self, fn, tasks: list, workers: int) -> list:
+        """fn over tasks on a pool of `workers` processes, in task order."""
+        with self._lock:
+            if self._workers != workers:
+                self._build(workers)
+            # Executor.map submits every task before it returns, so no other
+            # thread can shut this pool down between submissions
+            try:
+                results = self._executor.map(fn, tasks)
+            except BrokenProcessPool:
+                self._build(workers)
+                results = self._executor.map(fn, tasks)
+        return list(results)
+
+    def _build(self, workers: int) -> None:
+        self._shutdown()
+        self._executor = ProcessPoolExecutor(max_workers=workers)
+        self._finalizer = Finalize(self._executor, self._executor.shutdown,
+                                   exitpriority=20)
+        self._workers = workers
+
+    def _shutdown(self) -> None:
+        """Shut the pool down and wait for its workers to exit; the caller
+        holds the lock or is the only thread using the pool."""
+        if self._finalizer is not None:
+            self._finalizer()
+        self._executor, self._workers, self._finalizer = None, 0, None
+
+    def _forget(self) -> None:
+        """In a forked child, drop the parent's pool and lock unused: the
+        pool's manager thread does not exist here, so its futures would
+        never finish, and the lock may have been held at the fork."""
+        if self._finalizer is not None:
+            self._finalizer.cancel()
+        self.__init__()
+
+
+_POOL = _SharedPool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_POOL._forget)
+
+
 def run_condition(spec: ConditionSpec, base_seed: int, jobs: int = 1) -> ConditionResult:
     """Run all replications of one condition and aggregate.
 
-    jobs > 1 fans replications out over a process pool of at most jobs
-    workers (fewer on a host with fewer CPUs); results are reduced in
-    replication order either way, so output is identical to a serial run.
+    jobs > 1 splits the replications into jobs * 4 contiguous chunks and
+    maps them onto the process's shared pool of at most jobs workers (fewer
+    on a host with fewer CPUs); results are reduced in replication order
+    either way, so output is identical to a serial run.
     """
     if jobs > 1 and spec.reps > 1:
         tasks = [(spec, base_seed, start, stop)
                  for start, stop in _chunk_bounds(spec.reps, jobs * 4)]
-        with ProcessPoolExecutor(max_workers=_pool_workers(jobs, len(tasks))) as pool:
-            chunks = list(pool.map(_replicate_range, tasks))
+        chunks = _POOL.map(_replicate_range, tasks, _pool_workers(jobs, len(tasks)))
         cs, b1, degenerate = (np.concatenate(col) for col in zip(*chunks))
     else:
         cs, b1, degenerate = _replicate_range((spec, base_seed, 1, spec.reps + 1))

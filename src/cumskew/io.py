@@ -62,14 +62,18 @@ def parse_csv(path, column=None) -> Sample:
     A header row is detected automatically: if the selected cell of the
     first row is not numeric it is skipped.  Blank lines are ignored.
     Cells are converted as they are read, so only the selected column is
-    held in memory.
+    held in memory.  A ParseError names the physical line on which the
+    offending row starts, also after quoted cells that span lines.
     """
     values = array("d")  # 8 bytes a value, where a list of floats takes 32
     idx = None
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
-            for lineno, row in enumerate(reader, 1):
+            end = 0
+            for row in reader:
+                # a quoted cell can span lines: name the line the row starts on
+                start, end = end + 1, reader.line_num
                 if not any(cell.strip() for cell in row):
                     continue
                 if idx is None:
@@ -77,12 +81,12 @@ def parse_csv(path, column=None) -> Sample:
                     if header:
                         continue
                 if idx >= len(row):
-                    raise ParseError(lineno, f"row has no column {idx}")
+                    raise ParseError(start, f"row has no column {idx}")
                 cell = row[idx].strip()
                 try:
                     values.append(float(cell))
                 except ValueError:
-                    raise ParseError(lineno, f"could not parse {cell!r} as a number") from None
+                    raise ParseError(start, f"could not parse {cell!r} as a number") from None
     except csv.Error as exc:
         raise ParseError(reader.line_num, str(exc)) from None
     except UnicodeDecodeError:

@@ -1,6 +1,11 @@
 import math
+import multiprocessing
+import os
 import pickle
+import signal
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -319,6 +324,118 @@ class TestConcurrentRuns:
             t.join(timeout=120)
             assert not t.is_alive()
         assert got == want
+
+
+@pytest.fixture
+def shared_pool():
+    """experiments' shared pool, shut down before and after the test."""
+    experiments._POOL._shutdown()
+    yield experiments._POOL
+    experiments._POOL._shutdown()
+
+
+@pytest.fixture
+def built_pools(monkeypatch):
+    """Every executor experiments builds during the test, in build order."""
+    built = []
+
+    class Counting(experiments.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", Counting)
+    return built
+
+
+def _send_run(spec, conn):
+    # a process group of its own, so that a hung child's pool workers can
+    # be killed with it
+    os.setpgid(0, 0)
+    conn.send(run_condition(spec, 5, jobs=2))
+    conn.close()
+
+
+class TestSharedPool:
+    def test_table1_builds_one_pool(self, shared_pool, built_pools):
+        got = run_table1(42, n=20, reps=50, jobs=2)
+        assert len(built_pools) == 1
+        assert got == run_table1(42, n=20, reps=50, jobs=1)
+
+    def test_calls_reuse_the_pool_and_serial_builds_none(self, shared_pool, built_pools):
+        dist = DistributionSpec.normal(0.0, 1.0)
+        serial = run_null(dist, 20, 60, 3, jobs=1)
+        assert built_pools == []
+        assert run_null(dist, 20, 60, 3, jobs=2) == serial
+        assert run_null(dist, 20, 60, 3, jobs=2) == serial
+        assert len(built_pools) == 1 and shared_pool._executor is built_pools[0]
+
+    def test_killed_worker_does_not_fail_the_next_call(self, shared_pool):
+        spec = small_spec(reps=80)
+        before = {p.pid for p in multiprocessing.active_children()}
+        serial = run_condition(spec, 5, jobs=1)
+        assert run_condition(spec, 5, jobs=2) == serial
+        pid = min({p.pid for p in multiprocessing.active_children()} - before)
+        os.kill(pid, signal.SIGKILL)
+        # the pool's manager thread reaps the worker after marking the pool
+        # broken; signal 0 reaches the pid until then, zombie or not
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                break
+            time.sleep(0.01)
+        else:
+            pytest.fail(f"killed worker {pid} was not reaped")
+        assert run_condition(spec, 5, jobs=2) == serial
+
+    def test_forked_child_builds_its_own_pool(self, shared_pool):
+        spec = small_spec(reps=80)
+        serial = run_condition(spec, 5, jobs=1)
+        assert run_condition(spec, 5, jobs=2) == serial
+        ctx = multiprocessing.get_context("fork")
+        reader, writer = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_send_run, args=(spec, writer))
+        child.start()
+        writer.close()
+        try:
+            got = reader.recv() if reader.poll(30) else None
+            child.join(timeout=30)
+            hung = child.is_alive()
+        finally:
+            if child.is_alive():
+                os.killpg(child.pid, signal.SIGKILL)
+                child.join()
+            reader.close()
+        assert got == serial
+        assert not hung and child.exitcode == 0
+
+    def test_threads_with_different_worker_counts(self, shared_pool, monkeypatch):
+        # four CPUs as far as the worker cap knows, so jobs=2 and jobs=3 need
+        # different pools and each call can shut down the other's
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+        specs = {2: small_spec(reps=90, contaminated=True),
+                 3: ConditionSpec("t-cauchy", DistributionSpec.cauchy(), 30, 90)}
+        want = {jobs: run_condition(spec, 7, jobs=1) for jobs, spec in specs.items()}
+        got = {jobs: [] for jobs in specs}
+
+        def run(jobs):
+            for _ in range(3):
+                got[jobs].append(run_condition(specs[jobs], 7, jobs=jobs))
+
+        threads = [threading.Thread(target=run, args=(jobs,)) for jobs in specs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == {jobs: [res] * 3 for jobs, res in want.items()}
 
 
 # float.hex of (cs_ave, cs_se, b1_ave, b1_se) and degenerate_count, taken

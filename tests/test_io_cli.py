@@ -181,13 +181,22 @@ class TestComputeCommand:
         row = json.loads(capsys.readouterr().out)["rows"][0]
         assert row["n"] == 3 and row["cs"] == 1 / 3
 
-    @pytest.mark.parametrize("data, message", [
-        (b"1\n2\n\xff\xfe\n3\n", "cumskew: line 3: invalid UTF-8 byte 0xff\n"),
-        (b'1\n2\n"' + b"1" * 131_073 + b'"\n3\n',
+    @pytest.mark.parametrize("data, args, message", [
+        (b"1\n2\n\xff\xfe\n3\n", [], "cumskew: line 3: invalid UTF-8 byte 0xff\n"),
+        (b'1\n2\n"' + b"1" * 131_073 + b'"\n3\n', [],
          "cumskew: line 3: field larger than field limit (131072)\n"),
-    ], ids=["undecodable", "over-long-cell"])
-    def test_malformed_file_exits_1_with_its_line(self, tmp_path, capsys, data, message):
-        assert main(["compute", write_bytes(tmp_path, data)]) == 1
+        # quoted cells that span lines: each row error names the line the
+        # row starts on
+        (b'"a\nb"\n1\n2\nzz\n', [],
+         "cumskew: line 5: could not parse 'zz' as a number\n"),
+        (b'x,y\n1,2\n"a\nb",3\n4\n', ["--column", "y"],
+         "cumskew: line 5: row has no column 1\n"),
+        (b'1\n"2\n3"\n4\n', [],
+         "cumskew: line 2: could not parse '2\\n3' as a number\n"),
+    ], ids=["undecodable", "over-long-cell", "after-multiline-header",
+            "after-multiline-row", "in-multiline-row"])
+    def test_malformed_file_exits_1_with_its_line(self, tmp_path, capsys, data, args, message):
+        assert main(["compute", write_bytes(tmp_path, data), *args]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == message
 
