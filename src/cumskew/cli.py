@@ -144,14 +144,16 @@ def cmd_lorenz(args) -> int:
     except ValueError:  # the classical curve needs a positive total
         grid = lorenz_grid(sample)
     columns = {
-        "i": range(grid.n + 1),
-        "p": [0.0, *grid.p.tolist(), 1.0],
-        "q": [0.0, *grid.q.tolist(), 1.0],
-        "d": [0.0, *grid.d.tolist(), 0.0],
-        "w": ["", *weight_vector(grid.n).tolist(), ""],
+        "i": range(1, grid.n),
+        "p": grid.p.tolist(),
+        "q": grid.q.tolist(),
+        "d": grid.d.tolist(),
+        "w": weight_vector(grid.n).tolist(),
     }
     with _output(args.out) as fh:
-        write_rows_tsv(fh, columns)
+        # the curve's end points (0,0) and (1,1) have no weight
+        write_rows_tsv(fh, columns, first=(0, 0.0, 0.0, 0.0, ""),
+                       last=(grid.n, 1.0, 1.0, 0.0, ""))
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(lorenz_svg(grid))

@@ -11,6 +11,7 @@ import csv
 import json
 import math
 from array import array
+from itertools import chain, islice
 
 import numpy as np
 
@@ -61,10 +62,66 @@ def parse_csv(path, column=None) -> Sample:
 
     A header row is detected automatically: if the selected cell of the
     first row is not numeric it is skipped.  Blank lines are ignored.
-    Cells are converted as they are read, so only the selected column is
-    held in memory.  A ParseError names the physical line on which the
-    offending row starts, also after quoted cells that span lines.
+    The file is read in one streaming pass that holds only the selected
+    column.  numpy's C reader converts it; where that reader refuses the
+    file, the `csv` loop `_parse_rows` reads it again and decides the
+    result, so every error comes from that loop: a ParseError names the
+    physical line on which the offending row starts, also after quoted
+    cells that span lines.
     """
+    values = _read_column(path, column)
+    if values is None:
+        values = _parse_rows(path, column)
+    return validate_sample(values)
+
+
+def _read_column(path, column) -> np.ndarray | None:
+    """The selected column through `np.loadtxt`, or None where the `csv`
+    loop must decide.
+
+    numpy converts a cell exactly as `float()` does or refuses it
+    (underscores, non-ASCII digits, empty cells, NUL, whitespace-only or
+    comma-only lines), so any refusal, an empty body or a non-finite value
+    hands the file back to the loop, which finds the line to report.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        try:
+            rows = csv.reader(fh)
+            first = next((row for row in rows if any(cell.strip() for cell in row)), None)
+            if first is None:
+                return None
+            idx, header = _resolve_index(first, column)
+            lines = _bounded_lines(fh)
+            # blank lines between rows are skipped as the loop skips them;
+            # an empty body would make numpy warn "input contained no data"
+            head = next((line for line in lines if line.strip()), None)
+            if head is None:
+                return None
+            body = np.loadtxt(chain([head], lines), delimiter=",", usecols=idx,
+                              comments=None, quotechar='"', dtype=float, ndmin=1)
+        except (ValueError, csv.Error):
+            return None
+    if not header:
+        body = np.concatenate(([float(first[idx].strip())], body))
+    if not np.isfinite(body).all():
+        return None
+    return body
+
+
+def _bounded_lines(fh):
+    """The lines of `fh`, refusing one longer than the `csv` field limit:
+    the loop raises on an over-long cell in any column, the C reader would not."""
+    limit = csv.field_size_limit()
+    for line in fh:
+        if len(line) > limit:
+            raise ValueError("line longer than the csv field limit")
+        yield line
+
+
+def _parse_rows(path, column) -> array:
+    """The selected column by one loop over `csv.reader`, converting each
+    cell with `float()` as it is read; every ParseError of `parse_csv`
+    comes from here."""
     values = array("d")  # 8 bytes a value, where a list of floats takes 32
     idx = None
     try:
@@ -84,16 +141,19 @@ def parse_csv(path, column=None) -> Sample:
                     raise ParseError(start, f"row has no column {idx}")
                 cell = row[idx].strip()
                 try:
-                    values.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise ParseError(start, f"could not parse {cell!r} as a number") from None
+                if not math.isfinite(value):
+                    raise ParseError(start, f"non-finite value {value!r} from {cell!r}")
+                values.append(value)
     except csv.Error as exc:
         raise ParseError(reader.line_num, str(exc)) from None
     except UnicodeDecodeError:
         raise _undecodable(path, reader.line_num + 1) from None
     if idx is None:
         raise EmptyOrTooSmall("no data rows in file")
-    return validate_sample(values)
+    return values
 
 
 def _undecodable(path, line: int) -> ParseError:
@@ -170,8 +230,19 @@ def write_rows_json(fh, rows: list[dict], meta: dict | None = None) -> None:
     fh.write("\n")
 
 
-def write_rows_tsv(fh, columns: dict) -> None:
-    """Plot-ready TSV from equal-length columns, headed by their names."""
+def write_rows_tsv(fh, columns: dict, first, last) -> None:
+    """Plot-ready TSV headed by the column names: the row `first`, one row
+    per position of the equal-length columns, then the row `last`.
+
+    The columns hold ints and floats and go through one `%r` template per
+    row, which gives a float's shortest round-trip text, written a few
+    thousand rows at a time; the cells of `first` and `last` are written
+    by `format_number`.
+    """
+    template = "\t".join(["%r"] * len(columns)) + "\n"
     fh.write("\t".join(columns) + "\n")
-    for row in zip(*columns.values(), strict=True):
-        fh.write("\t".join(map(format_number, row)) + "\n")
+    fh.write("\t".join(map(format_number, first)) + "\n")
+    rows = zip(*columns.values(), strict=True)
+    while chunk := "".join(map(template.__mod__, islice(rows, 4096))):
+        fh.write(chunk)
+    fh.write("\t".join(map(format_number, last)) + "\n")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from .core import LorenzGrid, weight_vector
 
 SIZE = 600
@@ -9,26 +11,23 @@ MARGIN = 60
 GAP_COLORS = {"neg": "crimson", "pos": "seagreen", "zero": "silver"}
 
 
-def _x(v: float) -> float:
+def _x(v):
     return MARGIN + v * (SIZE - 2 * MARGIN)
 
 
-def _y(v: float) -> float:
+def _y(v):
     return SIZE - MARGIN - v * (SIZE - 2 * MARGIN)
-
-
-def _sign(w: float) -> str:
-    if w < 0:
-        return "neg"
-    if w > 0:
-        return "pos"
-    return "zero"
 
 
 def lorenz_svg(grid: LorenzGrid) -> str:
     """Render the curve, the 45-degree line, and gap segments colored by
     the sign of their weight (`weight_vector(grid.n)`), in a fixed 600x600
-    viewport."""
+    viewport.
+
+    Pixel coordinates are computed for whole arrays by `_x` and `_y`,
+    giving the doubles the scalar calls give, and each gap segment and
+    polyline vertex is formatted by one template.
+    """
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
         f'viewBox="0 0 {SIZE} {SIZE}">',
@@ -38,14 +37,17 @@ def lorenz_svg(grid: LorenzGrid) -> str:
         f'<line x1="{_x(0):.1f}" y1="{_y(0):.1f}" x2="{_x(1):.1f}" y2="{_y(1):.1f}" '
         f'stroke="gray" stroke-width="1.5"/>',
     ]
-    for p, q, w in zip(grid.p, grid.q, weight_vector(grid.n)):
-        parts.append(
-            f'<line x1="{_x(p):.2f}" y1="{_y(p):.2f}" x2="{_x(p):.2f}" '
-            f'y2="{_y(q):.2f}" stroke="{GAP_COLORS[_sign(w)]}" '
-            f'stroke-width="1" stroke-dasharray="4 3"/>'
-        )
-    pts = [(0.0, 0.0), *zip(grid.p, grid.q), (1.0, 1.0)]
-    path = " ".join(f"{_x(p):.2f},{_y(q):.2f}" for p, q in pts)
+    x = _x(np.concatenate(([0.0], grid.p, [1.0]))).tolist()
+    yq = _y(np.concatenate(([0.0], grid.q, [1.0]))).tolist()
+    w = weight_vector(grid.n)
+    colors = np.array(list(GAP_COLORS.values()), dtype=object)  # neg, pos, zero
+    color = colors[np.where(w < 0, 0, np.where(w > 0, 1, 2))]
+    segment = ('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="%s" '
+               'stroke-width="1" stroke-dasharray="4 3"/>')
+    xp = x[1:-1]
+    parts += map(segment.__mod__, zip(xp, _y(grid.p).tolist(), xp, yq[1:-1], color))
+    path = " ".join(map("%.2f,%.2f".__mod__, zip(x, yq)))
+    del x, xp, yq, color  # the document below is the peak of a large grid
     parts.append(f'<polyline points="{path}" fill="none" stroke="#222" '
                  f'stroke-width="2"/>')
 
@@ -57,5 +59,5 @@ def lorenz_svg(grid: LorenzGrid) -> str:
                      f'stroke-dasharray="4 3"/>')
         parts.append(f'<text x="{MARGIN + 46}" y="{y + 4}" font-size="13" '
                      f'font-family="sans-serif">{label}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts += ["</svg>", ""]  # ends the document with a newline, without a copy
+    return "\n".join(parts)

@@ -1,17 +1,22 @@
+import hashlib
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cumskew import ColumnNotFound, EmptyOrTooSmall, ParseError, parse_csv
-from cumskew import ConditionSpec, DistributionSpec, run_condition
+from cumskew import ColumnNotFound, CumskewError, EmptyOrTooSmall, ParseError, parse_csv
+from cumskew import ConditionSpec, DistributionSpec, run_condition, validate_sample
 from cumskew.cli import _condition_rows, main
-from cumskew.io import run_metadata
+from cumskew.io import _parse_rows, _read_column, run_metadata
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -96,6 +101,16 @@ class TestParseCsv:
             parse_csv(write_bytes(tmp_path, data))
         assert exc.value.line == 4002
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("x\n1e400\n2\n3\n", 2, "non-finite value inf from '1e400'"),
+        ("1\n2\n -Infinity \n", 3, "non-finite value -inf from '-Infinity'"),
+        ("NaN\n1\n2\n", 1, "non-finite value nan from 'NaN'"),
+    ])
+    def test_non_finite_cell_reports_its_line(self, tmp_path, text, line, message):
+        with pytest.raises(ParseError) as exc:
+            parse_csv(write(tmp_path, text))
+        assert (exc.value.line, exc.value.message) == (line, message)
+
     def test_holds_only_the_selected_column(self, tmp_path):
         path = write(tmp_path, "".join(f"{i},{i / 7!r}\n" for i in range(100_000)))
         tracemalloc.start()
@@ -106,6 +121,117 @@ class TestParseCsv:
             tracemalloc.stop()
         assert s.n == 100_000
         assert peak < 8e6
+
+
+def outcome(read, path, column):
+    """The values' bytes, or the error's type and message."""
+    try:
+        return "values", read(path, column).values.tobytes()
+    except (CumskewError, OSError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def loop(path, column):
+    return validate_sample(_parse_rows(path, column))
+
+
+def assert_same_as_loop(path, column):
+    """`parse_csv` gives what the `csv` loop gives, and a column numpy's
+    reader returns is the loop's, bit for bit."""
+    want = outcome(loop, path, column)
+    assert outcome(parse_csv, path, column) == want
+    fast = _read_column(path, column)
+    if fast is not None:
+        assert fast.tobytes() == _parse_rows(path, column).tobytes()
+    return fast is not None
+
+
+HALF = "0." + "5" * 30  # 30 digits, more than a double holds
+FAST_PATH_CASES = [
+    # (id, file bytes, column, whether numpy's reader must take the file)
+    ("17-digit", "".join(f"{v:.17g}\n" for v in (0.1, 1 / 3, 2 / 3, 1e-5 / 3, 123456789.12345678)), None, True),
+    ("long-mantissa", f"{HALF}\n{HALF}e-300\n9007199254740993\n", None, True),
+    ("exponents", "1e5\n-2.5E-3\n6.02e+23\n1E308\n-1.7976931348623157e308\n", None, True),
+    ("subnormal", "1e-310\n4.9e-324\n2.2250738585072014e-308\n", None, True),
+    ("signed-zero", "-0\n0\n-0.0\n+0\n", None, True),
+    ("padded", "  1.5 \n\t2\n 3\t\n", None, True),
+    ("nan", "1\nnan\n2\n", None, False),
+    ("inf", "1\n2\n-Infinity\n", None, False),
+    ("overflow", "x\n1e400\n2\n3\n", None, False),
+    ("underscore", "2\n1_0\n", None, False),
+    ("quoted-comma", 'a,b\n"1,5",2\n"x,y",3\n', "b", None),
+    ("quoted-newline", 'a,b\n"1\n5",2\n3,4\n', 1, None),
+    ("quoted-number", '"1.5"\n" 2 "\n', None, None),
+    ("crlf", "1\r\n2\r\n3\r\n", None, True),
+    ("lone-cr", "1\r2\r3\r", None, None),
+    ("whitespace-line", "1\n   \n2\n", None, None),
+    ("comma-line", "1,2\n,\n3,4\n", None, None),
+    ("empty-cell", "1,2\n,3\n", None, False),
+    ("bom", b"\xef\xbb\xbfx,y\n1,5\n2,6\n", "x", True),
+    ("header-by-name", "a,b\n1,2\n3,4\n", "b", True),
+    ("header-by-index", "a,b\n1,2\n3,4\n", 1, True),
+    ("headerless-index", "1,2\n3,4\n", "1", True),
+    ("short-row", "a,b\n1,2\n3\n", 1, False),
+    ("long-unselected-cell", "x,y\n1," + "z" * 200_000 + "\n2,3\n", 0, False),
+    ("invalid-utf8-late", b"1\n2.5\n" * 2000 + b"3\n\xff\n", None, False),
+    ("nul", "1\n\x002\n", None, False),
+    ("header-only", "x\n", None, False),
+    ("blank-body", "x\n\n\n", None, False),
+    ("one-value", "5\n", None, False),
+    ("unknown-column", "a\n1\n2\n", "z", False),
+]
+
+# Cells that numpy's reader and the `csv` loop may treat differently.
+CSV_TOKENS = ["1", "-0", "2.5e3", "1e-310", "4.9e-324", "0.30000000000000004", " 7 ",
+              "nan", "-inf", "1e400", "1_0", "0x10", "abc", "", " ", "\x00",
+              '"3"', '"4,5"', '"6\n7"', '"8\r\n"', '""', '"9"0', '1"2', '"']
+
+
+class TestFastPath:
+    """numpy's C reader and the `csv` loop agree on every file."""
+
+    @pytest.mark.parametrize("data, column, fast",
+                             [c[1:] for c in FAST_PATH_CASES], ids=[c[0] for c in FAST_PATH_CASES])
+    def test_same_values_or_error_as_the_loop(self, tmp_path, data, column, fast):
+        if isinstance(data, str):
+            data = data.encode()
+        took = assert_same_as_loop(write_bytes(tmp_path, data), column)
+        if fast is not None:
+            assert took == fast
+
+    def test_random_strings_convert_as_float_does(self, tmp_path):
+        # bit patterns across the float range, long mantissas and exact
+        # midpoints between neighbouring doubles, which must round to even
+        rng = np.random.default_rng(20223)
+        bits = rng.integers(0, 2**63, size=4000, dtype=np.int64).view(np.float64)
+        bits = bits[np.isfinite(bits)].tolist()
+        texts = [repr(v) for v in bits] + [f"{v:.25e}" for v in bits]
+        digits = rng.integers(0, 10, size=(3000, 40))
+        lengths = rng.integers(1, 41, size=3000)
+        exps = rng.integers(-340, 309, size=3000)
+        texts += [f"0.{''.join(map(str, d[:k]))}e{e}" for d, k, e in zip(digits.tolist(), lengths, exps)]
+        with localcontext() as ctx:
+            ctx.prec = 1200  # a double's exact decimal has at most 767 digits
+            for v in bits[:2000]:
+                mid = (Decimal(v) + Decimal(math.nextafter(v, math.inf))) / 2
+                texts.append(f"{mid:.1200g}")
+        path = write(tmp_path, "".join(f"{t}\n" for t in texts))
+        fast = _read_column(path, None)
+        assert fast is not None
+        assert fast.tobytes() == np.array([float(t) for t in texts]).tobytes()
+
+    @given(st.lists(st.lists(st.sampled_from(CSV_TOKENS), min_size=1, max_size=3),
+                    min_size=1, max_size=8),
+           st.sampled_from(["\n", "\r\n", "\r"]),
+           st.sampled_from([None, 0, 1, "a"]),
+           st.booleans())
+    @settings(deadline=None, max_examples=300)
+    def test_token_files_match_the_loop(self, tmp_path_factory, rows, newline, column, header):
+        lines = [",".join(row) for row in rows]
+        text = newline.join((["a,b"] if header else []) + lines) + newline
+        path = tmp_path_factory.getbasetemp() / "tokens.csv"
+        path.write_bytes(text.encode())
+        assert_same_as_loop(str(path), column)
 
 
 def data_lines(output):
@@ -193,12 +319,25 @@ class TestComputeCommand:
          "cumskew: line 5: row has no column 1\n"),
         (b'1\n"2\n3"\n4\n', [],
          "cumskew: line 2: could not parse '2\\n3' as a number\n"),
+        # a non-finite cell names its line, not a sample index
+        (b"x\n1e400\n2\n3\n", [], "cumskew: line 2: non-finite value inf from '1e400'\n"),
+        (b"1\n2\nnan\n", [], "cumskew: line 3: non-finite value nan from 'nan'\n"),
     ], ids=["undecodable", "over-long-cell", "after-multiline-header",
-            "after-multiline-row", "in-multiline-row"])
+            "after-multiline-row", "in-multiline-row", "overflowing-cell", "nan-cell"])
     def test_malformed_file_exits_1_with_its_line(self, tmp_path, capsys, data, args, message):
         assert main(["compute", write_bytes(tmp_path, data), *args]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == message
+
+    @pytest.mark.parametrize("text", ["x\n", "x\n\n\n\n"], ids=["header-only", "blank-body"])
+    def test_no_data_gives_one_message_line(self, tmp_path, text):
+        # numpy's "input contained no data" warning never reaches the user
+        proc = subprocess.run(
+            [sys.executable, "-m", "cumskew", "compute", write(tmp_path, text)],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "cumskew: need at least 2 observations, got 0\n"
 
     def test_subnormal_data_report_exact_values(self, tmp_path, capsys):
         path = write(tmp_path, "0\n1e-310\n3e-310\n")
@@ -313,6 +452,66 @@ class TestGoldenOutputs:
         out = tmp_path / "report.csv"
         assert main(["compute", write(tmp_path, values), "--out", str(out)]) == 0
         assert data_lines(out.read_text()) == ["n,cs,b1,gini,cs_bound,degenerate", row]
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# Large and awkward samples whose full CLI outputs are pinned by sha256.
+# The pins were recorded with the scalar, one-value-at-a-time writers, so
+# the whole-array SVG coordinates and row templates must reproduce every
+# byte, every `%.2f` pixel coordinate included.
+PINNED_SAMPLES = {
+    "lognormal-5e4": lambda rng: rng.lognormal(size=50_000),
+    "mixed-sign-5e3": lambda rng: rng.normal(size=5_000),
+    "negative-5e3": lambda rng: -rng.lognormal(size=5_000),
+    "subnormal-500": lambda rng: rng.random(500) * 2e-308,
+}
+LORENZ_PINS = {
+    "lognormal-5e4": ("869e89bb7f208a70706ec71f5f62c60c35e10e8d217fe37f6eb01d21fcde704b",
+                      "32b0b92995292ed5db2fd4f35ed838c771977d197903f51d340da14d64a682d6"),
+    "mixed-sign-5e3": ("28d61eddcc5577464bf49dd48e4b89b67d414acc0b00ad878bdd35a3480a78d6",
+                       "12d59403fde947b3b37ea45dd7359dbdac62a894a4e18d532f9a93dcc6172503"),
+    "negative-5e3": ("73e9df19030f485bd3b02f23751e902e3e441d006346f162286e26599615d3f8",
+                     "ce323b9394ada15e71e59343fd097004f061ec9af919032ea85eadb6c80c5ed9"),
+    "subnormal-500": ("cf0431ff3b87ab0a7cceebd2451cdfb842728e4cd936a70713fdac1c4416272d",
+                      "024b82869d3e7266a2990f3c1e6325424f7f12523c91415c870411da90d7a169"),
+}
+COMPUTE_JSON_ROWS_PIN = "109513afb8f81da038a072f712f7e0417ac26f726e60386f7326702b739525ee"
+COMPUTE_CSV_ROW_PIN = "200000,0.466329,5.74987,0.522724,0.99999,false"
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("name", LORENZ_PINS)
+    def test_lorenz_tsv_and_svg(self, tmp_path, name):
+        values = PINNED_SAMPLES[name](np.random.default_rng(20221))
+        path = write(tmp_path, "".join(f"{v!r}\n" for v in values.tolist()))
+        tsv, svg = tmp_path / "grid.tsv", tmp_path / "grid.svg"
+        assert main(["lorenz", path, "--out", str(tsv), "--svg", str(svg)]) == 0
+        assert (sha256(tsv.read_bytes()), sha256(svg.read_bytes())) == LORENZ_PINS[name]
+
+    @pytest.fixture(scope="class")
+    def two_column_file(self, tmp_path_factory):
+        rng = np.random.default_rng(20222)
+        x, y = rng.lognormal(size=200_000), rng.lognormal(size=200_000)
+        path = tmp_path_factory.mktemp("pins") / "xy.csv"
+        path.write_text("x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist())),
+                        encoding="utf-8")
+        return str(path)
+
+    def test_compute_json_on_2e5_rows(self, two_column_file, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["compute", two_column_file, "--column", "y", "--format", "json",
+                     "--out", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        # the provenance block names the input path and numpy's version
+        assert sha256(text[text.index('"rows"'):].encode()) == COMPUTE_JSON_ROWS_PIN
+
+    def test_compute_csv_on_2e5_rows(self, two_column_file, tmp_path):
+        out = tmp_path / "report.csv"
+        assert main(["compute", two_column_file, "--column", "y", "--out", str(out)]) == 0
+        assert data_lines(out.read_text())[1] == COMPUTE_CSV_ROW_PIN
 
 
 class TestExperimentCommand:
