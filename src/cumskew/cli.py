@@ -11,9 +11,7 @@ import sys
 from contextlib import contextmanager
 
 from .core import lorenz_grid, raw_lorenz_grid, skew_report, weight_vector
-from .distributions import DistributionSpec
 from .errors import CumskewError
-from .experiments import ConditionSpec, run_gcurve, run_null, run_table1, table1_conditions
 from .io import (
     format_sig,
     parse_csv,
@@ -92,6 +90,11 @@ def _condition_rows(results, conditions, seed):
 
 
 def cmd_experiment(args) -> int:
+    # imported here, so that compute and lorenz never load the samplers,
+    # the harness or its process pool
+    from .distributions import DistributionSpec
+    from .experiments import ConditionSpec, run_gcurve, run_null, run_table1, table1_conditions
+
     name = args.name
     if args.sigma is not None and name != "null-normal":
         raise UsageError("--sigma only applies to the null-normal experiment")

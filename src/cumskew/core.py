@@ -9,17 +9,36 @@ for gap indices i = 1..n-1.  The rank-linear weights are antisymmetric
 around the median gap, so symmetric samples score exactly zero, and the
 statistic is bounded by +/-(1 - 2/n) no matter how extreme an outlier is.
 
-Every Lorenz quantity comes from one gap vector, the running sums C_i of
-the deviations x - mean of the sorted sample: with r = C_n / n, the mean
-the deviations are left with after rounding of the mean,
+The grid's Lorenz quantities come from one gap vector, the running sums
+C_i of the deviations x - mean of the sorted sample: with r = C_n / n, the
+mean the deviations are left with after rounding of the mean,
 
     n * g_i = i * r - C_i = i * mean - S_i,
 
 the gap between the diagonal and the curve in the data's own units, with
-no shift of the data and no division by their total.  CS is the ratio of
-two sums of these gaps and needs no footing; Gini is their area, over the
-mean when the mean is positive; `lorenz_grid` reports them in the data's
-units and `raw_lorenz_grid` as shares of the mean.
+no shift of the data and no division by their total; the running sums are
+compensated (Sum2 at every prefix; Ogita, Rump & Oishi, "Accurate Sum and
+Dot Product", SIAM J. Sci. Comput. 26(6), 2005).  `lorenz_grid` reports
+the gaps in the data's units and `raw_lorenz_grid` as shares of the mean.
+
+CS and Gini need only sums of the gaps, and both sums are linear in the
+order statistics.  Exchanging the sums over i and j gives, with e_j the
+sorted deviations and integer weights a_j = 2j - n - 1 and
+c_j = 6(j-1)(j-n) + (n-1)(n-2),
+
+    sum_i n g_i = (1/2) sum_j a_j e_j,    sum_i w_i n g_i = sum_j c_j e_j / (2n),
+
+so that
+
+    CS = sum_j c_j e_j / (n * sum_j a_j e_j) = (1 - 2/n) * l3 / l2,
+
+where l2 and l3 are Hosking's unbiased sample L-moments (Hosking,
+"L-moments: analysis and estimation of distributions using linear
+combinations of order statistics", JRSS B 52(1), 1990): CS is (1 - 2/n)
+times the sample L-skewness tau3_hat = l3 / l2, and Gini, the gap area
+over the mean, is (1 - 1/n) * l2 / l1 on positive data.  Both weight
+vectors sum to zero, so an error in the computed mean cancels, and they
+are exact in float64 for n below 7e7.
 
 One kernel, `_score_rows`, scores a whole (k, n) block of samples at once:
 the Monte Carlo harness stacks its replications into blocks, and the
@@ -27,12 +46,20 @@ single-sample functions are its one-row case.  Each row is first scaled by
 the power of two that brings its largest magnitude into [0.5, 1); the
 scaling is exact, so it changes no result in the normal float range, and it
 keeps b1's moments and the mean from overflowing or underflowing at the
-ends of that range.  Every reduction is a row-wise Sum2 (Ogita, Rump &
-Oishi, "Accurate Sum and Dot Product", SIAM J. Sci. Comput. 26(6), 2005):
-the plain running sum plus the exact TwoSum error of each step, the errors
-accumulated in index order.  A result is as accurate as if computed in
-twice the working precision and then rounded, and it depends on its own
-row alone, never on the block around it.
+ends of that range.  Every reduction of the kernel (the mean, the
+deviations' own mean, their squares and cubes, and the two L-sums) is an
+extraction sum (Rump, Ogita & Oishi, "Accurate floating-point summation
+part I: faithful rounding", SIAM J. Sci. Comput. 31(1), 2008): with sigma
+a power of two at least 2n times a bound on the summands, which the
+scaling fixes per n and per sum, the high parts q = (sigma + p) - sigma
+are multiples of 2**-53 * sigma whose partial sums stay below sigma, so
+they add exactly in any order, and the remainders p - q are exact and
+small enough for a plain sum: beyond the final rounding, the error is of
+order n**2 * 2**-106 times the largest summand, as if the sum ran in twice
+the working precision.  A row's results depend on its own row alone: the high parts
+add exactly, and the remainders are added by numpy's sum along each
+C-contiguous row, in an order set by n alone (no BLAS, whose blocking can
+depend on the block's shape).
 """
 
 from __future__ import annotations
@@ -72,47 +99,42 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _twosum_errors(t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Exact rounding errors of the steps behind t = cumsum(x) (last axis).
+def _compensated_cumsum(x: np.ndarray) -> np.ndarray:
+    """Running sums along the last axis, each within one rounding of exact.
 
-    Knuth's TwoSum on t[j] = fl(t[j-1] + x[j]) recovers each error,
-    (prev - (t - bb)) + (x - bb) with bb = t - prev, exactly whatever the
-    magnitudes; step 0 adds to zero and is exact, so errors are returned
-    for steps 1.. only.
+    Knuth's TwoSum on t[j] = fl(t[j-1] + x[j]) recovers each step's
+    rounding error, (prev - (t - bb)) + (x - bb) with bb = t - prev, exactly
+    whatever the magnitudes (step 0 adds to zero and is exact); the errors
+    are accumulated in index order and folded back in (Sum2 at every
+    prefix).
     """
+    t = x.cumsum(axis=-1)
     prev, cur = t[..., :-1], t[..., 1:]
     bb = cur - prev
     err = cur - bb
     np.subtract(prev, err, out=err)
     np.subtract(x[..., 1:], bb, out=bb)
     err += bb
-    return err
-
-
-def _compensated_cumsum(x: np.ndarray) -> np.ndarray:
-    """Running sums along the last axis, each within one rounding of exact.
-
-    The TwoSum errors of the plain running sums are accumulated in index
-    order and folded back in; the last running sum is the Sum2 of x.
-    """
-    t = x.cumsum(axis=-1)
-    err = _twosum_errors(t, x)
+    del bb
     t[..., 1:] += err.cumsum(axis=-1, out=err)
     return t
 
 
-def _sum2(x: np.ndarray) -> np.ndarray:
-    """Sum2 along the last axis: the plain sum plus its summed TwoSum errors.
+def _xsum(p: np.ndarray, bound: float, q: np.ndarray) -> np.ndarray:
+    """Row sums of a C-contiguous (k, n) block p by error-free extraction.
 
-    Both sums run in index order (cumsum, not np.sum, whose pairwise
-    blocking could depend on the array layout), so each row's result
-    depends only on that row.
+    With sigma the power of two above 2 * n * bound, where bound >= max|p|,
+    the high parts q = (sigma + p) - sigma are exact multiples of
+    2**-53 * sigma whose sums stay below sigma, so they add exactly in any
+    order; the remainders p - q are exact too, and tiny, and are added by a
+    plain row sum.  q is scratch of p's shape; p is left as it is.
     """
-    t = x.cumsum(axis=-1)
-    if x.shape[-1] == 1:
-        return t[..., 0]
-    err = _twosum_errors(t, x)
-    return t[..., -1] + err.cumsum(axis=-1, out=err)[..., -1]
+    sigma = math.ldexp(1.0, math.frexp(2.0 * p.shape[1] * bound)[1])
+    np.add(p, sigma, out=q)
+    q -= sigma
+    high = q.sum(axis=1)
+    np.subtract(p, q, out=q)
+    return high + q.sum(axis=1)
 
 
 @functools.lru_cache(maxsize=4)
@@ -122,55 +144,66 @@ def _grid_rows(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _readonly(i), _readonly(i / n), _readonly((2 * i - n) * 3.0 / n)
 
 
-def _centre_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=4)
+def _l_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only integer weights a and c of the sorted sample, j = 1..n:
+    n(n-1) l2 = sum_j a_j x_(j) with a_j = 2j - n - 1, and
+    n(n-1)(n-2) l3 = sum_j c_j x_(j) with c_j = 6(j-1)(j-n) + (n-1)(n-2);
+    |a_j| < n and |c_j| <= (n-1)(n-2)."""
+    j = np.arange(1.0, n + 1)
+    return (_readonly(2 * j - n - 1),
+            _readonly(6 * (j - 1) * (j - n) + (n - 1) * (n - 2)))
+
+
+def _centre_rows(x: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scale each sorted row of x in place by 2**-e, with e per row chosen
     by frexp so that the largest magnitude lies in [0.5, 1), and subtract
-    its mean; return e and the scaled means."""
+    its mean; return e and the scaled means.  q is scratch."""
     _, e = np.frexp(np.maximum(-x[:, 0], x[:, -1]))
     np.ldexp(x, -e[:, None], out=x)
-    mean = _sum2(x) / x.shape[1]
+    mean = _xsum(x, 1.0, q) / x.shape[1]
     x -= mean[:, None]
     return e, mean
 
 
-def _gaps(sums: np.ndarray, r: np.ndarray, i: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """n * g_i = i * r - C_i for i = 1..n-1, into out, from the running sums
-    C of the deviations and their own mean r = C_n / n: n times the Lorenz
-    gaps, in the units of the deviations."""
-    gaps = np.multiply(i, r[:, None], out=out)
-    gaps -= sums[:, :-1]
-    return gaps
+def _l2_sums(dev: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """sum_j a_j dev_j of each row of scaled sorted deviations (|dev| <= 2):
+    twice the sum of the row's Lorenz gaps n * g_i.  p and q are scratch."""
+    n = dev.shape[1]
+    return _xsum(np.multiply(dev, _l_weights(n)[0], out=p), 2.0 * n, q)
 
 
 def _raw_means(values: np.ndarray, mean: np.ndarray,
                e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's mean in the data's own units and in the scaled ones.
 
-    The scaled mean is right unless it is zero or subnormal: scaling a row
-    that spans more than the float range flushes its smallest values to
-    zero, and they decide the mean when the rest cancel ([-1e308, 1e308,
-    1e-300] has a scaled mean of 0), so such rows are summed again with
-    what the scaling flushed.
+    The scaled mean is right to the last bit or two unless it is small: the
+    extraction sum's error, beyond its rounding, stays below n**2 * 2**-98
+    (scaled units), so a mean below n * 2**-45 may be off by more, and
+    scaling a row that spans more than the float range flushes its smallest
+    values to zero, which decide the mean when the rest cancel ([-1e308,
+    1e308, 1e-300] has a scaled mean of 0).  Such rows are summed again,
+    each part correctly rounded by math.fsum, with what the scaling flushed.
     """
     raw = np.ldexp(mean, e)
-    small = np.abs(mean) < np.finfo(np.float64).tiny
+    small = np.abs(mean) < values.shape[1] * 2.0 ** -45
     if small.any():
-        rows = np.sort(values[small], axis=1)
-        es = e[small, None]
+        rows, es = values[small], e[small, None]
         scaled = np.ldexp(rows, -es)
         flushed = rows - np.ldexp(scaled, es)
-        raw[small] = (np.ldexp(_sum2(scaled), e[small]) + _sum2(flushed)) / rows.shape[1]
+        raw[small] = [(math.ldexp(math.fsum(s), k) + math.fsum(f)) / rows.shape[1]
+                      for s, f, k in zip(scaled, flushed, e[small].tolist())]
         mean = np.where(small, np.ldexp(raw, -e), mean)
     return raw, mean
 
 
-def _gini(den: np.ndarray, n: int, raw_mean: np.ndarray, mean: np.ndarray,
+def _gini(l2_sum: np.ndarray, n: int, raw_mean: np.ndarray, mean: np.ndarray,
           e: np.ndarray) -> np.ndarray:
-    """Gini of each row from den, the Sum2 of its scaled n * g_i: twice the
+    """Gini of each row from `_l2_sums` of its scaled deviations: twice the
     area between the diagonal and the curve, over the mean when the raw mean
     is positive and in the data's units otherwise; inf outside the float
     range.  The one Gini rule of the package."""
-    area = 2.0 * den / n / n
+    area = l2_sum / n / n
     return np.where(raw_mean > 0.0, area / mean, np.ldexp(area, e))
 
 
@@ -201,40 +234,38 @@ def _score_rows(block: np.ndarray) -> _Scores:
     Raises:
         FloatRangeError: a row's CS or b1 is not finite.
     """
-    x = np.sort(block, axis=1)
+    x = np.array(block, order="C")  # C order: `_xsum` sums along rows
+    x.sort(axis=1)
     n = x.shape[1]
-    i, _, w = _grid_rows(n)
     degenerate = x[:, 0] == x[:, -1]
-    e, mean = _centre_rows(x)
-    # x now holds the scaled deviations; the buffers below are freed or
-    # reused in place to keep the peak memory of large samples down.  The
-    # moments are corrected by the deviations' own mean r, which rounding
-    # of the mean leaves nonzero (the corrected two-pass algorithm): with
+    q = np.empty_like(x)
+    e, mean = _centre_rows(x, q)
+    # x now holds the scaled deviations, |dev| <= 2.  The moments are
+    # corrected by the deviations' own mean r, which rounding of the mean
+    # leaves nonzero (the corrected two-pass algorithm): with
     # s_k = sum(dev**k) / n, m2 = s2 - r**2 and m3 = s3 - 3 r s2 + 2 r**3.
     # Without it b1 drifts when the mean dwarfs the spread.
-    power = x * x
-    s2 = _sum2(power) / n
-    power *= x
-    s3 = _sum2(power) / n
-    del power
-    sums = _compensated_cumsum(x)
-    r = sums[:, -1] / n
+    r = _xsum(x, 2.0, q) / n
+    p = x * x
+    s2 = _xsum(p, 4.0, q) / n
+    p *= x
+    s3 = _xsum(p, 8.0, q) / n
+    l2 = _l2_sums(x, p, q)
+    c = _l_weights(n)[1]
+    l3 = _xsum(np.multiply(x, c, out=p), 2.0 * (n - 1) * (n - 2), q)
+    del p, q
     m2 = s2 - r * r
     m3 = s3 - 3.0 * r * s2 + 2.0 * (r * r * r)
     degenerate |= m2 == 0.0
-    gaps = _gaps(sums, r, i, out=x[:, :-1])
-    del sums
-    den = _sum2(gaps)
-    gaps *= w
-    num = _sum2(gaps)
-    cs = np.where(degenerate | (den == 0.0), 0.0, num / den)
+    # CS = (1 - 2/n) l3 / l2; a zero numerator gives +0.0, never -0.0
+    cs = np.where(degenerate | (l2 == 0.0) | (l3 == 0.0), 0.0, l3 / (n * l2))
     # m2 * sqrt(m2), not m2 ** 1.5: sqrt and * round correctly on every
     # platform and in every SIMD lane, a vectorised pow need not
     b1 = np.where(degenerate, 0.0, m3 / (m2 * np.sqrt(m2)))
     if not (np.isfinite(cs).all() and np.isfinite(b1).all()):
         raise FloatRangeError("CS or b1 of the sample cannot be computed "
                               "within the float range")
-    gini = _gini(den, n, *_raw_means(block, mean, e), e)
+    gini = _gini(l2, n, *_raw_means(block, mean, e), e)
     return _Scores(cs=cs, b1=b1, gini=np.where(degenerate, 0.0, gini),
                    degenerate=degenerate)
 
@@ -325,14 +356,20 @@ def _lorenz(sample: Sample, classical: bool) -> LorenzGrid:
     x = np.sort(sample.values)[None, :]
     n = x.shape[1]
     i, p, _ = _grid_rows(n)
-    e, mean = _centre_rows(x)
+    q = np.empty_like(x)
+    e, mean = _centre_rows(x, q)
+    l2 = _l2_sums(x, np.empty_like(x), q)
+    del q  # each buffer is freed once used, keeping large samples' peak down
     sums = _compensated_cumsum(x)
-    gaps = _gaps(sums, sums[:, -1] / n, i, out=x[:, :-1])
-    del sums  # keeps the peak memory of large samples down
+    # n * g_i = i * r - C_i, from the running sums C of the deviations and
+    # their own mean r = C_n / n
+    gaps = np.multiply(i, sums[:, -1:] / n, out=x[:, :-1])
+    gaps -= sums[:, :-1]
+    del sums
     raw_mean, mean = _raw_means(sample.values[None, :], mean, e)
     if classical and not raw_mean[0] > 0.0:
         raise ValueError("classical Lorenz curve needs a positive total")
-    g = float(_gini(_sum2(gaps), n, raw_mean, mean, e)[0])
+    g = float(_gini(l2, n, raw_mean, mean, e)[0])
     d = gaps[0]
     if classical:
         d /= n * mean[0]

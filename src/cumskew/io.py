@@ -7,6 +7,7 @@ trimmed to six significant digits.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import math
@@ -156,22 +157,41 @@ def _parse_rows(path, column) -> array:
     return values
 
 
+_SCAN_BYTES = 1 << 16  # chunk size of `_undecodable`'s pass over the bytes
+
+
+def _line_breaks(data: bytes, after_cr: bool) -> int:
+    """Line breaks in `data`, LF, CRLF and a lone CR each counting once, as
+    they do for the reader; `after_cr` says the bytes before `data` ended
+    with a CR, whose break a leading LF completes."""
+    breaks = data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+    return breaks - (after_cr and data.startswith(b"\n"))
+
+
 def _undecodable(path, line: int) -> ParseError:
     """The error for the first byte of `path` that is not UTF-8.
 
     The text layer decodes ahead of the reader, in chunks, so the byte's
-    line is found by reading the file's bytes again; LF, CRLF and a lone CR
-    each end a line, as they do for the reader.  `line` stands if the file
-    no longer holds such a byte.
+    line is found by one more pass over the file's bytes, in chunks of
+    _SCAN_BYTES, through an incremental decoder that carries a split
+    sequence from one chunk to the next.  `line` stands if the file no
+    longer holds such a byte.
     """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    seen, after_cr = 1, False
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = data[:exc.start]
-        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-        return ParseError(line, f"invalid UTF-8 byte 0x{data[exc.start]:02x}")
+        # the empty chunk at the end flags a sequence cut short by the end
+        for chunk in chain(iter(lambda: fh.read(_SCAN_BYTES), b""), [b""]):
+            try:
+                decoder.decode(chunk, final=not chunk)
+            except UnicodeDecodeError as exc:
+                # exc.object is the carried partial sequence, which holds no
+                # CR or LF, followed by the chunk
+                head = exc.object[:exc.start]
+                return ParseError(seen + _line_breaks(head, after_cr),
+                                  f"invalid UTF-8 byte 0x{exc.object[exc.start]:02x}")
+            seen += _line_breaks(chunk, after_cr)
+            after_cr = chunk.endswith(b"\r")
     return ParseError(line, "invalid UTF-8")
 
 

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cumskew import (
     ConstantSample,
@@ -21,7 +23,7 @@ from cumskew import (
     validate_sample,
     weight_vector,
 )
-from cumskew.core import _compensated_cumsum, _score_rows, _sum2
+from cumskew.core import _compensated_cumsum, _score_rows, _xsum
 
 
 def cs(values):
@@ -304,19 +306,36 @@ class TestCompensatedSums:
                 exact += Fraction(value)
                 assert abs(Fraction(prefix) - exact) <= Fraction(1, 2 ** 53) * exact
 
-    def test_sum2_within_one_ulp_of_fsum(self):
+    def test_xsum_within_one_ulp_of_fsum(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
             n = int(rng.integers(1, 2000))
-            row = rng.standard_normal(n) * 10.0 ** rng.integers(-5, 6, n)
-            want = math.fsum(row)
-            assert abs(_sum2(row) - want) <= math.ulp(want)
+            row = (rng.standard_normal(n) * 10.0 ** rng.integers(-5, 6, n))[None, :]
+            want = math.fsum(row[0])
+            got = _xsum(row, np.abs(row).max(), np.empty_like(row))[0]
+            assert abs(got - want) <= math.ulp(want)
+
+    def test_xsum_under_cancellation_is_twice_the_working_precision(self):
+        # values and their negatives, shuffled, plus a few tiny ones: a plain
+        # sum is off by about 2**-53 * max|p|, the extraction sum by no more
+        # than a small multiple of n**2 * 2**-106 * max|p|
+        rng = np.random.default_rng(13)
+        for n in (2, 64, 129, 2000):
+            for _ in range(20):
+                x = rng.standard_normal(n // 2) * 10.0 ** rng.uniform(-10, 0, n // 2)
+                row = np.concatenate([x, -x, rng.standard_normal(n % 2 + 2) * 1e-20])
+                row = rng.permutation(row)[None, :]
+                bound = np.abs(row).max()
+                want = math.fsum(row[0])
+                got = _xsum(row, bound, np.empty_like(row))[0]
+                assert abs(got - want) <= math.ulp(want) + row.size ** 2 * 2.0 ** -100 * bound
 
     def test_block_sums_are_the_row_sums(self):
         block = np.random.default_rng(12).lognormal(size=(5, 77))
-        sums = _sum2(block)
+        bound = block.max()
+        sums = _xsum(block, bound, np.empty_like(block))
         for row, total in zip(block, sums):
-            assert _sum2(row) == total
+            assert _xsum(row[None, :], bound, np.empty((1, 77)))[0] == total
 
 
 def kernel_rows(rng, kind, n):
@@ -368,6 +387,104 @@ class TestBlockKernel:
         scores = _score_rows(np.array([[2.0, 2.0, 2.0], [1.0, 2.0, 4.0]]))
         assert scores.degenerate.tolist() == [True, False]
         assert (scores.cs[0], scores.b1[0], scores.gini[0]) == (0.0, 0.0, 0.0)
+
+
+EDGE_NS = [2, 3, 4, 63, 64, 65, 127, 128, 129]
+
+
+def edge_rows(rng, n):
+    """Rows at the edges of the kernel's extraction sums."""
+    yield rng.standard_normal(n)
+    yield rng.lognormal(0.0, 2.0, n)
+    yield rng.integers(-3, 4, n).astype(float)  # ties
+    for offset in (1e12, 1e15):  # the mean dwarfs the spread
+        yield offset + rng.integers(0, 8, n).astype(float)
+    yield rng.lognormal(size=n) * 1e-315  # subnormal
+    x = rng.standard_normal(n)
+    top = np.argmax(np.abs(x))
+    x[top] = math.copysign(4.0, x[top])  # largest magnitude a power of two
+    yield x
+    for edge in (1.0, 0.75):  # min = -max
+        x = rng.uniform(-edge, edge, n)
+        x[0], x[-1] = -edge, edge
+        yield x
+    x = np.full(n, 0.99)
+    x[0] = -0.99  # scaled deviation of the minimum close to -2
+    yield x
+
+
+class TestExtractionKernel:
+    @pytest.mark.parametrize("n", EDGE_NS)
+    def test_cs_and_b1_are_exact_at_every_edge(self, n):
+        rng = np.random.default_rng([20, n])
+        for _ in range(5):
+            for x in edge_rows(rng, n):
+                if x.min() == x.max():
+                    continue
+                report = skew_report(validate_sample(x))
+                assert report.cs == pytest.approx(float(exact_cs(x)), abs=1e-15)
+                want = exact_b1(x)
+                assert abs(report.b1 - want) <= 1e-15 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("n", EDGE_NS)
+    def test_rows_are_bit_identical_in_any_block(self, n):
+        rng = np.random.default_rng([21, n])
+        rows = []
+        while len(rows) < 327:
+            rows += list(edge_rows(rng, n))
+        block = np.stack(rows[:327])
+
+        def bits(scores, lo, hi):
+            return [getattr(scores, f)[lo:hi].tobytes() for f in ("cs", "b1", "gini")]
+
+        whole = _score_rows(block)
+        for size in (1, 7):
+            for lo in range(0, 327, size):
+                part = _score_rows(block[lo:lo + size])
+                assert bits(part, 0, size) == bits(whole, lo, lo + size), (size, lo)
+        # the kernel copies any layout into C order before it sums rows
+        assert bits(_score_rows(np.asfortranarray(block)), 0, 327) == bits(whole, 0, 327)
+        for i, row in enumerate(block):
+            report = skew_report(validate_sample(row))
+            assert [np.float64(v).tobytes() for v in (report.cs, report.b1, report.gini)] \
+                == bits(whole, i, i + 1), i
+
+
+def l_moments(values):
+    """Hosking's unbiased sample L-moments l1, l2, l3 (JRSS B 52(1), 1990)
+    in exact arithmetic, from the probability-weighted moments b_r."""
+    x = sorted(Fraction(v) for v in values)
+    n = len(x)
+    b0 = sum(x) / n
+    b1 = sum(Fraction(j - 1, n - 1) * v for j, v in enumerate(x, 1)) / n
+    b2 = sum(Fraction((j - 1) * (j - 2), (n - 1) * (n - 2)) * v
+             for j, v in enumerate(x, 1)) / n
+    return b0, 2 * b1 - b0, 6 * b2 - 6 * b1 + b0
+
+
+class TestLSkewnessIdentity:
+    # CS = (1 - 2/n) l3 / l2 and Gini = (1 - 1/n) l2 / l1: both gap sums are
+    # linear in the order statistics, with weights of degree 1 and 2 in j
+    @given(st.lists(st.one_of(st.integers(-5, 5), st.integers(-10**9, 10**9)),
+                    min_size=3, max_size=60))
+    @settings(deadline=None)
+    def test_cs_is_scaled_sample_l_skewness(self, xs):
+        n = len(xs)
+        _, l2, l3 = l_moments(xs)
+        want = Fraction(0) if l2 == 0 else (1 - Fraction(2, n)) * l3 / l2
+        assert exact_cs(xs) == want
+        assert cs([float(v) for v in xs]) == pytest.approx(float(want), abs=1e-15)
+
+    @given(st.lists(st.one_of(st.integers(1, 6), st.integers(1, 10**9)),
+                    min_size=3, max_size=60))
+    @settings(deadline=None)
+    def test_gini_is_scaled_l_cv(self, xs):
+        n = len(xs)
+        l1, l2, _ = l_moments(xs)
+        want = (1 - Fraction(1, n)) * l2 / l1
+        assert exact_gini(xs) == want
+        got = skew_report(validate_sample([float(v) for v in xs])).gini
+        assert got == pytest.approx(float(want), rel=1e-15, abs=0)
 
 
 class TestFloatRange:
@@ -453,6 +570,25 @@ class TestFloatRange:
             for got in (skew_report(sample).gini, gini(lorenz_grid(sample)),
                         gini(raw_lorenz_grid(sample))):
                 assert got == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("tiny", [1e-20, 3e-25, 1e-30, 1e-100, 1e-200])
+    def test_gini_when_the_mean_cancels(self, tiny):
+        # values and their negatives plus one tiny value: the mean is the
+        # tiny value over n, far below the spread; it decides the footing
+        # and divides the area, so it must be right to the last bits
+        rng = np.random.default_rng(22)
+        for n in (3, 11, 101):
+            x = rng.standard_normal(n // 2)
+            for sign in (1, -1):
+                values = rng.permutation(np.concatenate([x, -x, [sign * tiny]]))
+                sample = validate_sample(values)
+                if sign > 0:
+                    want = float(exact_gini(values))
+                else:  # the canonical area, in the data's units
+                    xs = sorted(Fraction(v) for v in values)
+                    want = float(sum((2 * j - n - 1) * v for j, v in enumerate(xs, 1)) / n ** 2)
+                for got in (skew_report(sample).gini, gini(lorenz_grid(sample))):
+                    assert got == pytest.approx(want, rel=1e-15, abs=0), (n, sign)
 
     def test_large_scales_score_exactly_or_raise_a_typed_error(self):
         rng = np.random.default_rng(15)

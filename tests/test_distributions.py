@@ -108,6 +108,32 @@ class TestPackageSurface:
         for name in cumskew.__all__:
             assert getattr(cumskew, name) is not None, name
 
+    def test_cli_import_leaves_the_harness_unloaded(self):
+        # compute and lorenz need neither the samplers nor the harness and
+        # its process pool, so importing the CLI loads none of them
+        code = ("import sys, cumskew.cli; print(sorted(m for m in ('cumskew.experiments', "
+                "'cumskew.distributions', 'multiprocessing', 'concurrent.futures.process') "
+                "if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "[]"
+
+    def test_star_import_and_lazy_names_resolve(self):
+        code = ("from cumskew import *\n"
+                "import cumskew\n"
+                "names = [n for n in cumskew.__all__ if n not in globals()]\n"
+                "assert not names, names\n"
+                "assert cumskew.run_null is cumskew.experiments.run_null\n"
+                "assert RngStream is cumskew.distributions.RngStream\n"
+                "assert {'experiments', 'run_gcurve', 'skew_report'} <= set(dir(cumskew))\n"
+                "try:\n"
+                "    cumskew.no_such_name\n"
+                "except AttributeError:\n"
+                "    print('ok')\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "ok"
+
 
 class TestNormal:
     def test_zero_sd_is_constant(self):

@@ -439,25 +439,27 @@ class TestSharedPool:
 
 
 # float.hex of (cs_ave, cs_se, b1_ave, b1_se) and degenerate_count, taken
-# before the block sampler replaced per-replication RngStreams
+# before the block sampler replaced per-replication RngStreams.  Six CS
+# values moved in the last bits when the kernel's sums became extraction
+# sums of the L-form: per-row CS changed by rounding (summation order) only.
 GOLDEN_TABLE1 = [
-    ("0x1.96c7dea1445d2p-4", "0x1.e8edf6315ba0ap-10", "0x1.3c5011e027dc1p-1",
+    ("0x1.96c7dea1445d2p-4", "0x1.e8edf6315ba09p-10", "0x1.3c5011e027dc1p-1",
      "0x1.c4648f8ca2771p-7", 0),
     ("0x1.f0618e99d149dp-3", "0x1.1d8e6d588d5fdp-9", "0x1.9ebb6eafdb78fp+0",
      "0x1.d72a5452c3e67p-6", 0),
-    ("0x1.d5078a6e8c6f4p-2", "0x1.841bfe429cc83p-9", "0x1.e8490910ec8e8p+1",
+    ("0x1.d5078a6e8c6f4p-2", "0x1.841bfe429cc82p-9", "0x1.e8490910ec8e8p+1",
      "0x1.7f2847d2bffd1p-4", 0),
-    ("0x1.81ad6dca40f3cp-1", "0x1.01e55f003ef90p-8", "0x1.e682cd301eee8p+2",
+    ("0x1.81ad6dca40f3cp-1", "0x1.01e55f003ef91p-8", "0x1.e682cd301eee8p+2",
      "0x1.484fd01f1b702p-3", 0),
-    ("0x1.7bcca1332a10bp-1", "0x1.4b0f1d2f3ca6fp-8", "0x1.1f13f6cc6b1d3p+3",
+    ("0x1.7bcca1332a10cp-1", "0x1.4b0f1d2f3ca6fp-8", "0x1.1f13f6cc6b1d3p+3",
      "0x1.2e9914eefa263p-3", 0),
     ("0x1.8ffac91e4e3d0p-4", "0x1.2bcf71eea9170p-7", "-0x1.584a570f626c0p+1",
      "0x1.289824b71dd56p-4", 0),
 ]
 GOLDEN_NULLS = {
-    "normal": ("0x1.cd3a96de3a3bfp-11", "0x1.02efc1d2d5f17p-9", "0x1.3f30a482af5f3p-7",
+    "normal": ("0x1.cd3a96de3a3c4p-11", "0x1.02efc1d2d5f17p-9", "0x1.3f30a482af5f3p-7",
                "0x1.644986a579b99p-7", 0),
-    "cauchy": ("0x1.0176b445d09f9p-7", "0x1.35c65b3bb2209p-6", "-0x1.9145a239b8ec6p-5",
+    "cauchy": ("0x1.0176b445d09fap-7", "0x1.35c65b3bb2209p-6", "-0x1.9145a239b8ec6p-5",
                "0x1.17618e2cee1c5p-2", 0),
 }
 

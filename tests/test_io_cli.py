@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from cumskew import ColumnNotFound, CumskewError, EmptyOrTooSmall, ParseError, parse_csv
 from cumskew import ConditionSpec, DistributionSpec, run_condition, validate_sample
 from cumskew.cli import _condition_rows, main
+from cumskew import io
 from cumskew.io import _parse_rows, _read_column, run_metadata
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -328,6 +329,28 @@ class TestComputeCommand:
         assert main(["compute", write_bytes(tmp_path, data), *args]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == message
+
+    @pytest.mark.parametrize("data", [
+        b"1\r\n2\r\n\xe2\x82\xac\r\n\xff\n",  # a 3-byte sequence, then 0xff
+        b"1\r2\r\n3\n\xc3\xa9\r\n4\xff5\n",
+        b"\r\n\r\r\n\n\xe2\x82\n",  # a sequence cut short by a line break
+        b"1\n2\r\n\xe2\x82",  # a sequence cut short by the end of the file
+    ])
+    def test_undecodable_byte_line_in_any_chunking(self, tmp_path, monkeypatch, data):
+        # chunks of every size from one byte put each CRLF, each multi-byte
+        # sequence and the bad byte astride a boundary; the reference reads
+        # the whole file at once
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            head = data[:exc.start]
+            want = (1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n"),
+                    f"invalid UTF-8 byte 0x{data[exc.start]:02x}")
+        path = write_bytes(tmp_path, data)
+        for size in range(1, len(data) + 2):
+            monkeypatch.setattr(io, "_SCAN_BYTES", size)
+            err = io._undecodable(path, 0)
+            assert (err.line, err.message) == want, size
 
     @pytest.mark.parametrize("text", ["x\n", "x\n\n\n\n"], ids=["header-only", "blank-body"])
     def test_no_data_gives_one_message_line(self, tmp_path, text):
