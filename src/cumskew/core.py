@@ -17,9 +17,9 @@ mean the deviations are left with after rounding of the mean,
 
 the gap between the diagonal and the curve in the data's own units, with
 no shift of the data and no division by their total; the running sums are
-compensated (Sum2 at every prefix; Ogita, Rump & Oishi, "Accurate Sum and
-Dot Product", SIAM J. Sci. Comput. 26(6), 2005).  `lorenz_grid` reports
-the gaps in the data's units and `raw_lorenz_grid` as shares of the mean.
+extraction sums, split as the kernel's row sums are (below).
+`lorenz_grid` reports the gaps in the data's units and `raw_lorenz_grid`
+as shares of the mean.
 
 CS and Gini need only sums of the gaps, and both sums are linear in the
 order statistics.  Exchanging the sums over i and j gives, with e_j the
@@ -54,9 +54,10 @@ a power of two at least 2n times a bound on the summands, which the
 scaling fixes per n and per sum, the high parts q = (sigma + p) - sigma
 are multiples of 2**-53 * sigma whose partial sums stay below sigma, so
 they add exactly in any order, and the remainders p - q are exact and
-small enough for a plain sum: beyond the final rounding, the error is of
-order n**2 * 2**-106 times the largest summand, as if the sum ran in twice
-the working precision.  A row's results depend on its own row alone: the high parts
+small enough for a plain sum (a plain cumsum for the grid's running sums,
+with bound 2 on the scaled deviations): beyond the final rounding, the
+error is of order n**2 * 2**-106 times the largest summand, as if the sum
+ran in twice the working precision.  A row's results depend on its own row alone: the high parts
 add exactly, and the remainders are added by numpy's sum along each
 C-contiguous row, in an order set by n alone (no BLAS, whose blocking can
 depend on the block's shape).
@@ -99,42 +100,25 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _compensated_cumsum(x: np.ndarray) -> np.ndarray:
-    """Running sums along the last axis, each within one rounding of exact.
-
-    Knuth's TwoSum on t[j] = fl(t[j-1] + x[j]) recovers each step's
-    rounding error, (prev - (t - bb)) + (x - bb) with bb = t - prev, exactly
-    whatever the magnitudes (step 0 adds to zero and is exact); the errors
-    are accumulated in index order and folded back in (Sum2 at every
-    prefix).
-    """
-    t = x.cumsum(axis=-1)
-    prev, cur = t[..., :-1], t[..., 1:]
-    bb = cur - prev
-    err = cur - bb
-    np.subtract(prev, err, out=err)
-    np.subtract(x[..., 1:], bb, out=bb)
-    err += bb
-    del bb
-    t[..., 1:] += err.cumsum(axis=-1, out=err)
-    return t
-
-
-def _xsum(p: np.ndarray, bound: float, q: np.ndarray) -> np.ndarray:
-    """Row sums of a C-contiguous (k, n) block p by error-free extraction.
+def _xsum(p: np.ndarray, bound: float, q: np.ndarray,
+          op=np.add.reduce) -> np.ndarray:
+    """Row sums of a C-contiguous (k, n) block p by error-free extraction,
+    or with op=np.add.accumulate its running sums along each row.
 
     With sigma the power of two above 2 * n * bound, where bound >= max|p|,
     the high parts q = (sigma + p) - sigma are exact multiples of
-    2**-53 * sigma whose sums stay below sigma, so they add exactly in any
-    order; the remainders p - q are exact too, and tiny, and are added by a
-    plain row sum.  q is scratch of p's shape; p is left as it is.
+    2**-53 * sigma whose sums, and so whose partial sums, stay below sigma,
+    so they add exactly in any order; the remainders p - q are exact too,
+    and tiny, and are added by a plain `op`.  q is scratch of p's shape;
+    p is left as it is.
     """
     sigma = math.ldexp(1.0, math.frexp(2.0 * p.shape[1] * bound)[1])
     np.add(p, sigma, out=q)
     q -= sigma
-    high = q.sum(axis=1)
+    high = op(q, axis=1)
     np.subtract(p, q, out=q)
-    return high + q.sum(axis=1)
+    high += op(q, axis=1)
+    return high
 
 
 @functools.lru_cache(maxsize=4)
@@ -342,11 +326,19 @@ def validate_sample(raw) -> Sample:
         raise ValueError(f"expected 1-D data, got shape {values.shape}")
     if values.size < 2:
         raise EmptyOrTooSmall(f"need at least 2 observations, got {values.size}")
-    finite = np.isfinite(values)
-    if not finite.all():
-        idx = int(np.argmin(finite))
-        raise NonFiniteValue(idx, float(values[idx]))
+    _check_finite(values[None, :])
     return Sample(values=_readonly(values))
+
+
+def _check_finite(block: np.ndarray) -> None:
+    """Raise NonFiniteValue for the first row of a (k, n) block holding a
+    NaN or infinity, with the index and value of that row's first one; the
+    one finite check of the package."""
+    finite = np.isfinite(block)
+    if not finite.all():
+        row = int(np.argmin(finite.all(axis=1)))
+        idx = int(np.argmin(finite[row]))
+        raise NonFiniteValue(idx, float(block[row, idx]))
 
 
 @np.errstate(all="ignore")  # a grid that leaves the float range raises below
@@ -359,8 +351,8 @@ def _lorenz(sample: Sample, classical: bool) -> LorenzGrid:
     q = np.empty_like(x)
     e, mean = _centre_rows(x, q)
     l2 = _l2_sums(x, np.empty_like(x), q)
+    sums = _xsum(x, 2.0, q, np.add.accumulate)
     del q  # each buffer is freed once used, keeping large samples' peak down
-    sums = _compensated_cumsum(x)
     # n * g_i = i * r - C_i, from the running sums C of the deviations and
     # their own mean r = C_n / n
     gaps = np.multiply(i, sums[:, -1:] / n, out=x[:, :-1])

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Sample, validate_sample
-from .errors import CountTooLarge, NonFiniteValue
+from .core import Sample, _check_finite, validate_sample
+from .errors import CountTooLarge
 
 __all__ = [
     "RngStream",
@@ -170,19 +170,12 @@ class RngStream:
         """Uniform draws in [0, 1)."""
         return self._gen.random(size)
 
-    def uniform(self, low: float, high: float, size=None):
-        return self._gen.uniform(low, high, size)
-
     def standard_normal(self, size=None):
         return self._gen.standard_normal(size)
 
     def integers(self, low: int, high: int) -> int:
         """One integer in [low, high)."""
         return int(self._gen.integers(low, high))
-
-    def choose_indices(self, n: int, k: int) -> np.ndarray:
-        """k distinct indices drawn uniformly from range(n)."""
-        return self._gen.choice(n, size=k, replace=False)
 
 
 @dataclass(frozen=True)
@@ -289,36 +282,14 @@ def _transform(values: np.ndarray, kind: str, mu: float = 0.0, sigma: float = 1.
         _tukey_g(values, g)
 
 
-def _draw_row(rng: RngStream, n: int, kind: str, mu: float = 0.0, sigma: float = 1.0,
-              g: float = 0.0) -> Sample:
-    values = rng.random(n) if kind == "cauchy" else rng.standard_normal(n)
-    _transform(values, kind, mu, sigma, g)
-    return validate_sample(values)
-
-
-def _check_finite(block: np.ndarray) -> None:
-    """Raise NonFiniteValue for the first row of a (k, n) block holding a
-    NaN or infinity, with the index and value that validate_sample reports
-    for that row."""
-    finite = np.isfinite(block)
-    if not finite.all():
-        row = int(np.argmin(finite.all(axis=1)))
-        idx = int(np.argmin(finite[row]))
-        raise NonFiniteValue(idx, float(block[row, idx]))
-
-
 def sample_normal(rng: RngStream, mu: float, sigma: float, n: int) -> Sample:
     """n draws from N(mu, sigma**2); sigma = 0 gives a constant sample."""
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
-    return _draw_row(rng, n, "normal", mu, sigma)
+    return draw_sample(DistributionSpec.normal(mu, sigma), rng, n)
 
 
 def sample_lognormal(rng: RngStream, sigma: float, n: int) -> Sample:
     """n draws of exp(Z) with Z ~ N(0, sigma**2)."""
-    if sigma <= 0:
-        raise ValueError("sigma must be > 0")
-    return _draw_row(rng, n, "lognormal", sigma=sigma)
+    return draw_sample(DistributionSpec.lognormal(sigma), rng, n)
 
 
 def cauchy_transform(u):
@@ -330,7 +301,7 @@ def cauchy_transform(u):
 
 def sample_cauchy(rng: RngStream, n: int) -> Sample:
     """n standard Cauchy draws by inverting the CDF of uniforms."""
-    return _draw_row(rng, n, "cauchy")
+    return draw_sample(DistributionSpec.cauchy(), rng, n)
 
 
 def tukey_g_transform(z, g: float):
@@ -349,9 +320,7 @@ def sample_tukey_g(rng: RngStream, g: float, mu: float, sigma: float, n: int) ->
     At g = 0 this returns Z itself and consumes the stream exactly like
     sample_normal, so both samplers agree draw for draw.
     """
-    if g < 0:
-        raise ValueError("g must be >= 0")
-    return _draw_row(rng, n, "tukey_g", mu, sigma, g)
+    return draw_sample(DistributionSpec.tukey_g(g, mu, sigma), rng, n)
 
 
 def _replace(values: np.ndarray, count: int, side: str, magnitude_range, gen,
@@ -391,9 +360,9 @@ def contaminate(sample: Sample, spec: ContaminationSpec, rng: RngStream) -> Samp
 
 def draw_sample(spec: DistributionSpec, rng: RngStream, n: int) -> Sample:
     """Draw n observations from the specified distribution."""
-    if spec.kind not in DISTRIBUTION_KINDS:
-        raise ValueError(f"unknown distribution kind {spec.kind!r}")
-    return _draw_row(rng, n, spec.kind, spec.mu, spec.sigma, spec.g)
+    values = rng.random(n) if spec.kind == "cauchy" else rng.standard_normal(n)
+    _transform(values, spec.kind, spec.mu, spec.sigma, spec.g)
+    return validate_sample(values)
 
 
 class _BlockSampler:

@@ -7,7 +7,6 @@ trimmed to six significant digits.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import json
 import math
@@ -66,9 +65,10 @@ def parse_csv(path, column=None) -> Sample:
     The file is read in one streaming pass that holds only the selected
     column.  numpy's C reader converts it; where that reader refuses the
     file, the `csv` loop `_parse_rows` reads it again and decides the
-    result, so every error comes from that loop: a ParseError names the
-    physical line on which the offending row starts, also after quoted
-    cells that span lines.
+    result, so every error comes from that loop, the first in file order:
+    a ParseError names the physical line on which the offending row starts,
+    also after quoted cells that span lines, or the line of a byte that is
+    not UTF-8.
     """
     values = _read_column(path, column)
     if values is None:
@@ -122,12 +122,13 @@ def _bounded_lines(fh):
 def _parse_rows(path, column) -> array:
     """The selected column by one loop over `csv.reader`, converting each
     cell with `float()` as it is read; every ParseError of `parse_csv`
-    comes from here."""
+    comes from here, the first in file order."""
     values = array("d")  # 8 bytes a value, where a list of floats takes 32
     idx = None
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
+        with open(path, newline="", encoding="utf-8-sig",
+                  errors="surrogateescape") as fh:
+            reader = csv.reader(_utf8_lines(fh))
             end = 0
             for row in reader:
                 # a quoted cell can span lines: name the line the row starts on
@@ -150,49 +151,24 @@ def _parse_rows(path, column) -> array:
                 values.append(value)
     except csv.Error as exc:
         raise ParseError(reader.line_num, str(exc)) from None
-    except UnicodeDecodeError:
-        raise _undecodable(path, reader.line_num + 1) from None
     if idx is None:
         raise EmptyOrTooSmall("no data rows in file")
     return values
 
 
-_SCAN_BYTES = 1 << 16  # chunk size of `_undecodable`'s pass over the bytes
-
-
-def _line_breaks(data: bytes, after_cr: bool) -> int:
-    """Line breaks in `data`, LF, CRLF and a lone CR each counting once, as
-    they do for the reader; `after_cr` says the bytes before `data` ended
-    with a CR, whose break a leading LF completes."""
-    breaks = data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
-    return breaks - (after_cr and data.startswith(b"\n"))
-
-
-def _undecodable(path, line: int) -> ParseError:
-    """The error for the first byte of `path` that is not UTF-8.
-
-    The text layer decodes ahead of the reader, in chunks, so the byte's
-    line is found by one more pass over the file's bytes, in chunks of
-    _SCAN_BYTES, through an incremental decoder that carries a split
-    sequence from one chunk to the next.  `line` stands if the file no
-    longer holds such a byte.
-    """
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    seen, after_cr = 1, False
-    with open(path, "rb") as fh:
-        # the empty chunk at the end flags a sequence cut short by the end
-        for chunk in chain(iter(lambda: fh.read(_SCAN_BYTES), b""), [b""]):
+def _utf8_lines(fh):
+    """The lines of `fh`, read with errors="surrogateescape", numbered as
+    `csv.reader` numbers them; the first line holding a byte that is not
+    UTF-8, which the decoder escaped to U+DC80..U+DCFF, raises a ParseError
+    naming that line and byte."""
+    for line_num, line in enumerate(fh, 1):
+        if not line.isascii():
             try:
-                decoder.decode(chunk, final=not chunk)
-            except UnicodeDecodeError as exc:
-                # exc.object is the carried partial sequence, which holds no
-                # CR or LF, followed by the chunk
-                head = exc.object[:exc.start]
-                return ParseError(seen + _line_breaks(head, after_cr),
-                                  f"invalid UTF-8 byte 0x{exc.object[exc.start]:02x}")
-            seen += _line_breaks(chunk, after_cr)
-            after_cr = chunk.endswith(b"\r")
-    return ParseError(line, "invalid UTF-8")
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                byte = ord(line[exc.start]) - 0xDC00
+                raise ParseError(line_num, f"invalid UTF-8 byte 0x{byte:02x}") from None
+        yield line
 
 
 def format_number(value) -> str:

@@ -196,6 +196,11 @@ class TestTukeyG:
         b = sample_normal(RngStream(5, 0), 1.5, 2.0, 1000)
         assert np.array_equal(a.values, b.values)
 
+    @pytest.mark.parametrize("g, sigma", [(-0.5, 1.0), (0.5, 0.0), (0.5, -1.0)])
+    def test_rejects_negative_g_and_nonpositive_sd(self, g, sigma):
+        with pytest.raises(ValueError):
+            sample_tukey_g(RngStream(5, 1), g, 0.0, sigma, 10)
+
     def test_transform_fixes_zero(self):
         for g in (0.0, 0.3, 1.0, 1.5):
             assert tukey_g_transform(0.0, g) == 0.0

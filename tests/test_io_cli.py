@@ -102,6 +102,29 @@ class TestParseCsv:
             parse_csv(write_bytes(tmp_path, data))
         assert exc.value.line == 4002
 
+    @pytest.mark.parametrize("rows", [0, 6000], ids=["same-chunk", "later-chunk"])
+    def test_first_error_in_file_order_wins(self, tmp_path, rows):
+        # a bad row before a bad byte is reported, whether or not the byte
+        # is decoded with it
+        data = b"1\nabc\n" + b"1\n" * rows + b"\xff\n"
+        with pytest.raises(ParseError) as exc:
+            parse_csv(write_bytes(tmp_path, data))
+        assert (exc.value.line, exc.value.message) == (2, "could not parse 'abc' as a number")
+
+    def test_undecodable_file_is_opened_at_most_twice(self, tmp_path, monkeypatch):
+        path = write_bytes(tmp_path, b"1\n" * 10_000 + b"\xff\n")
+        modes = []
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            modes.append(mode)
+            return open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting_open, raising=False)
+        with pytest.raises(ParseError) as exc:
+            parse_csv(path)
+        assert (exc.value.line, exc.value.message) == (10_001, "invalid UTF-8 byte 0xff")
+        assert len(modes) <= 2, modes
+
     @pytest.mark.parametrize("text, line, message", [
         ("x\n1e400\n2\n3\n", 2, "non-finite value inf from '1e400'"),
         ("1\n2\n -Infinity \n", 3, "non-finite value -inf from '-Infinity'"),
@@ -331,26 +354,26 @@ class TestComputeCommand:
         assert captured.out == "" and captured.err == message
 
     @pytest.mark.parametrize("data", [
-        b"1\r\n2\r\n\xe2\x82\xac\r\n\xff\n",  # a 3-byte sequence, then 0xff
-        b"1\r2\r\n3\n\xc3\xa9\r\n4\xff5\n",
+        b"1\r\n2\r\n0,\xe2\x82\xac\r\n\xff\n",  # a 3-byte sequence, then 0xff
+        b"1\r2\r\n3\n0,\xc3\xa9\r\n4\xff5\n",
         b"\r\n\r\r\n\n\xe2\x82\n",  # a sequence cut short by a line break
         b"1\n2\r\n\xe2\x82",  # a sequence cut short by the end of the file
     ])
-    def test_undecodable_byte_line_in_any_chunking(self, tmp_path, monkeypatch, data):
-        # chunks of every size from one byte put each CRLF, each multi-byte
-        # sequence and the bad byte astride a boundary; the reference reads
-        # the whole file at once
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            head = data[:exc.start]
-            want = (1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n"),
-                    f"invalid UTF-8 byte 0x{data[exc.start]:02x}")
-        path = write_bytes(tmp_path, data)
-        for size in range(1, len(data) + 2):
-            monkeypatch.setattr(io, "_SCAN_BYTES", size)
-            err = io._undecodable(path, 0)
-            assert (err.line, err.message) == want, size
+    def test_undecodable_byte_line_in_any_chunking(self, tmp_path, data):
+        # numeric padding puts each CRLF, each multi-byte sequence and the
+        # bad byte at every offset around the text layer's 8 KB decode
+        # chunk; the reference decodes the whole file at once
+        for size in range(8150 - len(data), 8200):
+            text = b"1\n" * (size // 2 - size % 2) + b"10\n" * (size % 2) + data
+            try:
+                text.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                head = text[:exc.start]
+                want = (1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n"),
+                        f"invalid UTF-8 byte 0x{text[exc.start]:02x}")
+            with pytest.raises(ParseError) as err:
+                parse_csv(write_bytes(tmp_path, text))
+            assert (err.value.line, err.value.message) == want, size
 
     @pytest.mark.parametrize("text", ["x\n", "x\n\n\n\n"], ids=["header-only", "blank-body"])
     def test_no_data_gives_one_message_line(self, tmp_path, text):
