@@ -7,6 +7,7 @@ usage or configuration.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import contextmanager
 
@@ -98,6 +99,8 @@ def cmd_experiment(args) -> int:
     name = args.name
     if args.sigma is not None and name != "null-normal":
         raise UsageError("--sigma only applies to the null-normal experiment")
+    if args.sigma is not None and not (math.isfinite(args.sigma) and args.sigma >= 0):
+        raise UsageError("--sigma must be finite and >= 0")
     if args.reps is not None and name == "gcurve":
         raise UsageError("gcurve draws one sample per sd; --reps does not apply")
     if args.reps is not None and args.reps < 1:

@@ -207,7 +207,7 @@ class _Scores(NamedTuple):
 
 
 @np.errstate(all="ignore")  # rows that leave the float range raise below
-def _score_rows(block: np.ndarray) -> _Scores:
+def _score_rows(block: np.ndarray, work: np.ndarray | None = None) -> _Scores:
     """CS, b1, Gini and the degenerate flag of each row of a (k, n) block.
 
     A row is degenerate when it is constant or its variance vanishes; its
@@ -215,14 +215,23 @@ def _score_rows(block: np.ndarray) -> _Scores:
     whichever block it is scored in.  A Gini outside the float range is
     returned as it is, for the caller that needs it to raise.
 
+    `work` is a float64 array of shape (3, k, n) whose blocks are
+    C-contiguous and overlap neither each other nor `block`: the sorted
+    copy of the block and two scratch blocks, which the kernel overwrites.
+    A caller that scores many blocks passes one workspace to all of them,
+    so that no call allocates, and page-faults on, n-sized temporaries;
+    without it each call allocates its own.
+
     Raises:
         FloatRangeError: a row's CS or b1 is not finite.
     """
-    x = np.array(block, order="C")  # C order: `_xsum` sums along rows
+    if work is None:
+        work = np.empty((3,) + block.shape)
+    x, q, p = work  # C order: `_xsum` sums along rows
+    np.copyto(x, block)
     x.sort(axis=1)
     n = x.shape[1]
     degenerate = x[:, 0] == x[:, -1]
-    q = np.empty_like(x)
     e, mean = _centre_rows(x, q)
     # x now holds the scaled deviations, |dev| <= 2.  The moments are
     # corrected by the deviations' own mean r, which rounding of the mean
@@ -230,14 +239,14 @@ def _score_rows(block: np.ndarray) -> _Scores:
     # s_k = sum(dev**k) / n, m2 = s2 - r**2 and m3 = s3 - 3 r s2 + 2 r**3.
     # Without it b1 drifts when the mean dwarfs the spread.
     r = _xsum(x, 2.0, q) / n
-    p = x * x
+    np.multiply(x, x, out=p)
     s2 = _xsum(p, 4.0, q) / n
     p *= x
     s3 = _xsum(p, 8.0, q) / n
     l2 = _l2_sums(x, p, q)
     c = _l_weights(n)[1]
     l3 = _xsum(np.multiply(x, c, out=p), 2.0 * (n - 1) * (n - 2), q)
-    del p, q
+    del work, x, p, q  # frees a workspace this call allocated
     m2 = s2 - r * r
     m3 = s3 - 3.0 * r * s2 + 2.0 * (r * r * r)
     degenerate |= m2 == 0.0

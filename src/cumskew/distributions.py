@@ -8,19 +8,25 @@ A stream is numpy's PCG64 seeded by SeedSequence([base_seed, stream_id]).
 Seeding a stream that way costs more than drawing a hundred values from
 it, so the Monte Carlo harness does not build streams at all.  Its block
 sampler, `_BlockSampler`, runs SeedSequence's hash on arrays, one lane per
-stream id (`_seed_words`), computes each PCG64 state from its seed words as
-PCG64's own seeding does (`_seed_stream`), sets that state on one reused
-generator and draws straight into the stream's row of the block.  The
-family's transform and the finite check then run once per block.  Every
-state, and so every value drawn, is bit-identical to that of the stream
-built alone (O'Neill, "PCG: A Family of Simple Fast Space-Efficient
-Statistically Good Algorithms for Random Number Generation", 2014, for
-PCG64 and its seeding; numpy's SeedSequence for the hash).  The
-single-stream samplers apply the same in-place transforms to their one row.
+stream id (`_seed_words`), and computes every PCG64 state from its seed
+words as PCG64's own seeding does, in 64-bit halves (`_pcg_states`; the
+same arithmetic on Python ints is `_seed_stream`).  Per stream it writes
+that state straight into the memory of one reused generator
+(`_StreamSeeder`, guarded by a probe of numpy's struct layout that falls
+back to the public `state` setter) and draws into the stream's row of the
+block.  The family's transform and the finite check then run once per
+block.  Every state, and so every value drawn, is bit-identical to that of
+the stream built alone (O'Neill, "PCG: A Family of Simple Fast
+Space-Efficient Statistically Good Algorithms for Random Number
+Generation", 2014, for PCG64 and its seeding; numpy's SeedSequence for
+the hash).  The single-stream samplers apply the same in-place transforms
+to their one row.
 """
 
 from __future__ import annotations
 
+import ctypes
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,9 +51,19 @@ __all__ = [
 _MASK32 = 0xFFFF_FFFF
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
+_U64_1 = np.uint64(1)
+_U64_32 = np.uint64(32)
+_U64_63 = np.uint64(63)
+_U64_LOW32 = np.uint64(_MASK32)
 
-# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128)
+# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128), also as the
+# 64-bit halves, and the 32-bit quarters of the low half, that
+# `_pcg_states` multiplies by
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_LO = np.uint64(_PCG_MULT & _MASK64)
+_PCG_MULT_HI = np.uint64(_PCG_MULT >> 64)
+_PCG_MULT_LO0 = np.uint64(_PCG_MULT & _MASK32)
+_PCG_MULT_LO1 = np.uint64(_PCG_MULT >> 32 & _MASK32)
 
 # numpy's SeedSequence hash: constants, pool size and shift of its
 # documented algorithm (numpy/random/bit_generator.pyx)
@@ -55,13 +71,28 @@ _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
 _INIT_B = 0x8B51F9DD
 _MULT_B = 0x58F38DED
-_MIX_MULT_L = 0xCA01F9DD
-_MIX_MULT_R = 0x4973F715
-_XSHIFT = 16
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
 _POOL_SIZE = 4
 
 DISTRIBUTION_KINDS = ("normal", "lognormal", "cauchy", "tukey_g")
 CONTAMINATION_SIDES = ("high", "low")
+
+
+def _hash_consts(init: int, mult: int, count: int) -> tuple:
+    """The first `count` + 1 values of one of SeedSequence's hash-constant
+    sequences, c_0 = init and c_(k+1) = c_k * mult mod 2**32, as uint32."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return tuple(np.uint32(c) for c in consts)
+
+
+# the constants of the pool's 16 hashmix calls (4 to take in the entropy,
+# 12 to mix it) and of the 8 output words: call k uses c_k and c_(k+1)
+_HASH_A = _hash_consts(_INIT_A, _MULT_A, 16)
+_HASH_B = _hash_consts(_INIT_B, _MULT_B, 8)
 
 
 def _seed_words(base_seed: int, stream_ids) -> np.ndarray:
@@ -69,10 +100,14 @@ def _seed_words(base_seed: int, stream_ids) -> np.ndarray:
 
     Row r equals SeedSequence([base_seed & M64, stream_ids[r] & M64])
     .generate_state(4, np.uint64) with M64 = 2**64 - 1: the same hash, run
-    on uint32 arrays with one lane per id.  Its constants evolve the same
-    way in every lane, so they stay Python ints.
+    on uint32 arrays with one lane per id.  Its constants are the same in
+    every lane and every call, so they are computed once (`_HASH_A`,
+    `_HASH_B`).  stream_ids is a uint64 array or a sequence of ints.
     """
-    ids = np.array([int(i) & _MASK64 for i in stream_ids], dtype=np.uint64)
+    if isinstance(stream_ids, np.ndarray):
+        ids = stream_ids.astype(np.uint64, copy=False)
+    else:
+        ids = np.array([int(i) & _MASK64 for i in stream_ids], dtype=np.uint64)
     base = int(base_seed) & _MASK64
     # SeedSequence splits each entropy int into its 32-bit words, low first,
     # at least one word each, and pads the entropy with zero words up to the
@@ -80,16 +115,15 @@ def _seed_words(base_seed: int, stream_ids) -> np.ndarray:
     # and an id's zero high word hashes like the padding it replaces
     words = [base & _MASK32] + ([base >> 32] if base >> 32 else [])
     entropy = [np.full(ids.shape, w, dtype=np.uint32) for w in words]
-    entropy += [(ids & _MASK32).astype(np.uint32), (ids >> 32).astype(np.uint32)]
+    entropy += [ids.astype(np.uint32), (ids >> _U64_32).astype(np.uint32)]
     entropy += [np.zeros(ids.shape, dtype=np.uint32)] * (_POOL_SIZE - len(entropy))
 
-    hash_const = _INIT_A
+    consts = zip(_HASH_A, _HASH_A[1:])
 
     def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value *= hash_const
+        xor, mult = next(consts)
+        value = value ^ xor
+        value *= mult
         value ^= value >> _XSHIFT
         return value
 
@@ -106,15 +140,13 @@ def _seed_words(base_seed: int, stream_ids) -> np.ndarray:
 
     # generate_state(4, uint64): eight uint32 words cycled from the pool,
     # paired little-end first into uint64 (shifts, so no byte order enters)
-    hash_const = _INIT_B
     state = []
     for k in range(8):
-        value = pool[k % _POOL_SIZE] ^ hash_const
-        hash_const = hash_const * _MULT_B & _MASK32
-        value *= hash_const
+        value = pool[k % _POOL_SIZE] ^ _HASH_B[k]
+        value *= _HASH_B[k + 1]
         value ^= value >> _XSHIFT
         state.append(value.astype(np.uint64))
-    return np.stack([state[2 * k] | (state[2 * k + 1] << np.uint64(32))
+    return np.stack([state[2 * k] | (state[2 * k + 1] << _U64_32)
                      for k in range(4)], axis=1)
 
 
@@ -143,6 +175,112 @@ def _seed_stream(bit_generator, words) -> None:
         "has_uint32": 0,
         "uinteger": 0,
     }
+
+
+def _pcg_states(words: np.ndarray) -> np.ndarray:
+    """The PCG64 (state, inc) that `_seed_stream` sets from each row of the
+    (R, 4) uint64 seed words, as an (R, 4) uint64 array of their 64-bit
+    halves: state low, state high, inc low, inc high.
+
+    The same 128-bit arithmetic, mod 2**128, in 64-bit halves that wrap: a
+    sum's carry is (low sum < addend), and the high half of the product of
+    two low halves is put together from their 32-bit quarters.
+    """
+    seed_hi, seed_lo, init_hi, init_lo = words.T
+    m0, m1 = _PCG_MULT_LO0, _PCG_MULT_LO1
+    inc_hi = (init_hi << _U64_1) | (init_lo >> _U64_63)
+    inc_lo = (init_lo << _U64_1) | _U64_1
+    t_lo = inc_lo + seed_lo
+    t_hi = inc_hi + seed_hi + (t_lo < seed_lo)
+    # (t_hi, t_lo) * _PCG_MULT: t_lo times the multiplier's low half in full,
+    # the cross terms mod 2**64
+    t0, t1 = t_lo & _U64_LOW32, t_lo >> _U64_32
+    p00, p01, p10 = t0 * m0, t0 * m1, t1 * m0
+    mid = (p00 >> _U64_32) + (p01 & _U64_LOW32) + (p10 & _U64_LOW32)
+    hi = t1 * m1 + (p01 >> _U64_32) + (p10 >> _U64_32) + (mid >> _U64_32)
+    hi += t_lo * _PCG_MULT_HI + t_hi * _PCG_MULT_LO
+    lo = t_lo * _PCG_MULT_LO + inc_lo
+    hi += inc_hi + (lo < inc_lo)
+    return np.stack([lo, hi, inc_lo, inc_hi], axis=1)
+
+
+def _state_memory(bit_generator):
+    """Writable views of a PCG64's (state, inc) words and of its buffered
+    32-bit half-word, and the column order of `_pcg_states` that the words
+    take in memory; None if a probe of the memory does not bear them out.
+
+    bit_generator.ctypes.state_address is numpy's C struct pcg64_state,
+    {pcg64_random_t *pcg_state; int has_uint32; uint32_t uinteger}, and
+    pcg_state points to the 128-bit state and inc, which lie in the same
+    PCG64 object just after it.  numpy stores a 128-bit word as a native
+    128-bit integer (low half first on little-endian hosts) or as its
+    emulated struct {high, low}.  The probe sets a known state through the
+    public `state` setter, finds the order whose halves match the memory,
+    then writes a second state through the views and reads it back through
+    the setter's getter.
+    """
+    address = bit_generator.ctypes.state_address
+    head = ctypes.sizeof(ctypes.c_void_p)
+    target = ctypes.c_void_p.from_address(address).value
+    if target is None or not head + 8 <= target - address <= 64:
+        return None  # not the layout above: read no memory through it
+    words = memoryview((ctypes.c_char * 32).from_address(target)).cast("B")
+    flags = memoryview((ctypes.c_char * 8).from_address(address + head)).cast("B")
+    a = 0x0123456789ABCDEF_FEDCBA9876543211
+    b = 0x89ABCDEF01234567_76543210FEDCBA99
+
+    def halves(state, inc):
+        return np.array([state & _MASK64, state >> 64, inc & _MASK64, inc >> 64],
+                        dtype=np.uint64)
+
+    bit_generator.state = {"bit_generator": "PCG64",
+                           "state": {"state": a, "inc": b},
+                           "has_uint32": 1, "uinteger": 0x9E3779B9}
+    if flags.tobytes() != np.array([1, 0x9E3779B9], dtype=np.uint32).tobytes():
+        return None
+    for order in ([0, 1, 2, 3], [1, 0, 3, 2]):
+        if words.tobytes() == halves(a, b)[order].tobytes():
+            break
+    else:
+        return None
+    words[:] = halves(b, a)[order].tobytes()
+    flags[:] = bytes(8)
+    if bit_generator.state != {"bit_generator": "PCG64",
+                               "state": {"state": b, "inc": a},
+                               "has_uint32": 0, "uinteger": 0}:
+        return None
+    return words, flags, order
+
+
+class _StreamSeeder:
+    """Puts one PCG64 in the state of stream after stream, as `_seed_stream`
+    would from each stream's seed words.
+
+    It writes the 32 bytes of each stream's `_pcg_states` row straight into
+    the generator's memory, and clears its buffered half-word, through the
+    views `_state_memory` finds; where that probe fails, it sets every
+    state through `_seed_stream` instead.
+    """
+
+    def __init__(self, bit_generator):
+        self._bit_generator = bit_generator
+        self._memory = _state_memory(bit_generator)
+
+    def each(self, base_seed: int, ids):
+        """Seed the stream of every id in turn, yielding once it is seeded."""
+        words = _seed_words(base_seed, ids)
+        if self._memory is None:
+            for row in words.tolist():
+                _seed_stream(self._bit_generator, row)
+                yield
+            return
+        state, flags, order = self._memory
+        data = memoryview(_pcg_states(words)[:, order].tobytes())
+        clear = bytes(8)
+        for start in range(0, len(data), 32):
+            state[:] = data[start:start + 32]
+            flags[:] = clear
+            yield
 
 
 class RngStream:
@@ -196,6 +334,9 @@ class DistributionSpec:
     def __post_init__(self):
         if self.kind not in DISTRIBUTION_KINDS:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
+        for name in ("mu", "sigma", "g"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.kind == "normal" and self.sigma < 0:
             raise ValueError("normal sd must be >= 0")
         if self.kind == "lognormal" and self.sigma <= 0:
@@ -375,11 +516,13 @@ class _BlockSampler:
     [plan.count_min, plan.count_max] on that stream.  `plan` is an
     experiments.ContaminationPlan, which checks itself when built.
 
-    Per row it only sets the state of one reused PCG64 (`_seed_stream`)
-    and draws into the row, plus the contamination draws; the family's
-    transform and the finite check run once per block.  Errors are those
-    of the one-row path, raised for the first row that has one.  Each
-    sampler owns its generators: concurrent callers each build their own.
+    The seed words and PCG64 states of a block's streams are computed in
+    one vectorised pass (`_seed_words`, `_pcg_states`).  Per row it only
+    writes that state into one reused PCG64 (`_StreamSeeder`) and draws
+    into the row, plus the contamination draws; the family's transform and
+    the finite check run once per block.  Errors are those of the one-row
+    path, raised for the first row that has one.  Each sampler owns its
+    generators: concurrent callers each build their own.
     """
 
     def __init__(self, dist: DistributionSpec, n: int, base_seed: int, plan=None):
@@ -388,17 +531,19 @@ class _BlockSampler:
         self.base_seed = base_seed
         self.plan = plan
         self._gen = _generator()
-        self._cgen = None if plan is None else _generator()
+        self._streams = _StreamSeeder(self._gen.bit_generator)
+        if plan is not None:
+            self._cgen = _generator()
+            self._cstreams = _StreamSeeder(self._cgen.bit_generator)
 
-    def draw(self, ids, cids=None) -> np.ndarray:
+    def draw(self, ids, cids=None, out=None) -> np.ndarray:
         """The (len(ids), n) block of the streams `ids`, contaminated from
-        the streams `cids` when the sampler has a plan."""
+        the streams `cids` when the sampler has a plan; drawn into `out`,
+        a C-contiguous float64 array of that shape, when it is given."""
         dist = self.dist
-        block = np.empty((len(ids), self.n))
-        bit_generator = self._gen.bit_generator
+        block = np.empty((len(ids), self.n)) if out is None else out
         fill = self._gen.random if dist.kind == "cauchy" else self._gen.standard_normal
-        for row, words in zip(block, _seed_words(self.base_seed, ids).tolist()):
-            _seed_stream(bit_generator, words)
+        for row, _ in zip(block, self._streams.each(self.base_seed, ids)):
             fill(out=row)
         _transform(block, dist.kind, dist.mu, dist.sigma, dist.g)
         if self.plan is None:
@@ -410,14 +555,12 @@ class _BlockSampler:
     @np.errstate(over="ignore")  # an outlier beyond the float range is reported below
     def _contaminate(self, block: np.ndarray, cids) -> None:
         plan, gen = self.plan, self._cgen
-        bit_generator = gen.bit_generator
         finite = np.isfinite(block).all(axis=1).tolist()
         scales = np.max(np.abs(block), axis=1).tolist()
-        words = _seed_words(self.base_seed, cids).tolist()
-        for row, ok, scale, row_words in zip(block, finite, scales, words):
+        streams = self._cstreams.each(self.base_seed, cids)
+        for row, ok, scale, _ in zip(block, finite, scales, streams):
             if not ok:
                 _check_finite(row[None])
-            _seed_stream(bit_generator, row_words)
             count = int(gen.integers(plan.count_min, plan.count_max + 1))
             magnitudes = _replace(row, count, plan.side, plan.magnitude_range, gen, scale)
             if magnitudes is not None and not np.isfinite(magnitudes).all():

@@ -5,7 +5,8 @@ hash of (condition id, replication index), so results are bit-identical
 whether replications run serially or across a process pool, and across
 repeated invocations with the same base seed.  Replications are drawn
 straight into blocks (`distributions._BlockSampler`) and each block is
-scored at once (`core._score_rows`).
+scored at once (`core._score_rows`), all in one workspace per range of
+replications.
 
 Runs with jobs > 1 share one process pool per process (`_SharedPool`):
 it is built on first use, rebuilt when the worker count changes or a
@@ -76,11 +77,13 @@ def derive_stream_id(*parts) -> int:
     return _hash_id(":".join(str(p) for p in parts).encode("utf-8"))
 
 
-def _stream_ids(prefix: bytes, reps, suffix: bytes = b"") -> list[int]:
+def _stream_ids(prefix: bytes, reps, suffix: bytes = b"") -> np.ndarray:
     """derive_stream_id(condition id, rep) of every rep, or with the
-    "contamination" part, from the condition id's text encoded once:
-    prefix is b"<id>:" and suffix b"" or b":contamination"."""
-    return [_hash_id(b"%s%d%s" % (prefix, rep, suffix)) for rep in reps]
+    "contamination" part, as a uint64 array, from the condition id's text
+    encoded once: prefix is b"<id>:" and suffix b"" or b":contamination"."""
+    digests = b"".join(hashlib.blake2b(b"%s%d%s" % (prefix, rep, suffix),
+                                       digest_size=8).digest() for rep in reps)
+    return np.frombuffer(digests, ">u8").astype(np.uint64)
 
 
 def aggregate(values) -> tuple[float, float]:
@@ -172,15 +175,21 @@ def _replicate_range(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     results.
     """
     spec, base_seed, start, stop = args
-    rows = max(1, _BLOCK_VALUES // spec.n)
-    sampler = _BlockSampler(spec.distribution, spec.n, base_seed, spec.contamination)
+    n = spec.n
+    rows = max(1, min(_BLOCK_VALUES // n, stop - start))
+    sampler = _BlockSampler(spec.distribution, n, base_seed, spec.contamination)
     prefix = f"{spec.id}:".encode("utf-8")
+    # one workspace for every block: the block itself, then the kernel's
+    # sorted copy and two scratch blocks; a short last block uses the
+    # leading rows of each, which are C-contiguous too
+    space = np.empty((4, rows, n))
     parts = []
     for lo in range(start, stop, rows):
         reps = range(lo, min(lo + rows, stop))
         cids = None if spec.contamination is None else \
             _stream_ids(prefix, reps, b":contamination")
-        scores = _score_rows(sampler.draw(_stream_ids(prefix, reps), cids))
+        block = sampler.draw(_stream_ids(prefix, reps), cids, out=space[0, :len(reps)])
+        scores = _score_rows(block, space[1:, :len(reps)])
         parts.append((scores.cs, scores.b1, scores.degenerate))
     return tuple(np.concatenate(col) for col in zip(*parts))
 

@@ -22,11 +22,40 @@ from cumskew import (
     tukey_g_transform,
     validate_sample,
 )
-from cumskew.distributions import _generator, _seed_stream, _seed_words
+from cumskew import distributions
+from cumskew.distributions import (
+    _generator,
+    _pcg_states,
+    _seed_stream,
+    _seed_words,
+    _StreamSeeder,
+)
 
 M64 = (1 << 64) - 1
 EDGE_BASES = (0, 1, 42, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1, -1)
 EDGE_IDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, -9, 5406966257379951050)
+# seed words (seed high, seed low, initseq high, initseq low) whose 128-bit
+# sums and products carry across the 64-bit halves: inc low + seed low
+# wraps, initseq's top low bit moves into inc's high half, the state's
+# final + inc wraps, and all-ones and zero halves
+CARRY_WORDS = (
+    (M64, M64, M64, M64),
+    (0, 0, 0, 0),
+    (0, M64, 0, 2**63),
+    (2**63, 2**63 + 1, M64, 2**63 - 1),
+    (1, M64 - 1, 2**32, M64),
+    (M64, 1, 2**63, 2**63),
+    (2**32 - 1, 2**64 - 2**32, 2**32 + 1, 2**63 + 2**32),
+)
+
+
+def assert_states_are_seeded_states(words):
+    """Each row of _pcg_states(words) is the state _seed_stream sets."""
+    bit_generator = _generator().bit_generator
+    for row, (lo, hi, inc_lo, inc_hi) in zip(words.tolist(), _pcg_states(words).tolist()):
+        _seed_stream(bit_generator, row)
+        assert bit_generator.state["state"] == {"state": hi << 64 | lo,
+                                                "inc": inc_hi << 64 | inc_lo}
 
 
 class TestRngStream:
@@ -59,6 +88,40 @@ class TestBatchedSeeding:
         for sid, row in zip(EDGE_IDS, words):
             ref = np.random.SeedSequence([base & M64, sid & M64]).generate_state(4, np.uint64)
             assert np.array_equal(row, ref)
+        ids = np.array([sid & M64 for sid in EDGE_IDS], dtype=np.uint64)
+        assert np.array_equal(_seed_words(base, ids), words)
+
+    @pytest.mark.parametrize("base", EDGE_BASES)
+    def test_vectorised_states_equal_seeded_states(self, base):
+        assert_states_are_seeded_states(_seed_words(base, EDGE_IDS))
+
+    def test_vectorised_states_carry_across_halves(self):
+        words = np.concatenate([
+            np.array(CARRY_WORDS, dtype=np.uint64),
+            np.random.default_rng(5).integers(0, 2**64, (500, 4), dtype=np.uint64)])
+        assert_states_are_seeded_states(words)
+
+    def test_probe_finds_the_state_memory(self):
+        # numpy's PCG64 keeps one layout on every build this package
+        # supports; a failed probe would leave only the slow setter path
+        assert _StreamSeeder(_generator().bit_generator)._memory is not None
+
+    @pytest.mark.parametrize("state_write", ["memory", "setter"])
+    def test_each_stream_starts_with_no_buffered_half_word(self, state_write, monkeypatch):
+        if state_write == "setter":  # as where the probe of the memory fails
+            monkeypatch.setattr(distributions, "_state_memory", lambda bit_generator: None)
+        gen = _generator()
+        seeder = _StreamSeeder(gen.bit_generator)
+        assert (seeder._memory is None) == (state_write == "setter")
+        ref = _generator().bit_generator
+        words = _seed_words(42, EDGE_IDS).tolist()
+        for row, _ in zip(words, seeder.each(42, EDGE_IDS)):
+            _seed_stream(ref, row)
+            assert gen.bit_generator.state == ref.state
+            # as a contaminated row's outlier count does: draw a 32-bit
+            # half-word, which buffers the other half for the next one
+            gen.integers(0, 10)
+            assert gen.bit_generator.state["has_uint32"] == 1
 
     @pytest.mark.parametrize("base", EDGE_BASES)
     def test_preset_stream_equals_seeded_stream(self, base):
@@ -292,6 +355,20 @@ class TestDistributionSpec:
             DistributionSpec.lognormal(-0.5)
         with pytest.raises(ValueError):
             DistributionSpec.tukey_g(-0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("make", [
+        lambda v: DistributionSpec.normal(v, 1.0),
+        lambda v: DistributionSpec.normal(0.0, v),
+        lambda v: DistributionSpec.lognormal(v),
+        lambda v: DistributionSpec.tukey_g(v),
+        lambda v: DistributionSpec.tukey_g(0.5, v),
+        lambda v: DistributionSpec.tukey_g(0.5, 0.0, v),
+        lambda v: DistributionSpec("cauchy", mu=v),
+    ])
+    def test_non_finite_parameters_rejected(self, make, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            make(bad)
 
     def test_determinism_of_samplers(self):
         for spec in (DistributionSpec.normal(0, 1), DistributionSpec.lognormal(1.0),

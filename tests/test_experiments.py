@@ -31,7 +31,7 @@ from cumskew import (
     skew_report,
     table1_conditions,
 )
-from cumskew import experiments
+from cumskew import distributions, experiments
 from cumskew.core import _score_rows
 from cumskew.distributions import _BlockSampler
 
@@ -67,9 +67,9 @@ class TestStreamDerivation:
     def test_block_ids_are_derive_stream_id(self, cid):
         prefix = f"{cid}:".encode("utf-8")
         reps = [1, 2, 9, 10, 99_999, 100_000, 2**40]
-        assert experiments._stream_ids(prefix, reps) == \
+        assert experiments._stream_ids(prefix, reps).tolist() == \
             [derive_stream_id(cid, rep) for rep in reps]
-        assert experiments._stream_ids(prefix, reps, b":contamination") == \
+        assert experiments._stream_ids(prefix, reps, b":contamination").tolist() == \
             [derive_stream_id(cid, rep, "contamination") for rep in reps]
 
 
@@ -136,6 +136,28 @@ class TestRunCondition:
         assert np.array_equal(cs, ref.cs) and np.array_equal(b1, ref.b1)
         assert np.array_equal(degenerate, ref.degenerate)
 
+    @pytest.mark.parametrize("contaminated", [False, True])
+    def test_partial_last_block_scores_as_each_rep_alone(self, contaminated):
+        # n=4000 scores 8 replications per block, so these ranges end in a
+        # 1-row and a 7-row block, which use the leading rows of the
+        # workspace the full blocks before them filled
+        spec = ConditionSpec("part", DistributionSpec.lognormal(1.0), 4000, 20,
+                             contamination=ContaminationPlan(side="low")
+                             if contaminated else None)
+        rows = experiments._BLOCK_VALUES // spec.n
+        assert rows == 8
+        for start, stop in ((3, 3 + rows + 1), (2, 2 + 2 * rows - 1)):
+            reps = range(start, stop)
+            block = drawn_alone(spec.distribution, spec.n, 31,
+                                [derive_stream_id(spec.id, rep) for rep in reps],
+                                [derive_stream_id(spec.id, rep, "contamination")
+                                 for rep in reps], spec.contamination)
+            alone = [_score_rows(row[None]) for row in block]
+            cs, b1, degenerate = experiments._replicate_range((spec, 31, start, stop))
+            assert np.array_equal(cs, [s.cs[0] for s in alone])
+            assert np.array_equal(b1, [s.b1[0] for s in alone])
+            assert np.array_equal(degenerate, [s.degenerate[0] for s in alone])
+
     def test_pool_workers_capped_by_cpus_and_tasks(self, monkeypatch):
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
         assert experiments._pool_workers(2, 8) == 2
@@ -192,31 +214,51 @@ BLOCK_FAMILIES = [
 SIMD_NS = (2, 3, 7, 8, 9, 15, 16, 17, 100, 200, 1000)
 
 
+CONTAMINATED_FAMILIES = [
+    ("high", DistributionSpec.lognormal(1.0)),
+    ("low", DistributionSpec.lognormal(1.0)),
+    ("high", DistributionSpec.normal(-4.0, 2.0)),
+    ("low", DistributionSpec.cauchy()),
+]
+
+
+def assert_rows_drawn_as_alone(dist, n, side=None):
+    """13 rows of a block, contaminated on `side` when one is given, are
+    the rows drawn one stream at a time."""
+    base = 42 if side else 2**63 + 11
+    plan = None if side is None else ContaminationPlan(
+        side=side, count_min=0, count_max=n // 2, magnitude_range=(1.05, 20.0))
+    ids = [derive_stream_id("rows", n, r) for r in range(13)]
+    cids = [derive_stream_id("rows", n, r, "contamination") for r in range(13)]
+    sampler = _BlockSampler(dist, n, base, plan)
+    block = sampler.draw(ids, cids if plan else None)
+    assert block.shape == (13, n)
+    assert np.array_equal(block, drawn_alone(dist, n, base, ids, cids, plan))
+    return sampler
+
+
 class TestBlockSampler:
     @pytest.mark.parametrize("n", SIMD_NS)
     @pytest.mark.parametrize("dist", BLOCK_FAMILIES, ids=lambda d: f"{d.kind}-{d.sigma}-{d.g}")
     def test_rows_equal_rows_drawn_alone(self, dist, n):
-        base = 2**63 + 11
-        ids = [derive_stream_id("rows", n, r) for r in range(13)]
-        block = _BlockSampler(dist, n, base).draw(ids)
-        assert block.shape == (13, n)
-        assert np.array_equal(block, drawn_alone(dist, n, base, ids))
+        assert_rows_drawn_as_alone(dist, n)
 
     @pytest.mark.parametrize("n", SIMD_NS)
-    @pytest.mark.parametrize("side,dist", [
-        ("high", DistributionSpec.lognormal(1.0)),
-        ("low", DistributionSpec.lognormal(1.0)),
-        ("high", DistributionSpec.normal(-4.0, 2.0)),
-        ("low", DistributionSpec.cauchy()),
-    ])
+    @pytest.mark.parametrize("side,dist", CONTAMINATED_FAMILIES)
     def test_contaminated_rows_equal_rows_drawn_alone(self, side, dist, n):
-        base = 42
-        plan = ContaminationPlan(side=side, count_min=0, count_max=n // 2,
-                                 magnitude_range=(1.05, 20.0))
-        ids = [derive_stream_id("rows", n, r) for r in range(13)]
-        cids = [derive_stream_id("rows", n, r, "contamination") for r in range(13)]
-        block = _BlockSampler(dist, n, base, plan).draw(ids, cids)
-        assert np.array_equal(block, drawn_alone(dist, n, base, ids, cids, plan))
+        assert_rows_drawn_as_alone(dist, n, side)
+
+    def test_rows_equal_rows_drawn_alone_through_the_state_setter(self, monkeypatch):
+        # with the probe of the generators' memory failed, every state goes
+        # through the public setter, and every block above comes out the same
+        monkeypatch.setattr(distributions, "_state_memory", lambda bit_generator: None)
+        for n in SIMD_NS:
+            for dist in BLOCK_FAMILIES:
+                sampler = assert_rows_drawn_as_alone(dist, n)
+                assert sampler._streams._memory is None
+            for side, dist in CONTAMINATED_FAMILIES:
+                sampler = assert_rows_drawn_as_alone(dist, n, side)
+                assert sampler._cstreams._memory is None
 
     def test_plan_checked_as_contaminate_checks_it(self):
         with pytest.raises(ValueError):

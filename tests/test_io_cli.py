@@ -570,6 +570,11 @@ class TestExperimentCommand:
         assert main(["experiment", "table1", "--sigma", "0.4"]) == 2
         assert "--sigma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sigma", ["-1", "nan", "inf", "-inf"])
+    def test_sigma_must_be_finite_and_nonnegative(self, sigma, capsys):
+        assert main(["experiment", "null-normal", f"--sigma={sigma}", "--reps", "5"]) == 2
+        assert capsys.readouterr().err == "cumskew: --sigma must be finite and >= 0\n"
+
     def test_reps_rejected_for_gcurve(self):
         assert main(["experiment", "gcurve", "--reps", "10"]) == 2
 
