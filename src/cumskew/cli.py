@@ -208,8 +208,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"cumskew: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (CumskewError, OSError) as exc:
-        print(f"cumskew: {exc}", file=sys.stderr)
+    except (CumskewError, OSError, MemoryError) as exc:
+        # numpy names the allocation it could not make; a bare MemoryError names nothing
+        print(f"cumskew: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -321,14 +321,15 @@ def validate_sample(raw) -> Sample:
         A Sample wrapping a read-only float64 copy of the data.
 
     Raises:
-        NonNumericData: the data are strings, bytes or booleans (judged by
-            the dtype numpy gives them, so a list mixing booleans with
-            numbers passes as numbers).
+        NonNumericData: the data are strings, bytes, booleans or complex
+            numbers (judged by the dtype numpy gives them, so a list mixing
+            booleans with numbers passes as numbers, and a complex value
+            with a zero imaginary part is still complex).
         EmptyOrTooSmall: fewer than two values.
         NonFiniteValue: a NaN or infinity is present (first index reported).
     """
     values = np.array(raw)  # a copy, so converting it below never copies twice
-    if values.dtype.kind in "bSU":
+    if values.dtype.kind in "bcSU":
         raise NonNumericData(f"expected real numbers, got {values.dtype} data")
     values = values.astype(np.float64, copy=False)
     if values.ndim != 1:

@@ -9,14 +9,14 @@ Seeding a stream that way costs more than drawing a hundred values from
 it, so the Monte Carlo harness does not build streams at all.  Its block
 sampler, `_BlockSampler`, runs SeedSequence's hash on arrays, one lane per
 stream id (`_seed_words`), and computes every PCG64 state from its seed
-words as PCG64's own seeding does, in 64-bit halves (`_pcg_states`; the
-same arithmetic on Python ints is `_seed_stream`).  Per stream it writes
-that state straight into the memory of one reused generator
-(`_StreamSeeder`, guarded by a probe of numpy's struct layout that falls
-back to the public `state` setter) and draws into the stream's row of the
-block.  The family's transform and the finite check then run once per
-block.  Every state, and so every value drawn, is bit-identical to that of
-the stream built alone (O'Neill, "PCG: A Family of Simple Fast
+words as PCG64's own seeding does, in 64-bit halves (`_pcg_states`, the
+package's one copy of that arithmetic).  Per stream it writes that state
+into one reused generator (`_StreamSeeder`): straight into the generator's
+memory, guarded by a probe of numpy's struct layout, or through the public
+`state` setter where the probe fails.  It then draws into the stream's row
+of the block.  The family's transform and the finite check then run once
+per block.  Every state, and so every value drawn, is bit-identical to
+that of the stream built alone (O'Neill, "PCG: A Family of Simple Fast
 Space-Efficient Statistically Good Algorithms for Random Number
 Generation", 2014, for PCG64 and its seeding; numpy's SeedSequence for
 the hash).  The single-stream samplers apply the same in-place transforms
@@ -50,7 +50,6 @@ __all__ = [
 
 _MASK32 = 0xFFFF_FFFF
 _MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
 _U64_1 = np.uint64(1)
 _U64_32 = np.uint64(32)
 _U64_63 = np.uint64(63)
@@ -98,16 +97,13 @@ _HASH_B = _hash_consts(_INIT_B, _MULT_B, 8)
 def _seed_words(base_seed: int, stream_ids) -> np.ndarray:
     """PCG64 seed words of the stream of every id, as an (R, 4) uint64 array.
 
-    Row r equals SeedSequence([base_seed & M64, stream_ids[r] & M64])
+    Row r equals SeedSequence([base_seed & M64, stream_ids[r]])
     .generate_state(4, np.uint64) with M64 = 2**64 - 1: the same hash, run
     on uint32 arrays with one lane per id.  Its constants are the same in
     every lane and every call, so they are computed once (`_HASH_A`,
-    `_HASH_B`).  stream_ids is a uint64 array or a sequence of ints.
+    `_HASH_B`).  stream_ids is an array of uint64 ids.
     """
-    if isinstance(stream_ids, np.ndarray):
-        ids = stream_ids.astype(np.uint64, copy=False)
-    else:
-        ids = np.array([int(i) & _MASK64 for i in stream_ids], dtype=np.uint64)
+    ids = np.asarray(stream_ids, dtype=np.uint64)
     base = int(base_seed) & _MASK64
     # SeedSequence splits each entropy int into its 32-bit words, low first,
     # at least one word each, and pads the entropy with zero words up to the
@@ -150,41 +146,18 @@ def _seed_words(base_seed: int, stream_ids) -> np.ndarray:
                      for k in range(4)], axis=1)
 
 
-def _generator():
-    """A Generator over a PCG64 whose state its user sets per stream.
-
-    Built on use, not at import: touching np.random loads numpy.random,
-    which numpy otherwise imports lazily.
-    """
-    return np.random.Generator(np.random.PCG64(0))
-
-
-def _seed_stream(bit_generator, words) -> None:
-    """Put a PCG64 in the state PCG64(SeedSequence) reaches from `words`.
-
-    `words` is one row of `_seed_words` as Python ints: the 128-bit seed
-    and stream selector, high word first, as PCG64 reads them.  PCG64's
-    srandom step sets inc = 2*initseq + 1, steps once from state 0 (giving
-    inc), adds the seed and steps again.
-    """
-    seed = words[0] << 64 | words[1]
-    inc = ((words[2] << 64 | words[3]) << 1 | 1) & _MASK128
-    bit_generator.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": ((inc + seed) * _PCG_MULT + inc) & _MASK128, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
 def _pcg_states(words: np.ndarray) -> np.ndarray:
-    """The PCG64 (state, inc) that `_seed_stream` sets from each row of the
-    (R, 4) uint64 seed words, as an (R, 4) uint64 array of their 64-bit
-    halves: state low, state high, inc low, inc high.
+    """The PCG64 (state, inc) that PCG64 seeds from each row of the (R, 4)
+    uint64 seed words, as an (R, 4) uint64 array of their 64-bit halves:
+    state low, state high, inc low, inc high.
 
-    The same 128-bit arithmetic, mod 2**128, in 64-bit halves that wrap: a
-    sum's carry is (low sum < addend), and the high half of the product of
-    two low halves is put together from their 32-bit quarters.
+    A row holds the 128-bit seed and stream selector (initseq), high word
+    first, as PCG64 reads them from its seed sequence.  PCG64's srandom step
+    sets inc = 2*initseq + 1, steps once from state 0 (giving inc), adds the
+    seed and steps again: state = (inc + seed) * _PCG_MULT + inc, mod 2**128.
+    That arithmetic runs here in 64-bit halves that wrap: a sum's carry is
+    (low sum < addend), and the high half of the product of two low halves
+    is put together from their 32-bit quarters.
     """
     seed_hi, seed_lo, init_hi, init_lo = words.T
     m0, m1 = _PCG_MULT_LO0, _PCG_MULT_LO1
@@ -253,29 +226,33 @@ def _state_memory(bit_generator):
 
 
 class _StreamSeeder:
-    """Puts one PCG64 in the state of stream after stream, as `_seed_stream`
-    would from each stream's seed words.
+    """A Generator over one PCG64 (`gen`), put in the state of stream after
+    stream: the stream's `_pcg_states` row, with no buffered half-word.
 
-    It writes the 32 bytes of each stream's `_pcg_states` row straight into
-    the generator's memory, and clears its buffered half-word, through the
-    views `_state_memory` finds; where that probe fails, it sets every
-    state through `_seed_stream` instead.
+    It writes those 32 bytes straight into the generator's memory, and
+    clears the half-word, through the views `_state_memory` finds; where
+    that probe fails, it sets the same state through the public `state`
+    setter.  Built on use, not at import: touching np.random loads
+    numpy.random, which numpy otherwise imports lazily.
     """
 
-    def __init__(self, bit_generator):
-        self._bit_generator = bit_generator
-        self._memory = _state_memory(bit_generator)
+    def __init__(self):
+        self.gen = np.random.Generator(np.random.PCG64(0))
+        self._memory = _state_memory(self.gen.bit_generator)
 
     def each(self, base_seed: int, ids):
         """Seed the stream of every id in turn, yielding once it is seeded."""
-        words = _seed_words(base_seed, ids)
+        states = _pcg_states(_seed_words(base_seed, ids))
         if self._memory is None:
-            for row in words.tolist():
-                _seed_stream(self._bit_generator, row)
+            bit_generator = self.gen.bit_generator
+            for lo, hi, inc_lo, inc_hi in states.tolist():
+                pcg = {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo}
+                bit_generator.state = {"bit_generator": "PCG64", "state": pcg,
+                                       "has_uint32": 0, "uinteger": 0}
                 yield
             return
         state, flags, order = self._memory
-        data = memoryview(_pcg_states(words)[:, order].tobytes())
+        data = memoryview(states[:, order].tobytes())
         clear = bytes(8)
         for start in range(0, len(data), 32):
             state[:] = data[start:start + 32]
@@ -522,7 +499,7 @@ class _BlockSampler:
     into the row, plus the contamination draws; the family's transform and
     the finite check run once per block.  Errors are those of the one-row
     path, raised for the first row that has one.  Each sampler owns its
-    generators: concurrent callers each build their own.
+    seeders and their generators: concurrent callers each build their own.
     """
 
     def __init__(self, dist: DistributionSpec, n: int, base_seed: int, plan=None):
@@ -530,11 +507,9 @@ class _BlockSampler:
         self.n = n
         self.base_seed = base_seed
         self.plan = plan
-        self._gen = _generator()
-        self._streams = _StreamSeeder(self._gen.bit_generator)
+        self._streams = _StreamSeeder()
         if plan is not None:
-            self._cgen = _generator()
-            self._cstreams = _StreamSeeder(self._cgen.bit_generator)
+            self._cstreams = _StreamSeeder()
 
     def draw(self, ids, cids=None, out=None) -> np.ndarray:
         """The (len(ids), n) block of the streams `ids`, contaminated from
@@ -542,7 +517,8 @@ class _BlockSampler:
         a C-contiguous float64 array of that shape, when it is given."""
         dist = self.dist
         block = np.empty((len(ids), self.n)) if out is None else out
-        fill = self._gen.random if dist.kind == "cauchy" else self._gen.standard_normal
+        gen = self._streams.gen
+        fill = gen.random if dist.kind == "cauchy" else gen.standard_normal
         for row, _ in zip(block, self._streams.each(self.base_seed, ids)):
             fill(out=row)
         _transform(block, dist.kind, dist.mu, dist.sigma, dist.g)
@@ -554,7 +530,7 @@ class _BlockSampler:
 
     @np.errstate(over="ignore")  # an outlier beyond the float range is reported below
     def _contaminate(self, block: np.ndarray, cids) -> None:
-        plan, gen = self.plan, self._cgen
+        plan, gen = self.plan, self._cstreams.gen
         finite = np.isfinite(block).all(axis=1).tolist()
         scales = np.max(np.abs(block), axis=1).tolist()
         streams = self._cstreams.each(self.base_seed, cids)

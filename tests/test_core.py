@@ -75,6 +75,9 @@ class TestValidateSample:
         [1, "2", 3],
         "127",
         b"127",
+        [1 + 2j, 3, 5],
+        [1.0, 2.0 + 0j, 3.0],
+        np.array([1, 2, 3], dtype=np.complex64),
     ])
     def test_rejects_strings_bytes_and_bools(self, raw):
         with pytest.raises(NonNumericData):

@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from numpy.random.bit_generator import ISeedSequence
 
 from cumskew import (
     ContaminationSpec,
@@ -23,17 +24,12 @@ from cumskew import (
     validate_sample,
 )
 from cumskew import distributions
-from cumskew.distributions import (
-    _generator,
-    _pcg_states,
-    _seed_stream,
-    _seed_words,
-    _StreamSeeder,
-)
+from cumskew.distributions import _pcg_states, _seed_words, _StreamSeeder
 
 M64 = (1 << 64) - 1
 EDGE_BASES = (0, 1, 42, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1, -1)
 EDGE_IDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, -9, 5406966257379951050)
+EDGE_U64 = np.array([sid & M64 for sid in EDGE_IDS], dtype=np.uint64)
 # seed words (seed high, seed low, initseq high, initseq low) whose 128-bit
 # sums and products carry across the 64-bit halves: inc low + seed low
 # wraps, initseq's top low bit moves into inc's high half, the state's
@@ -49,13 +45,30 @@ CARRY_WORDS = (
 )
 
 
+class PresetWords(ISeedSequence):
+    """A seed sequence that hands PCG64 the given seed words as they are, so
+    numpy's own PCG64(PresetWords(row)) seeds itself from any row of words."""
+
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        assert (n_words, np.dtype(dtype)) == (4, np.uint64)
+        return self.words.copy()
+
+
+def seeded(base, sid):
+    """numpy's own generator of the stream (base, sid)."""
+    seq = np.random.SeedSequence([base & M64, sid & M64])
+    return np.random.Generator(np.random.PCG64(seq))
+
+
 def assert_states_are_seeded_states(words):
-    """Each row of _pcg_states(words) is the state _seed_stream sets."""
-    bit_generator = _generator().bit_generator
-    for row, (lo, hi, inc_lo, inc_hi) in zip(words.tolist(), _pcg_states(words).tolist()):
-        _seed_stream(bit_generator, row)
-        assert bit_generator.state["state"] == {"state": hi << 64 | lo,
-                                                "inc": inc_hi << 64 | inc_lo}
+    """Each row of _pcg_states(words) is the state numpy's PCG64 seeds
+    itself in from that row of seed words."""
+    for row, (lo, hi, inc_lo, inc_hi) in zip(words, _pcg_states(words).tolist()):
+        assert np.random.PCG64(PresetWords(row)).state["state"] == {
+            "state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo}
 
 
 class TestRngStream:
@@ -83,17 +96,15 @@ class TestRngStream:
 class TestBatchedSeeding:
     @pytest.mark.parametrize("base", EDGE_BASES)
     def test_seed_words_match_seed_sequence(self, base):
-        words = _seed_words(base, EDGE_IDS)
+        words = _seed_words(base, EDGE_U64)
         assert words.shape == (len(EDGE_IDS), 4) and words.dtype == np.uint64
         for sid, row in zip(EDGE_IDS, words):
             ref = np.random.SeedSequence([base & M64, sid & M64]).generate_state(4, np.uint64)
             assert np.array_equal(row, ref)
-        ids = np.array([sid & M64 for sid in EDGE_IDS], dtype=np.uint64)
-        assert np.array_equal(_seed_words(base, ids), words)
 
     @pytest.mark.parametrize("base", EDGE_BASES)
     def test_vectorised_states_equal_seeded_states(self, base):
-        assert_states_are_seeded_states(_seed_words(base, EDGE_IDS))
+        assert_states_are_seeded_states(_seed_words(base, EDGE_U64))
 
     def test_vectorised_states_carry_across_halves(self):
         words = np.concatenate([
@@ -104,34 +115,30 @@ class TestBatchedSeeding:
     def test_probe_finds_the_state_memory(self):
         # numpy's PCG64 keeps one layout on every build this package
         # supports; a failed probe would leave only the slow setter path
-        assert _StreamSeeder(_generator().bit_generator)._memory is not None
+        assert _StreamSeeder()._memory is not None
 
     @pytest.mark.parametrize("state_write", ["memory", "setter"])
     def test_each_stream_starts_with_no_buffered_half_word(self, state_write, monkeypatch):
         if state_write == "setter":  # as where the probe of the memory fails
             monkeypatch.setattr(distributions, "_state_memory", lambda bit_generator: None)
-        gen = _generator()
-        seeder = _StreamSeeder(gen.bit_generator)
+        seeder = _StreamSeeder()
+        gen = seeder.gen
         assert (seeder._memory is None) == (state_write == "setter")
-        ref = _generator().bit_generator
-        words = _seed_words(42, EDGE_IDS).tolist()
-        for row, _ in zip(words, seeder.each(42, EDGE_IDS)):
-            _seed_stream(ref, row)
-            assert gen.bit_generator.state == ref.state
-            # as a contaminated row's outlier count does: draw a 32-bit
-            # half-word, which buffers the other half for the next one
-            gen.integers(0, 10)
-            assert gen.bit_generator.state["has_uint32"] == 1
+        for base in EDGE_BASES:
+            for sid, _ in zip(EDGE_IDS, seeder.each(base, EDGE_U64)):
+                assert gen.bit_generator.state == seeded(base, sid).bit_generator.state
+                # as a contaminated row's outlier count does: draw a 32-bit
+                # half-word, which buffers the other half for the next one
+                gen.integers(0, 10)
+                assert gen.bit_generator.state["has_uint32"] == 1
 
     @pytest.mark.parametrize("base", EDGE_BASES)
     def test_preset_stream_equals_seeded_stream(self, base):
-        batched = _generator()
-        for sid, row in zip(EDGE_IDS, _seed_words(base, EDGE_IDS).tolist()):
-            _seed_stream(batched.bit_generator, row)
-            single = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence([base & M64, sid & M64])))
-            assert batched.bit_generator.state == single.bit_generator.state
-            assert np.array_equal(batched.random(8), single.random(8))
+        seeder = _StreamSeeder()
+        for sid, _ in zip(EDGE_IDS, seeder.each(base, EDGE_U64)):
+            single = seeded(base, sid)
+            assert seeder.gen.bit_generator.state == single.bit_generator.state
+            assert np.array_equal(seeder.gen.random(8), single.random(8))
 
     def test_import_leaves_numpy_random_unloaded(self):
         # numpy imports numpy.random lazily; loading it on `import cumskew`

@@ -673,3 +673,20 @@ class TestExperimentCommand:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr == "cumskew: non-finite value inf at index 6\n"
+
+    @pytest.mark.parametrize("args", [
+        ["null-normal", "--reps", "1"],
+        ["null-normal", "--reps", "2", "--jobs", "2"],
+        ["table1", "--reps", "1"],
+        ["gcurve"],
+    ], ids=["serial", "jobs2", "table1", "gcurve"])
+    def test_unallocatable_sample_size_gives_one_message_line(self, args):
+        # 1e14 doubles (728 TiB) exceed a 47-bit address space, so numpy's
+        # allocation fails at once on every host and nothing is paged in
+        proc = subprocess.run(
+            [sys.executable, "-m", "cumskew", "experiment", *args, "--n", str(10**14)],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("cumskew: Unable to allocate ")
+        assert proc.stderr.count("\n") == 1
