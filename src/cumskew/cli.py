@@ -41,11 +41,12 @@ def _output(path):
             yield fh
 
 
-def _contamination_label(plan) -> str:
-    if plan is None:
-        return "none"
-    lo, hi = plan.magnitude_range
-    return f"{plan.side} k={plan.count_min}..{plan.count_max} mag={lo:g}..{hi:g}xmax"
+def _write(args, rows: list[dict], meta: dict) -> None:
+    with _output(args.out) as fh:
+        if args.format == "json":
+            write_rows_json(fh, rows, meta)
+        else:
+            write_rows_csv(fh, rows, meta)
 
 
 def cmd_compute(args) -> int:
@@ -60,41 +61,40 @@ def cmd_compute(args) -> int:
         "cs_bound": report.cs_bound,
         "degenerate": report.degenerate,
     }
-    with _output(args.out) as fh:
-        if args.format == "json":
-            write_rows_json(fh, [row], meta)
-        else:
-            trimmed = {k: format_sig(v) if isinstance(v, float) else v
-                       for k, v in row.items()}
-            write_rows_csv(fh, [trimmed], meta)
+    if args.format == "csv":
+        row = {k: format_sig(v) if isinstance(v, float) else v for k, v in row.items()}
+    _write(args, [row], meta)
     return EXIT_OK
 
 
-def _condition_rows(results, conditions, seed):
-    rows = []
-    for res, spec in zip(results, conditions, strict=True):
-        dist = spec.distribution
-        rows.append({
-            "id": res.id,
-            "sigma": dist.sigma if dist.kind in ("normal", "lognormal") else "",
-            "contamination": _contamination_label(spec.contamination),
-            "n": spec.n,
-            "reps": res.reps,
-            "seed": seed,
-            "b1_ave": res.b1_ave,
-            "b1_se": res.b1_se,
-            "cs_ave": res.cs_ave,
-            "cs_se": res.cs_se,
-            "degenerate_count": res.degenerate_count,
-        })
-    return rows
+def _condition_row(spec, result) -> dict:
+    """The result row of the condition `spec`, from the result of running it."""
+    dist, plan = spec.distribution, spec.contamination
+    if plan is None:
+        contamination = "none"
+    else:
+        lo, hi = plan.magnitude_range
+        contamination = f"{plan.side} k={plan.count_min}..{plan.count_max} mag={lo:g}..{hi:g}xmax"
+    return {
+        "id": spec.id,
+        "sigma": dist.sigma if dist.kind in ("normal", "lognormal") else "",
+        "contamination": contamination,
+        "n": spec.n,
+        "reps": spec.reps,
+        "seed": result.seed,
+        "b1_ave": result.b1_ave,
+        "b1_se": result.b1_se,
+        "cs_ave": result.cs_ave,
+        "cs_se": result.cs_se,
+        "degenerate_count": result.degenerate_count,
+    }
 
 
 def cmd_experiment(args) -> int:
     # imported here, so that compute and lorenz never load the samplers,
     # the harness or its process pool
     from .distributions import DistributionSpec
-    from .experiments import ConditionSpec, run_gcurve, run_null, run_table1, table1_conditions
+    from .experiments import ConditionSpec, run_condition, run_gcurve, table1_conditions
 
     name = args.name
     if args.sigma is not None and name != "null-normal":
@@ -111,35 +111,31 @@ def cmd_experiment(args) -> int:
         raise UsageError("--jobs must be >= 1")
     seed = args.seed
 
-    if name == "table1":
-        n = args.n or 200
-        reps = args.reps or 10_000
-        results = run_table1(seed, n=n, reps=reps, jobs=args.jobs)
-        rows = _condition_rows(results, table1_conditions(n=n, reps=reps), seed)
-        meta = run_metadata("experiment table1", seed=seed, n=n, reps=reps)
-    elif name in ("null-normal", "null-cauchy"):
-        n = args.n or 100
-        reps = args.reps or 100_000
-        if name == "null-normal":
-            dist = DistributionSpec.normal(0.0, args.sigma if args.sigma is not None else 1.0)
-        else:
-            dist = DistributionSpec.cauchy()
-        result = run_null(dist, n=n, reps=reps, base_seed=seed, jobs=args.jobs)
-        rows = _condition_rows([result], [ConditionSpec(result.id, dist, n, reps)], seed)
-        meta = run_metadata(f"experiment {name}", seed=seed, n=n, reps=reps)
-    else:  # gcurve
+    if name == "gcurve":
         n = args.n or 100_000
         points = run_gcurve(n=n, base_seed=seed)
         rows = [{"id": "gcurve", "g": pt.g, "sd": pt.sd, "n": pt.n,
                  "seed": seed, "cs": pt.cs} for pt in points]
         meta = run_metadata("experiment gcurve", seed=seed, n=n, loc=0.0,
                             g_grid="0.1..1.5 step 0.1", sds="1,3")
-
-    with _output(args.out) as fh:
-        if args.format == "json":
-            write_rows_json(fh, rows, meta)
+    else:
+        if name == "table1":
+            n = args.n or 200
+            reps = args.reps or 10_000
+            specs = table1_conditions(n=n, reps=reps)
         else:
-            write_rows_csv(fh, rows, meta)
+            n = args.n or 100
+            reps = args.reps or 100_000
+            if name == "null-normal":
+                dist = DistributionSpec.normal(0.0, args.sigma if args.sigma is not None else 1.0)
+            else:
+                dist = DistributionSpec.cauchy()
+            specs = [ConditionSpec(name, dist, n, reps)]
+        rows = [_condition_row(spec, run_condition(spec, seed, jobs=args.jobs))
+                for spec in specs]
+        meta = run_metadata(f"experiment {name}", seed=seed, n=n, reps=reps)
+
+    _write(args, rows, meta)
     return EXIT_OK
 
 

@@ -78,6 +78,7 @@ from .errors import (
     FloatRangeError,
     NonFiniteValue,
     NonNumericData,
+    NotOneDimensional,
 )
 
 __all__ = [
@@ -325,6 +326,8 @@ def validate_sample(raw) -> Sample:
             numbers (judged by the dtype numpy gives them, so a list mixing
             booleans with numbers passes as numbers, and a complex value
             with a zero imaginary part is still complex).
+        NotOneDimensional: the data are a scalar or have more than one
+            dimension.
         EmptyOrTooSmall: fewer than two values.
         NonFiniteValue: a NaN or infinity is present (first index reported).
     """
@@ -333,7 +336,7 @@ def validate_sample(raw) -> Sample:
         raise NonNumericData(f"expected real numbers, got {values.dtype} data")
     values = values.astype(np.float64, copy=False)
     if values.ndim != 1:
-        raise ValueError(f"expected 1-D data, got shape {values.shape}")
+        raise NotOneDimensional(f"expected 1-D data, got shape {values.shape}")
     if values.size < 2:
         raise EmptyOrTooSmall(f"need at least 2 observations, got {values.size}")
     _check_finite(values[None, :])

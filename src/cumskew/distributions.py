@@ -10,17 +10,19 @@ it, so the Monte Carlo harness does not build streams at all.  Its block
 sampler, `_BlockSampler`, runs SeedSequence's hash on arrays, one lane per
 stream id (`_seed_words`), and computes every PCG64 state from its seed
 words as PCG64's own seeding does, in 64-bit halves (`_pcg_states`, the
-package's one copy of that arithmetic).  Per stream it writes that state
-into one reused generator (`_StreamSeeder`): straight into the generator's
-memory, guarded by a probe of numpy's struct layout, or through the public
-`state` setter where the probe fails.  It then draws into the stream's row
-of the block.  The family's transform and the finite check then run once
-per block.  Every state, and so every value drawn, is bit-identical to
-that of the stream built alone (O'Neill, "PCG: A Family of Simple Fast
-Space-Efficient Statistically Good Algorithms for Random Number
-Generation", 2014, for PCG64 and its seeding; numpy's SeedSequence for
-the hash).  The single-stream samplers apply the same in-place transforms
-to their one row.
+package's one copy of that arithmetic).  Each sampler owns one generator
+and probes numpy's struct layout for it once.  Per stream it writes that
+state into the generator: straight into its memory where the probe
+succeeded, or through the public `state` setter where it failed.  It then
+draws into the stream's row of the block.  The family's transform and the
+finite check then run once per block, and a contaminated block puts the
+same generator in each row's contamination stream in turn.  Every state,
+and so every value drawn, is bit-identical to that of the stream built
+alone (O'Neill, "PCG: A Family of Simple Fast Space-Efficient
+Statistically Good Algorithms for Random Number Generation", 2014, for
+PCG64 and its seeding; numpy's SeedSequence for the hash).  The
+single-stream samplers apply the same in-place transforms to their one
+row.
 """
 
 from __future__ import annotations
@@ -223,41 +225,6 @@ def _state_memory(bit_generator):
                                "has_uint32": 0, "uinteger": 0}:
         return None
     return words, flags, order
-
-
-class _StreamSeeder:
-    """A Generator over one PCG64 (`gen`), put in the state of stream after
-    stream: the stream's `_pcg_states` row, with no buffered half-word.
-
-    It writes those 32 bytes straight into the generator's memory, and
-    clears the half-word, through the views `_state_memory` finds; where
-    that probe fails, it sets the same state through the public `state`
-    setter.  Built on use, not at import: touching np.random loads
-    numpy.random, which numpy otherwise imports lazily.
-    """
-
-    def __init__(self):
-        self.gen = np.random.Generator(np.random.PCG64(0))
-        self._memory = _state_memory(self.gen.bit_generator)
-
-    def each(self, base_seed: int, ids):
-        """Seed the stream of every id in turn, yielding once it is seeded."""
-        states = _pcg_states(_seed_words(base_seed, ids))
-        if self._memory is None:
-            bit_generator = self.gen.bit_generator
-            for lo, hi, inc_lo, inc_hi in states.tolist():
-                pcg = {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo}
-                bit_generator.state = {"bit_generator": "PCG64", "state": pcg,
-                                       "has_uint32": 0, "uinteger": 0}
-                yield
-            return
-        state, flags, order = self._memory
-        data = memoryview(states[:, order].tobytes())
-        clear = bytes(8)
-        for start in range(0, len(data), 32):
-            state[:] = data[start:start + 32]
-            flags[:] = clear
-            yield
 
 
 class RngStream:
@@ -493,13 +460,17 @@ class _BlockSampler:
     [plan.count_min, plan.count_max] on that stream.  `plan` is an
     experiments.ContaminationPlan, which checks itself when built.
 
-    The seed words and PCG64 states of a block's streams are computed in
-    one vectorised pass (`_seed_words`, `_pcg_states`).  Per row it only
-    writes that state into one reused PCG64 (`_StreamSeeder`) and draws
-    into the row, plus the contamination draws; the family's transform and
-    the finite check run once per block.  Errors are those of the one-row
-    path, raised for the first row that has one.  Each sampler owns its
-    seeders and their generators: concurrent callers each build their own.
+    The sampler owns one Generator over one PCG64 (`gen`), probed once by
+    `_state_memory`.  The seed words and PCG64 states of a block's streams
+    are computed in one vectorised pass (`_seed_words`, `_pcg_states`).
+    Per row it only puts `gen` in the row's stream (`_seed_each`) and draws
+    into the row; the family's transform and the finite check run once per
+    block.  A contaminated block then puts `gen` in each row's
+    contamination stream in turn: the block's draws are done by then, and
+    every seeding clears the buffered half-word, so no draw carries over
+    from one stream to the next.  Errors are those of the one-row path,
+    raised for the first row that has one.  Concurrent callers each build
+    their own sampler.
     """
 
     def __init__(self, dist: DistributionSpec, n: int, base_seed: int, plan=None):
@@ -507,9 +478,36 @@ class _BlockSampler:
         self.n = n
         self.base_seed = base_seed
         self.plan = plan
-        self._streams = _StreamSeeder()
-        if plan is not None:
-            self._cstreams = _StreamSeeder()
+        # built on use, not at import: touching np.random loads
+        # numpy.random, which numpy otherwise imports lazily
+        self.gen = np.random.Generator(np.random.PCG64(0))
+        self._memory = _state_memory(self.gen.bit_generator)
+
+    def _seed_each(self, ids):
+        """Put `gen` in the stream of every id in turn, with no buffered
+        half-word, yielding once it is there.
+
+        It writes each stream's `_pcg_states` row straight into the
+        generator's memory, and clears the half-word, through the views
+        `_state_memory` found; where that probe failed, it sets the same
+        state through the public `state` setter.
+        """
+        states = _pcg_states(_seed_words(self.base_seed, ids))
+        if self._memory is None:
+            bit_generator = self.gen.bit_generator
+            for lo, hi, inc_lo, inc_hi in states.tolist():
+                pcg = {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo}
+                bit_generator.state = {"bit_generator": "PCG64", "state": pcg,
+                                       "has_uint32": 0, "uinteger": 0}
+                yield
+            return
+        state, flags, order = self._memory
+        data = memoryview(states[:, order].tobytes())
+        clear = bytes(8)
+        for start in range(0, len(data), 32):
+            state[:] = data[start:start + 32]
+            flags[:] = clear
+            yield
 
     def draw(self, ids, cids=None, out=None) -> np.ndarray:
         """The (len(ids), n) block of the streams `ids`, contaminated from
@@ -517,9 +515,8 @@ class _BlockSampler:
         a C-contiguous float64 array of that shape, when it is given."""
         dist = self.dist
         block = np.empty((len(ids), self.n)) if out is None else out
-        gen = self._streams.gen
-        fill = gen.random if dist.kind == "cauchy" else gen.standard_normal
-        for row, _ in zip(block, self._streams.each(self.base_seed, ids)):
+        fill = self.gen.random if dist.kind == "cauchy" else self.gen.standard_normal
+        for row, _ in zip(block, self._seed_each(ids)):
             fill(out=row)
         _transform(block, dist.kind, dist.mu, dist.sigma, dist.g)
         if self.plan is None:
@@ -530,10 +527,10 @@ class _BlockSampler:
 
     @np.errstate(over="ignore")  # an outlier beyond the float range is reported below
     def _contaminate(self, block: np.ndarray, cids) -> None:
-        plan, gen = self.plan, self._cstreams.gen
+        plan, gen = self.plan, self.gen
         finite = np.isfinite(block).all(axis=1).tolist()
         scales = np.max(np.abs(block), axis=1).tolist()
-        streams = self._cstreams.each(self.base_seed, cids)
+        streams = self._seed_each(cids)
         for row, ok, scale, _ in zip(block, finite, scales, streams):
             if not ok:
                 _check_finite(row[None])

@@ -3,7 +3,7 @@
 __all__ = [
     "CumskewError", "EmptyOrTooSmall", "NonFiniteValue", "ConstantSample",
     "CountTooLarge", "ColumnNotFound", "ParseError", "FloatRangeError",
-    "NonNumericData",
+    "NonNumericData", "NotOneDimensional",
 ]
 
 
@@ -33,6 +33,10 @@ class NonFiniteValue(CumskewError, ValueError):
 
 class NonNumericData(CumskewError, TypeError):
     """The input holds strings, bytes or booleans rather than real numbers."""
+
+
+class NotOneDimensional(CumskewError, ValueError):
+    """The input is a scalar or has more than one dimension."""
 
 
 class ConstantSample(CumskewError, ValueError):

@@ -68,13 +68,10 @@ TABLE1_LOW_MAGNITUDES = (1.05, 1.5)
 _BLOCK_VALUES = 32_768
 
 
-def _hash_id(text: bytes) -> int:
-    return int.from_bytes(hashlib.blake2b(text, digest_size=8).digest(), "big")
-
-
 def derive_stream_id(*parts) -> int:
     """Stable 64-bit stream id from string-convertible parts."""
-    return _hash_id(":".join(str(p) for p in parts).encode("utf-8"))
+    text = ":".join(str(p) for p in parts).encode("utf-8")
+    return int.from_bytes(hashlib.blake2b(text, digest_size=8).digest(), "big")
 
 
 def _stream_ids(prefix: bytes, reps, suffix: bytes = b"") -> np.ndarray:

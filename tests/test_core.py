@@ -15,6 +15,7 @@ from cumskew import (
     FloatRangeError,
     NonFiniteValue,
     NonNumericData,
+    NotOneDimensional,
     cumulative_skew,
     gini,
     lorenz_grid,
@@ -63,8 +64,10 @@ class TestValidateSample:
             validate_sample([])
 
     def test_rejects_2d(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NotOneDimensional, match=r"expected 1-D data, got shape \(2, 2\)"):
             validate_sample([[1, 2], [3, 4]])
+        with pytest.raises(NotOneDimensional, match=r"expected 1-D data, got shape \(\)"):
+            validate_sample(5.0)
 
     @pytest.mark.parametrize("raw", [
         ["1", "2", "7"],

@@ -24,7 +24,7 @@ from cumskew import (
     validate_sample,
 )
 from cumskew import distributions
-from cumskew.distributions import _pcg_states, _seed_words, _StreamSeeder
+from cumskew.distributions import _BlockSampler, _pcg_states, _seed_words
 
 M64 = (1 << 64) - 1
 EDGE_BASES = (0, 1, 42, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1, -1)
@@ -71,6 +71,17 @@ def assert_states_are_seeded_states(words):
             "state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo}
 
 
+def state_writes(base, monkeypatch):
+    """Two block samplers of base seed `base`: one writes each stream's
+    state into its generator's memory, the other sets it through the public
+    setter, as where the probe of that memory fails."""
+    memory = _BlockSampler(DistributionSpec.normal(), 2, base)
+    with monkeypatch.context() as patch:
+        patch.setattr(distributions, "_state_memory", lambda bit_generator: None)
+        setter = _BlockSampler(DistributionSpec.normal(), 2, base)
+    return memory, setter
+
+
 class TestRngStream:
     def test_same_key_reproduces(self):
         a = RngStream(42, 7).random(1000)
@@ -112,20 +123,22 @@ class TestBatchedSeeding:
             np.random.default_rng(5).integers(0, 2**64, (500, 4), dtype=np.uint64)])
         assert_states_are_seeded_states(words)
 
-    def test_probe_finds_the_state_memory(self):
+    def test_probe_finds_the_state_memory(self, monkeypatch):
         # numpy's PCG64 keeps one layout on every build this package
         # supports; a failed probe would leave only the slow setter path
-        assert _StreamSeeder()._memory is not None
+        memory, setter = state_writes(0, monkeypatch)
+        assert memory._memory is not None
+        assert setter._memory is None
 
     @pytest.mark.parametrize("state_write", ["memory", "setter"])
     def test_each_stream_starts_with_no_buffered_half_word(self, state_write, monkeypatch):
         if state_write == "setter":  # as where the probe of the memory fails
             monkeypatch.setattr(distributions, "_state_memory", lambda bit_generator: None)
-        seeder = _StreamSeeder()
-        gen = seeder.gen
-        assert (seeder._memory is None) == (state_write == "setter")
         for base in EDGE_BASES:
-            for sid, _ in zip(EDGE_IDS, seeder.each(base, EDGE_U64)):
+            sampler = _BlockSampler(DistributionSpec.normal(), 2, base)
+            gen = sampler.gen
+            assert (sampler._memory is None) == (state_write == "setter")
+            for sid, _ in zip(EDGE_IDS, sampler._seed_each(EDGE_U64)):
                 assert gen.bit_generator.state == seeded(base, sid).bit_generator.state
                 # as a contaminated row's outlier count does: draw a 32-bit
                 # half-word, which buffers the other half for the next one
@@ -133,12 +146,12 @@ class TestBatchedSeeding:
                 assert gen.bit_generator.state["has_uint32"] == 1
 
     @pytest.mark.parametrize("base", EDGE_BASES)
-    def test_preset_stream_equals_seeded_stream(self, base):
-        seeder = _StreamSeeder()
-        for sid, _ in zip(EDGE_IDS, seeder.each(base, EDGE_U64)):
-            single = seeded(base, sid)
-            assert seeder.gen.bit_generator.state == single.bit_generator.state
-            assert np.array_equal(seeder.gen.random(8), single.random(8))
+    def test_preset_stream_equals_seeded_stream(self, base, monkeypatch):
+        for sampler in state_writes(base, monkeypatch):
+            for sid, _ in zip(EDGE_IDS, sampler._seed_each(EDGE_U64)):
+                single = seeded(base, sid)
+                assert sampler.gen.bit_generator.state == single.bit_generator.state
+                assert np.array_equal(sampler.gen.random(8), single.random(8))
 
     def test_import_leaves_numpy_random_unloaded(self):
         # numpy imports numpy.random lazily; loading it on `import cumskew`
@@ -163,7 +176,7 @@ PUBLIC_NAMES = [
     "parse_csv",
     "CumskewError", "EmptyOrTooSmall", "NonFiniteValue", "ConstantSample",
     "CountTooLarge", "ColumnNotFound", "ParseError", "FloatRangeError",
-    "NonNumericData",
+    "NonNumericData", "NotOneDimensional",
 ]
 
 

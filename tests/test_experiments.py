@@ -255,10 +255,24 @@ class TestBlockSampler:
         for n in SIMD_NS:
             for dist in BLOCK_FAMILIES:
                 sampler = assert_rows_drawn_as_alone(dist, n)
-                assert sampler._streams._memory is None
+                assert sampler._memory is None
             for side, dist in CONTAMINATED_FAMILIES:
                 sampler = assert_rows_drawn_as_alone(dist, n, side)
-                assert sampler._cstreams._memory is None
+                assert sampler._memory is None
+
+    def test_contaminated_sampler_probes_one_generator_once(self, monkeypatch):
+        probed = []
+        state_memory = distributions._state_memory
+
+        def probe(bit_generator):
+            probed.append(bit_generator)
+            return state_memory(bit_generator)
+
+        monkeypatch.setattr(distributions, "_state_memory", probe)
+        for side, dist in CONTAMINATED_FAMILIES:
+            probed.clear()
+            sampler = assert_rows_drawn_as_alone(dist, 100, side)
+            assert probed == [sampler.gen.bit_generator]
 
     def test_plan_checked_as_contaminate_checks_it(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from cumskew import ColumnNotFound, CumskewError, EmptyOrTooSmall, ParseError, parse_csv
 from cumskew import ConditionSpec, DistributionSpec, run_condition, validate_sample
-from cumskew.cli import _condition_rows, main
+from cumskew.cli import _condition_row, main
 from cumskew import io
 from cumskew.io import _parse_rows, _read_column, run_metadata
 
@@ -526,6 +526,28 @@ LORENZ_PINS = {
 }
 COMPUTE_JSON_ROWS_PIN = "109513afb8f81da038a072f712f7e0417ac26f726e60386f7326702b739525ee"
 COMPUTE_CSV_ROW_PIN = "200000,0.466329,5.74987,0.522724,0.99999,false"
+# experiment result files, csv and json, pinned by sha256 of every line
+# but the one that names numpy's version (`normal_method`)
+EXPERIMENT_PINS = {
+    "table1 --reps 20 --n 30 --seed 7": (
+        "58b856f1c55f21fbafe59a3d9345f5e2b06ad14e5be795ee412155b692f7be1a",
+        "30ea9b0cf2e450b2d8026ae5f2174b8526be69bd570a68429e691a78dd7ffdb3"),
+    "null-normal --reps 40 --n 20 --seed 5 --sigma 2.5": (
+        "500436582cdb5050271eaa10cff9f4caf2292e31814614d7d2ed4bce90adeb90",
+        "974cd04096e97a952d9c1f45893698349119e077b44dd1021700b679473b77f7"),
+    "null-cauchy --reps 30 --n 20 --seed 2": (
+        "cd3c53f087a8ba4586765b6d1cc2c4eb2e0f31f105c473b824a020a5f9b46bde",
+        "de1ea4afd0caff54b9aaba880cbe3ba09b6b5fe3ffa900831873bac0ee80d393"),
+    "gcurve --n 500 --seed 2": (
+        "ca99ad2106984701bc35d64c3daaa3770a9426b6f2d3210c11731451c5da8b78",
+        "02387291be2839c8d860a8de79a51d735d854dfadcb54028754cf82c5a8b417b"),
+}
+
+
+def sha256_without_numpy_version(text: str) -> str:
+    kept = [line for line in text.splitlines(keepends=True)
+            if not line.lstrip().startswith(("# normal_method=", '"normal_method": '))]
+    return sha256("".join(kept).encode())
 
 
 class TestPinnedOutputs:
@@ -558,6 +580,15 @@ class TestPinnedOutputs:
         out = tmp_path / "report.csv"
         assert main(["compute", two_column_file, "--column", "y", "--out", str(out)]) == 0
         assert data_lines(out.read_text())[1] == COMPUTE_CSV_ROW_PIN
+
+    @pytest.mark.parametrize("args", EXPERIMENT_PINS)
+    def test_experiment_csv_and_json(self, tmp_path, args):
+        hashes = []
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"result.{fmt}"
+            assert main(["experiment", *args.split(), "--format", fmt, "--out", str(out)]) == 0
+            hashes.append(sha256_without_numpy_version(out.read_text(encoding="utf-8")))
+        assert tuple(hashes) == EXPERIMENT_PINS[args]
 
 
 class TestExperimentCommand:
@@ -636,7 +667,7 @@ class TestExperimentCommand:
                      "--format", "json", "--out", str(out)]) == 0
         dist = DistributionSpec.normal(0.0, 1.0) if name == "null-normal" else DistributionSpec.cauchy()
         spec = ConditionSpec(name, dist, 20, 30)
-        want = _condition_rows([run_condition(spec, 4)], [spec], 4)
+        want = [_condition_row(spec, run_condition(spec, 4))]
         assert json.loads(out.read_text())["rows"] == want
 
     def test_jobs_do_not_change_output(self, tmp_path):
