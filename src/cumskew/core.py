@@ -67,6 +67,8 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -316,31 +318,70 @@ def validate_sample(raw) -> Sample:
     """Check type, finiteness and size, preserving input order.
 
     Args:
-        raw: sequence of real numbers.
+        raw: a 1-D sequence of real numbers: an array of integer or float
+            dtype, or a list or object array whose items are real numbers
+            (int, float, Fraction or numpy's numbers) other than booleans.
 
     Returns:
         A Sample wrapping a read-only float64 copy of the data.
 
     Raises:
-        NonNumericData: the data are strings, bytes, booleans or complex
-            numbers (judged by the dtype numpy gives them, so a list mixing
-            booleans with numbers passes as numbers, and a complex value
-            with a zero imaginary part is still complex).
+        NonNumericData: the data are not real numbers: strings, bytes,
+            booleans, complex numbers, dates or time spans (judged by the
+            dtype numpy gives them, so a list mixing booleans with numbers
+            passes as numbers, and a complex value with a zero imaginary
+            part is still complex), an item of an object array that is not
+            a real number (None, a string, a bool; a set, a dict or a
+            generator is one such item), or a masked array, whose mask
+            would otherwise be dropped.
         NotOneDimensional: the data are a scalar or have more than one
             dimension.
         EmptyOrTooSmall: fewer than two values.
+        FloatRangeError: a finite value lies beyond the float64 range, such
+            as a huge int or a long double (first index reported).
         NonFiniteValue: a NaN or infinity is present (first index reported).
     """
+    ma = sys.modules.get("numpy.ma")  # loaded lazily: unloaded, raw is not masked
+    if ma is not None and isinstance(raw, ma.MaskedArray):
+        raise NonNumericData("masked arrays are not accepted; fill or drop "
+                             "the masked values first")
     values = np.array(raw)  # a copy, so converting it below never copies twice
-    if values.dtype.kind in "bcSU":
+    if values.dtype.kind not in "iufO":
         raise NonNumericData(f"expected real numbers, got {values.dtype} data")
-    values = values.astype(np.float64, copy=False)
+    values = _float64(values)
     if values.ndim != 1:
         raise NotOneDimensional(f"expected 1-D data, got shape {values.shape}")
     if values.size < 2:
         raise EmptyOrTooSmall(f"need at least 2 observations, got {values.size}")
     _check_finite(values[None, :])
     return Sample(values=_readonly(values))
+
+
+def _float64(values: np.ndarray) -> np.ndarray:
+    """An array of integer, float or object dtype as float64.
+
+    Every integer and every float up to float64 fits, so those convert in
+    one cast.  An object array's items, and a wider float's values, go one
+    at a time in flat order: an item that is not a real number (a set or a
+    generator, too, which numpy holds as one item) raises NonNumericData,
+    and a finite value that does not fit raises FloatRangeError.
+    """
+    if values.dtype.kind != "O" and values.dtype.itemsize <= 8:
+        return values.astype(np.float64, copy=False)
+    floats = np.empty(values.size)
+    with np.errstate(over="ignore"):  # a value beyond the float range raises below
+        for i, item in enumerate(values.flat):
+            if isinstance(item, bool) or not isinstance(item, numbers.Real):
+                raise NonNumericData(f"expected real numbers, got "
+                                     f"{type(item).__name__} at index {i}")
+            try:
+                floats[i] = item
+                beyond = np.isinf(floats[i]) and not np.isinf(item)
+            except OverflowError:  # an int or fraction too large for a float
+                beyond = True
+            if beyond:
+                raise FloatRangeError(f"value at index {i} lies beyond the float range")
+    return floats.reshape(values.shape)
 
 
 def _check_finite(block: np.ndarray) -> None:

@@ -453,7 +453,7 @@ def draw_sample(spec: DistributionSpec, rng: RngStream, n: int) -> Sample:
 class _BlockSampler:
     """Draws Monte Carlo replications straight into the rows of a block.
 
-    Row r of `draw(ids, cids)` is bit-identical to
+    Row r of `draw(states(ids), cids)` is bit-identical to
     draw_sample(dist, RngStream(base_seed, ids[r]), n), contaminated, when
     a plan is given, as `contaminate` would from
     RngStream(base_seed, cids[r]) after drawing the outlier count from
@@ -461,12 +461,14 @@ class _BlockSampler:
     experiments.ContaminationPlan, which checks itself when built.
 
     The sampler owns one Generator over one PCG64 (`gen`), probed once by
-    `_state_memory`.  The seed words and PCG64 states of a block's streams
-    are computed in one vectorised pass (`_seed_words`, `_pcg_states`).
-    Per row it only puts `gen` in the row's stream (`_seed_each`) and draws
-    into the row; the family's transform and the finite check run once per
-    block.  A contaminated block then puts `gen` in each row's
-    contamination stream in turn: the block's draws are done by then, and
+    `_state_memory`.  `states` computes the seed words and PCG64 states of
+    any number of streams in one vectorised pass (`_seed_words`,
+    `_pcg_states`), so a caller can compute them for many blocks at once
+    and hand each block its rows.  Per row `draw` only puts `gen` in the
+    row's stream (`_seed_each`) and draws into the row; the family's
+    transform and the finite check run once per block.  A contaminated
+    block then computes its rows' contamination states and puts `gen` in
+    each of those streams in turn: the block's draws are done by then, and
     every seeding clears the buffered half-word, so no draw carries over
     from one stream to the next.  Errors are those of the one-row path,
     raised for the first row that has one.  Concurrent callers each build
@@ -483,16 +485,20 @@ class _BlockSampler:
         self.gen = np.random.Generator(np.random.PCG64(0))
         self._memory = _state_memory(self.gen.bit_generator)
 
-    def _seed_each(self, ids):
-        """Put `gen` in the stream of every id in turn, with no buffered
-        half-word, yielding once it is there.
+    def states(self, ids) -> np.ndarray:
+        """The `_pcg_states` rows of the streams `ids` (uint64) under the
+        sampler's base seed, as `draw` and `_seed_each` take them."""
+        return _pcg_states(_seed_words(self.base_seed, ids))
 
-        It writes each stream's `_pcg_states` row straight into the
-        generator's memory, and clears the half-word, through the views
-        `_state_memory` found; where that probe failed, it sets the same
-        state through the public `state` setter.
+    def _seed_each(self, states):
+        """Put `gen` in the stream of every `states` row in turn, with no
+        buffered half-word, yielding once it is there.
+
+        It writes each row straight into the generator's memory, and clears
+        the half-word, through the views `_state_memory` found; where that
+        probe failed, it sets the same state through the public `state`
+        setter.
         """
-        states = _pcg_states(_seed_words(self.base_seed, ids))
         if self._memory is None:
             bit_generator = self.gen.bit_generator
             for lo, hi, inc_lo, inc_hi in states.tolist():
@@ -509,14 +515,15 @@ class _BlockSampler:
             flags[:] = clear
             yield
 
-    def draw(self, ids, cids=None, out=None) -> np.ndarray:
-        """The (len(ids), n) block of the streams `ids`, contaminated from
-        the streams `cids` when the sampler has a plan; drawn into `out`,
-        a C-contiguous float64 array of that shape, when it is given."""
+    def draw(self, states, cids=None, out=None) -> np.ndarray:
+        """The (len(states), n) block of the streams whose `states` rows
+        are given, contaminated from the streams `cids` when the sampler
+        has a plan; drawn into `out`, a C-contiguous float64 array of that
+        shape, when it is given."""
         dist = self.dist
-        block = np.empty((len(ids), self.n)) if out is None else out
+        block = np.empty((len(states), self.n)) if out is None else out
         fill = self.gen.random if dist.kind == "cauchy" else self.gen.standard_normal
-        for row, _ in zip(block, self._seed_each(ids)):
+        for row, _ in zip(block, self._seed_each(states)):
             fill(out=row)
         _transform(block, dist.kind, dist.mu, dist.sigma, dist.g)
         if self.plan is None:
@@ -530,7 +537,7 @@ class _BlockSampler:
         plan, gen = self.plan, self.gen
         finite = np.isfinite(block).all(axis=1).tolist()
         scales = np.max(np.abs(block), axis=1).tolist()
-        streams = self._seed_each(cids)
+        streams = self._seed_each(self.states(cids))
         for row, ok, scale, _ in zip(block, finite, scales, streams):
             if not ok:
                 _check_finite(row[None])

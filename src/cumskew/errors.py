@@ -32,7 +32,8 @@ class NonFiniteValue(CumskewError, ValueError):
 
 
 class NonNumericData(CumskewError, TypeError):
-    """The input holds strings, bytes or booleans rather than real numbers."""
+    """The input is not real numbers: strings, bytes, booleans, complex
+    numbers, dates, other objects, or a masked array."""
 
 
 class NotOneDimensional(CumskewError, ValueError):
@@ -64,4 +65,5 @@ class ParseError(CumskewError, ValueError):
 
 
 class FloatRangeError(CumskewError, ArithmeticError):
-    """A statistic of finite data falls outside the float range."""
+    """A finite input value, or a statistic of finite data, falls outside
+    the float range."""

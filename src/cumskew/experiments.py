@@ -3,14 +3,17 @@
 Each replication owns an independent random stream whose id is a stable
 hash of (condition id, replication index), so results are bit-identical
 whether replications run serially or across a process pool, and across
-repeated invocations with the same base seed.  Replications are drawn
-straight into blocks (`distributions._BlockSampler`) and each block is
-scored at once (`core._score_rows`), all in one workspace per range of
-replications.
+repeated invocations with the same base seed.  A condition's replications
+are split into one contiguous range per worker.  A range hashes its stream
+ids and computes their PCG64 states a batch of blocks at a time; each block
+is drawn from its rows of the batch (`distributions._BlockSampler`) and
+scored at once (`core._score_rows`), all in one workspace per range.
 
-Runs with jobs > 1 share one process pool per process (`_SharedPool`):
-it is built on first use, rebuilt when the worker count changes or a
-worker has died, never used by a forked child, and closed at exit.
+Runs with more than one worker map their ranges, one task each, onto one
+process pool per process (`_SharedPool`): it is built on first use,
+rebuilt when the worker count changes or a worker has died, never used by
+a forked child, and closed at exit.  A run with one worker, including any
+run on a 1-CPU host, stays in the calling process.
 """
 
 from __future__ import annotations
@@ -67,6 +70,12 @@ TABLE1_LOW_MAGNITUDES = (1.05, 1.5)
 # of 2048-4096 rows.
 _BLOCK_VALUES = 32_768
 
+# Stream states are computed for about this many replications at a time,
+# in whole blocks: enough to spread the seeding hash's numpy calls over
+# many rows, and a fixed bound on its temporaries (about 200 bytes per
+# replication) however many replications a range holds.
+_SEED_REPS = 4096
+
 
 def derive_stream_id(*parts) -> int:
     """Stable 64-bit stream id from string-convertible parts."""
@@ -77,9 +86,16 @@ def derive_stream_id(*parts) -> int:
 def _stream_ids(prefix: bytes, reps, suffix: bytes = b"") -> np.ndarray:
     """derive_stream_id(condition id, rep) of every rep, or with the
     "contamination" part, as a uint64 array, from the condition id's text
-    encoded once: prefix is b"<id>:" and suffix b"" or b":contamination"."""
-    digests = b"".join(hashlib.blake2b(b"%s%d%s" % (prefix, rep, suffix),
-                                       digest_size=8).digest() for rep in reps)
+    encoded once: prefix is b"<id>:" and suffix b"" or b":contamination".
+
+    The prefix is hashed once; each rep continues a copy of that hash.
+    """
+    head = hashlib.blake2b(prefix, digest_size=8)
+    digests = bytearray()
+    for rep in reps:
+        h = head.copy()
+        h.update(b"%d%s" % (rep, suffix))
+        digests += h.digest()
     return np.frombuffer(digests, ">u8").astype(np.uint64)
 
 
@@ -166,34 +182,42 @@ class GCurvePoint:
 def _replicate_range(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """CS, b1 and degenerate flags of replications start..stop-1.
 
-    Replications are drawn straight into blocks of about _BLOCK_VALUES
-    values and each block is scored at once; a row's draws and scores do
-    not depend on its block, so any split of the range gives the same
-    results.
+    The PCG64 states of the replications' streams are computed for a batch
+    of whole blocks at a time (about _SEED_REPS replications), and each
+    block draws from its rows of the batch.  Replications are drawn
+    straight into blocks of about _BLOCK_VALUES values and each block is
+    scored at once; a row's draws and scores do not depend on its block or
+    batch, so any split of the range gives the same results.
     """
     spec, base_seed, start, stop = args
     n = spec.n
     rows = max(1, min(_BLOCK_VALUES // n, stop - start))
+    batch = rows * max(1, _SEED_REPS // rows)
     sampler = _BlockSampler(spec.distribution, n, base_seed, spec.contamination)
     prefix = f"{spec.id}:".encode("utf-8")
     # one workspace for every block: the block itself, then the kernel's
     # sorted copy and two scratch blocks; a short last block uses the
     # leading rows of each, which are C-contiguous too
     space = np.empty((4, rows, n))
-    parts = []
-    for lo in range(start, stop, rows):
-        reps = range(lo, min(lo + rows, stop))
-        cids = None if spec.contamination is None else \
-            _stream_ids(prefix, reps, b":contamination")
-        block = sampler.draw(_stream_ids(prefix, reps), cids, out=space[0, :len(reps)])
-        scores = _score_rows(block, space[1:, :len(reps)])
-        parts.append((scores.cs, scores.b1, scores.degenerate))
-    return tuple(np.concatenate(col) for col in zip(*parts))
+    cs, b1 = np.empty(stop - start), np.empty(stop - start)
+    degenerate = np.empty(stop - start, dtype=bool)
+    for first in range(start, stop, batch):
+        last = min(first + batch, stop)
+        states = sampler.states(_stream_ids(prefix, range(first, last)))
+        for lo in range(first, last, rows):
+            reps = range(lo, min(lo + rows, last))
+            cids = None if spec.contamination is None else \
+                _stream_ids(prefix, reps, b":contamination")
+            block = sampler.draw(states[lo - first:reps.stop - first], cids,
+                                 out=space[0, :len(reps)])
+            scores = _score_rows(block, space[1:, :len(reps)])
+            done = slice(lo - start, reps.stop - start)
+            cs[done], b1[done], degenerate[done] = scores.cs, scores.b1, scores.degenerate
+    return cs, b1, degenerate
 
 
 def _chunk_bounds(reps: int, chunks: int) -> list[tuple[int, int]]:
-    # contiguous 1-based rep ranges covering 1..reps
-    chunks = max(1, min(chunks, reps))
+    # contiguous 1-based rep ranges covering 1..reps, for 1 <= chunks <= reps
     size, extra = divmod(reps, chunks)
     bounds = []
     start = 1
@@ -204,14 +228,14 @@ def _chunk_bounds(reps: int, chunks: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def _pool_workers(jobs: int, tasks: int) -> int:
-    """Worker processes for `tasks` pool tasks: jobs, capped by the host's
-    CPU count and by the number of tasks."""
-    return min(jobs, os.cpu_count() or 1, tasks)
+def _pool_workers(jobs: int, reps: int) -> int:
+    """Worker processes for a condition of `reps` replications: jobs,
+    capped by the host's CPU count and by the number of replications."""
+    return min(jobs, os.cpu_count() or 1, reps)
 
 
 class _SharedPool:
-    """The process pool that run_condition maps its chunks onto.
+    """The process pool that run_condition maps its ranges onto.
 
     The pool is built on the first call and reused while the worker count
     stays the same.  A new count, or a pool found broken as a call starts
@@ -274,15 +298,18 @@ if hasattr(os, "register_at_fork"):
 def run_condition(spec: ConditionSpec, base_seed: int, jobs: int = 1) -> ConditionResult:
     """Run all replications of one condition and aggregate.
 
-    jobs > 1 splits the replications into jobs * 4 contiguous chunks and
-    maps them onto the process's shared pool of at most jobs workers (fewer
-    on a host with fewer CPUs); results are reduced in replication order
-    either way, so output is identical to a serial run.
+    The replications are split into one contiguous range per worker, at
+    most jobs workers and no more than the host has CPUs.  With more than
+    one worker the ranges are mapped onto the process's shared pool, one
+    task each; with one, the whole range runs in this process.  Results
+    are reduced in replication order either way, so output is identical to
+    a serial run.
     """
-    if jobs > 1 and spec.reps > 1:
+    workers = _pool_workers(jobs, spec.reps)
+    if workers > 1:
         tasks = [(spec, base_seed, start, stop)
-                 for start, stop in _chunk_bounds(spec.reps, jobs * 4)]
-        chunks = _POOL.map(_replicate_range, tasks, _pool_workers(jobs, len(tasks)))
+                 for start, stop in _chunk_bounds(spec.reps, workers)]
+        chunks = _POOL.map(_replicate_range, tasks, workers)
         cs, b1, degenerate = (np.concatenate(col) for col in zip(*chunks))
     else:
         cs, b1, degenerate = _replicate_range((spec, base_seed, 1, spec.reps + 1))

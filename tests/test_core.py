@@ -87,6 +87,50 @@ class TestValidateSample:
             validate_sample(raw)
         assert issubclass(NonNumericData, CumskewError)
 
+    @pytest.mark.parametrize("raw", [
+        np.array(["2020-01-01", "2020-01-03", "2020-01-09"], dtype="datetime64[D]"),
+        np.array([1, 2, 7], dtype="timedelta64[s]"),
+        np.ma.array([1, 2, 3, 4], mask=[0, 1, 0, 0]),
+        np.ma.array([1.0, 2.0, 3.0]),
+        np.array(["1", 2, 3], dtype=object),
+        [1, None, 3],
+        [Fraction(1, 2), 1, True],
+        {1.0, 2.0, 3.0},
+        (x for x in [1.0, 2.0, 3.0]),
+    ], ids=["datetime64", "timedelta64", "masked", "mask-free-masked-array",
+            "object-str", "object-none", "object-bool", "set", "generator"])
+    def test_rejects_data_that_are_not_real_numbers(self, raw):
+        # dates and spans would score as day or second counts, a mask would
+        # be dropped, and None would be reported as a NaN
+        with pytest.raises(NonNumericData):
+            validate_sample(raw)
+
+    @pytest.mark.parametrize("raw", [
+        [10**400, 1, 2],
+        [1, -Fraction(10**400), 2],
+    ])
+    def test_finite_value_beyond_float64_is_a_range_error(self, raw):
+        with pytest.raises(FloatRangeError, match="at index"):
+            validate_sample(raw)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).max <= np.finfo(np.float64).max,
+                        reason="long double is float64 here")
+    def test_long_double_beyond_float64_is_a_range_error(self):
+        with pytest.raises(FloatRangeError, match="at index 0"):
+            validate_sample(np.array([np.longdouble("1e4000"), 1, 2]))
+        with pytest.raises(FloatRangeError, match="at index 1"):
+            validate_sample(np.array([1.0, np.longdouble("-1e4000")], dtype=object))
+        with pytest.raises(NonFiniteValue, match="at index 2"):
+            validate_sample(np.array([1, 2, np.longdouble("inf")]))
+        s = validate_sample(np.array([np.longdouble(1) / 3, 2]))
+        assert s.values.tolist() == [1 / 3, 2.0]
+
+    def test_object_items_convert_as_numpy_casts_them(self):
+        items = [Fraction(1, 3), 2**70 + 1, -(2**64) + 1, np.float32(0.1), np.int64(-7),
+                 np.uint64(2**64 - 1), 0.5, Fraction(-10**300, 3)]
+        s = validate_sample(items)
+        assert np.array_equal(s.values, np.array(items, dtype=object).astype(np.float64))
+
     @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint64, np.float32, np.float64])
     def test_numeric_dtypes_accepted(self, dtype):
         s = validate_sample(np.array([3, 1, 2], dtype=dtype))

@@ -138,7 +138,7 @@ class TestBatchedSeeding:
             sampler = _BlockSampler(DistributionSpec.normal(), 2, base)
             gen = sampler.gen
             assert (sampler._memory is None) == (state_write == "setter")
-            for sid, _ in zip(EDGE_IDS, sampler._seed_each(EDGE_U64)):
+            for sid, _ in zip(EDGE_IDS, sampler._seed_each(sampler.states(EDGE_U64))):
                 assert gen.bit_generator.state == seeded(base, sid).bit_generator.state
                 # as a contaminated row's outlier count does: draw a 32-bit
                 # half-word, which buffers the other half for the next one
@@ -148,7 +148,7 @@ class TestBatchedSeeding:
     @pytest.mark.parametrize("base", EDGE_BASES)
     def test_preset_stream_equals_seeded_stream(self, base, monkeypatch):
         for sampler in state_writes(base, monkeypatch):
-            for sid, _ in zip(EDGE_IDS, sampler._seed_each(EDGE_U64)):
+            for sid, _ in zip(EDGE_IDS, sampler._seed_each(sampler.states(EDGE_U64))):
                 single = seeded(base, sid)
                 assert sampler.gen.bit_generator.state == single.bit_generator.state
                 assert np.array_equal(sampler.gen.random(8), single.random(8))

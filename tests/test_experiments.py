@@ -6,6 +6,7 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,7 +105,7 @@ class TestRunCondition:
 
     def test_parallel_matches_serial_across_block_boundaries(self):
         # n=40 scores 819 replications per block; 1000 reps leave a partial
-        # block serially and split into 125-rep chunks across the pool
+        # block serially and split into two 500-rep ranges, one per worker
         spec = small_spec(reps=1000, contaminated=True)
         assert run_condition(spec, base_seed=17, jobs=1) == run_condition(spec, base_seed=17, jobs=2)
 
@@ -157,6 +158,43 @@ class TestRunCondition:
             assert np.array_equal(cs, [s.cs[0] for s in alone])
             assert np.array_equal(b1, [s.b1[0] for s in alone])
             assert np.array_equal(degenerate, [s.degenerate[0] for s in alone])
+
+    @pytest.mark.parametrize("contaminated", [False, True])
+    def test_range_past_the_seeding_batch_scores_as_each_rep_alone(self, contaminated):
+        # n=100 scores 327 replications per block and seeds 12 blocks (3,924
+        # replications) per batch, so this range takes a second batch, which
+        # ends in a partial block
+        spec = ConditionSpec("batch", DistributionSpec.normal(1.0, 2.0), 100, 5000,
+                             contamination=ContaminationPlan(side="high")
+                             if contaminated else None)
+        rows = experiments._BLOCK_VALUES // spec.n
+        batch = rows * (experiments._SEED_REPS // rows)
+        assert rows < batch <= 10_000  # a second batch, and a cheap reference
+        start, stop = 5, 5 + batch + rows + 11
+        assert (stop - start) % rows
+        reps = range(start, stop)
+        ref = _score_rows(drawn_alone(spec.distribution, spec.n, 23,
+                                      [derive_stream_id(spec.id, rep) for rep in reps],
+                                      [derive_stream_id(spec.id, rep, "contamination")
+                                       for rep in reps], spec.contamination))
+        cs, b1, degenerate = experiments._replicate_range((spec, 23, start, stop))
+        assert np.array_equal(cs, ref.cs) and np.array_equal(b1, ref.b1)
+        assert np.array_equal(degenerate, ref.degenerate)
+
+    def test_seeding_memory_does_not_grow_with_reps(self):
+        # the results take 17 bytes a replication; the rest of a range's
+        # peak, the block workspace (4 * _BLOCK_VALUES floats, 1 MiB) and
+        # one seeding batch, is bounded, where seeding all 50k streams at
+        # once would hold about 9 MB of hash temporaries
+        spec = ConditionSpec("null-normal", DistributionSpec.normal(), 100, 50_000)
+        experiments._replicate_range((spec, 11, 1, 11))  # numpy.random's import untraced
+        tracemalloc.start()
+        try:
+            got = experiments._replicate_range((spec, 11, 1, spec.reps + 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - sum(col.nbytes for col in got) <= 3 * 2**20
 
     def test_pool_workers_capped_by_cpus_and_tasks(self, monkeypatch):
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
@@ -231,7 +269,7 @@ def assert_rows_drawn_as_alone(dist, n, side=None):
     ids = [derive_stream_id("rows", n, r) for r in range(13)]
     cids = [derive_stream_id("rows", n, r, "contamination") for r in range(13)]
     sampler = _BlockSampler(dist, n, base, plan)
-    block = sampler.draw(ids, cids if plan else None)
+    block = sampler.draw(sampler.states(ids), cids if plan else None)
     assert block.shape == (13, n)
     assert np.array_equal(block, drawn_alone(dist, n, base, ids, cids, plan))
     return sampler
@@ -425,6 +463,26 @@ class TestSharedPool:
         assert run_null(dist, 20, 60, 3, jobs=2) == serial
         assert run_null(dist, 20, 60, 3, jobs=2) == serial
         assert len(built_pools) == 1 and shared_pool._executor is built_pools[0]
+
+    def test_one_contiguous_task_per_worker(self, shared_pool, built_pools, monkeypatch):
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+        mapped = []
+
+        def run_here(fn, tasks, workers):
+            mapped.append(([task[2:] for task in tasks], workers))
+            return [fn(task) for task in tasks]
+
+        monkeypatch.setattr(shared_pool, "map", run_here)
+        spec = small_spec(reps=100, contaminated=True)
+        assert run_condition(spec, 13, jobs=3) == run_condition(spec, 13, jobs=1)
+        assert mapped == [([(1, 35), (35, 68), (68, 101)], 3)]
+        assert built_pools == []
+
+    def test_one_cpu_runs_in_process(self, shared_pool, built_pools, monkeypatch):
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 1)
+        spec = small_spec(reps=100, contaminated=True)
+        assert run_condition(spec, 13, jobs=4) == run_condition(spec, 13, jobs=1)
+        assert built_pools == [] and shared_pool._executor is None
 
     def test_killed_worker_does_not_fail_the_next_call(self, shared_pool):
         spec = small_spec(reps=80)
