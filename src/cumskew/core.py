@@ -334,8 +334,9 @@ def validate_sample(raw) -> Sample:
             a real number (None, a string, a bool; a set, a dict or a
             generator is one such item), or a masked array, whose mask
             would otherwise be dropped.
-        NotOneDimensional: the data are a scalar or have more than one
-            dimension.
+        NotOneDimensional: the data are a scalar, have more than one
+            dimension, or are ragged nested sequences such as [[1, 2], [3]]
+            or [1, [2, 3]].
         EmptyOrTooSmall: fewer than two values.
         FloatRangeError: a finite value lies beyond the float64 range, such
             as a huge int or a long double (first index reported).
@@ -345,7 +346,10 @@ def validate_sample(raw) -> Sample:
     if ma is not None and isinstance(raw, ma.MaskedArray):
         raise NonNumericData("masked arrays are not accepted; fill or drop "
                              "the masked values first")
-    values = np.array(raw)  # a copy, so converting it below never copies twice
+    try:
+        values = np.array(raw)  # a copy, so converting it below never copies twice
+    except ValueError as exc:  # numpy's "inhomogeneous shape"
+        raise NotOneDimensional("expected 1-D data, got ragged nested sequences") from exc
     if values.dtype.kind not in "iufO":
         raise NonNumericData(f"expected real numbers, got {values.dtype} data")
     values = _float64(values)

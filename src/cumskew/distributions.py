@@ -6,23 +6,26 @@ Parallel work should create one stream per task instead of sharing one.
 
 A stream is numpy's PCG64 seeded by SeedSequence([base_seed, stream_id]).
 Seeding a stream that way costs more than drawing a hundred values from
-it, so the Monte Carlo harness does not build streams at all.  Its block
-sampler, `_BlockSampler`, runs SeedSequence's hash on arrays, one lane per
-stream id (`_seed_words`), and computes every PCG64 state from its seed
-words as PCG64's own seeding does, in 64-bit halves (`_pcg_states`, the
-package's one copy of that arithmetic).  Each sampler owns one generator
-and probes numpy's struct layout for it once.  Per stream it writes that
-state into the generator: straight into its memory where the probe
-succeeded, or through the public `state` setter where it failed.  It then
-draws into the stream's row of the block.  The family's transform and the
-finite check then run once per block, and a contaminated block puts the
-same generator in each row's contamination stream in turn.  Every state,
-and so every value drawn, is bit-identical to that of the stream built
-alone (O'Neill, "PCG: A Family of Simple Fast Space-Efficient
-Statistically Good Algorithms for Random Number Generation", 2014, for
-PCG64 and its seeding; numpy's SeedSequence for the hash).  The
-single-stream samplers apply the same in-place transforms to their one
-row.
+it, so the Monte Carlo harness does not build streams at all.
+`_stream_states` runs SeedSequence's hash on arrays, one lane per stream
+id (`_seed_words`), and computes every PCG64 state from its seed words as
+PCG64's own seeding does, in 64-bit halves (`_pcg_states`, the package's
+one copy of that arithmetic).  The harness computes the states of a batch
+of draw streams, and of a contaminated condition's contamination streams,
+in one such pass per kind, and hands each block its rows.  The block
+sampler, `_BlockSampler`, takes those states, not stream ids or a base
+seed.  It owns one generator and probes numpy's struct layout for it once.
+Per stream it writes the stream's state into the generator: straight into
+its memory where the probe succeeded, or through the public `state` setter
+where it failed.  It then draws into the stream's row of the block.  The
+family's transform and the finite check then run once per block, and a
+contaminated block puts the same generator in each row's contamination
+stream in turn.  Every state, and so every value drawn, is bit-identical
+to that of the stream built alone (O'Neill, "PCG: A Family of Simple Fast
+Space-Efficient Statistically Good Algorithms for Random Number
+Generation", 2014, for PCG64 and its seeding; numpy's SeedSequence for the
+hash).  The single-stream samplers apply the same in-place transforms to
+their one row.
 """
 
 from __future__ import annotations
@@ -177,6 +180,12 @@ def _pcg_states(words: np.ndarray) -> np.ndarray:
     lo = t_lo * _PCG_MULT_LO + inc_lo
     hi += inc_hi + (lo < inc_lo)
     return np.stack([lo, hi, inc_lo, inc_hi], axis=1)
+
+
+def _stream_states(base_seed: int, stream_ids) -> np.ndarray:
+    """The `_pcg_states` rows of the streams `stream_ids` (uint64) under
+    base_seed, in one vectorised pass, as `_BlockSampler.draw` takes them."""
+    return _pcg_states(_seed_words(base_seed, stream_ids))
 
 
 def _state_memory(bit_generator):
@@ -351,20 +360,20 @@ def _tukey_g(z: np.ndarray, g: float) -> None:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the caller's finite check reports it
-def _transform(values: np.ndarray, kind: str, mu: float = 0.0, sigma: float = 1.0,
-               g: float = 0.0) -> None:
+def _transform(values: np.ndarray, spec: DistributionSpec) -> None:
     """Map standard variates (uniforms for the Cauchy, standard normals
-    otherwise) to the family's values in place, any number of rows at once."""
-    if kind == "cauchy":
+    otherwise) to the values of spec's family in place, any number of rows
+    at once."""
+    if spec.kind == "cauchy":
         _cauchy(values)
         return
-    values *= sigma
-    if kind == "lognormal":
+    values *= spec.sigma
+    if spec.kind == "lognormal":
         np.exp(values, out=values)
         return
-    values += mu
-    if kind == "tukey_g":
-        _tukey_g(values, g)
+    values += spec.mu
+    if spec.kind == "tukey_g":
+        _tukey_g(values, spec.g)
 
 
 def sample_normal(rng: RngStream, mu: float, sigma: float, n: int) -> Sample:
@@ -446,49 +455,42 @@ def contaminate(sample: Sample, spec: ContaminationSpec, rng: RngStream) -> Samp
 def draw_sample(spec: DistributionSpec, rng: RngStream, n: int) -> Sample:
     """Draw n observations from the specified distribution."""
     values = rng.random(n) if spec.kind == "cauchy" else rng.standard_normal(n)
-    _transform(values, spec.kind, spec.mu, spec.sigma, spec.g)
+    _transform(values, spec)
     return validate_sample(values)
 
 
 class _BlockSampler:
     """Draws Monte Carlo replications straight into the rows of a block.
 
-    Row r of `draw(states(ids), cids)` is bit-identical to
-    draw_sample(dist, RngStream(base_seed, ids[r]), n), contaminated, when
-    a plan is given, as `contaminate` would from
-    RngStream(base_seed, cids[r]) after drawing the outlier count from
-    [plan.count_min, plan.count_max] on that stream.  `plan` is an
-    experiments.ContaminationPlan, which checks itself when built.
+    `draw(states, cstates, out)` takes the `_stream_states` rows of the
+    block's streams, and of their contamination streams when the sampler
+    has a plan, not stream ids or a base seed.  With states =
+    _stream_states(base_seed, ids) and cstates = _stream_states(base_seed,
+    cids), row r of the block is bit-identical to draw_sample(dist,
+    RngStream(base_seed, ids[r]), n), contaminated, when a plan is given,
+    as `contaminate` would from RngStream(base_seed, cids[r]) after drawing
+    the outlier count from [plan.count_min, plan.count_max] on that stream.
+    `plan` is an experiments.ContaminationPlan, which checks itself when
+    built.
 
     The sampler owns one Generator over one PCG64 (`gen`), probed once by
-    `_state_memory`.  `states` computes the seed words and PCG64 states of
-    any number of streams in one vectorised pass (`_seed_words`,
-    `_pcg_states`), so a caller can compute them for many blocks at once
-    and hand each block its rows.  Per row `draw` only puts `gen` in the
-    row's stream (`_seed_each`) and draws into the row; the family's
-    transform and the finite check run once per block.  A contaminated
-    block then computes its rows' contamination states and puts `gen` in
-    each of those streams in turn: the block's draws are done by then, and
-    every seeding clears the buffered half-word, so no draw carries over
-    from one stream to the next.  Errors are those of the one-row path,
-    raised for the first row that has one.  Concurrent callers each build
-    their own sampler.
+    `_state_memory`.  Per row `draw` only puts `gen` in the row's stream
+    (`_seed_each`) and draws into the row; the family's transform and the
+    finite check run once per block.  A contaminated block then puts `gen`
+    in each row's contamination stream in turn: the block's draws are done
+    by then, and every seeding clears the buffered half-word, so no draw
+    carries over from one stream to the next.  Errors are those of the
+    one-row path, raised for the first row that has one.  Concurrent
+    callers each build their own sampler.
     """
 
-    def __init__(self, dist: DistributionSpec, n: int, base_seed: int, plan=None):
+    def __init__(self, dist: DistributionSpec, plan=None):
         self.dist = dist
-        self.n = n
-        self.base_seed = base_seed
         self.plan = plan
         # built on use, not at import: touching np.random loads
         # numpy.random, which numpy otherwise imports lazily
         self.gen = np.random.Generator(np.random.PCG64(0))
         self._memory = _state_memory(self.gen.bit_generator)
-
-    def states(self, ids) -> np.ndarray:
-        """The `_pcg_states` rows of the streams `ids` (uint64) under the
-        sampler's base seed, as `draw` and `_seed_each` take them."""
-        return _pcg_states(_seed_words(self.base_seed, ids))
 
     def _seed_each(self, states):
         """Put `gen` in the stream of every `states` row in turn, with no
@@ -515,30 +517,27 @@ class _BlockSampler:
             flags[:] = clear
             yield
 
-    def draw(self, states, cids=None, out=None) -> np.ndarray:
-        """The (len(states), n) block of the streams whose `states` rows
-        are given, contaminated from the streams `cids` when the sampler
-        has a plan; drawn into `out`, a C-contiguous float64 array of that
-        shape, when it is given."""
-        dist = self.dist
-        block = np.empty((len(states), self.n)) if out is None else out
-        fill = self.gen.random if dist.kind == "cauchy" else self.gen.standard_normal
-        for row, _ in zip(block, self._seed_each(states)):
+    def draw(self, states, cstates, out: np.ndarray) -> np.ndarray:
+        """Draw the streams whose `states` rows are given into `out`, a
+        C-contiguous float64 array of shape (len(states), n), contaminated
+        from the streams of the `cstates` rows when the sampler has a plan
+        (cstates is None when it has none); returns out."""
+        fill = self.gen.random if self.dist.kind == "cauchy" else self.gen.standard_normal
+        for row, _ in zip(out, self._seed_each(states)):
             fill(out=row)
-        _transform(block, dist.kind, dist.mu, dist.sigma, dist.g)
+        _transform(out, self.dist)
         if self.plan is None:
-            _check_finite(block)
+            _check_finite(out)
         else:
-            self._contaminate(block, cids)
-        return block
+            self._contaminate(out, cstates)
+        return out
 
     @np.errstate(over="ignore")  # an outlier beyond the float range is reported below
-    def _contaminate(self, block: np.ndarray, cids) -> None:
+    def _contaminate(self, block: np.ndarray, cstates) -> None:
         plan, gen = self.plan, self.gen
         finite = np.isfinite(block).all(axis=1).tolist()
         scales = np.max(np.abs(block), axis=1).tolist()
-        streams = self._seed_each(self.states(cids))
-        for row, ok, scale, _ in zip(block, finite, scales, streams):
+        for row, ok, scale, _ in zip(block, finite, scales, self._seed_each(cstates)):
             if not ok:
                 _check_finite(row[None])
             count = int(gen.integers(plan.count_min, plan.count_max + 1))

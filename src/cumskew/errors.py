@@ -37,7 +37,7 @@ class NonNumericData(CumskewError, TypeError):
 
 
 class NotOneDimensional(CumskewError, ValueError):
-    """The input is a scalar or has more than one dimension."""
+    """The input is a scalar, has more than one dimension, or is ragged."""
 
 
 class ConstantSample(CumskewError, ValueError):

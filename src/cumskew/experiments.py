@@ -4,10 +4,13 @@ Each replication owns an independent random stream whose id is a stable
 hash of (condition id, replication index), so results are bit-identical
 whether replications run serially or across a process pool, and across
 repeated invocations with the same base seed.  A condition's replications
-are split into one contiguous range per worker.  A range hashes its stream
-ids and computes their PCG64 states a batch of blocks at a time; each block
-is drawn from its rows of the batch (`distributions._BlockSampler`) and
-scored at once (`core._score_rows`), all in one workspace per range.
+are split into one contiguous range per worker.  A range is the one place
+where stream ids become PCG64 states: a batch of blocks at a time, it
+hashes the draw stream ids and, for a contaminated condition, the
+contamination stream ids, and computes each kind's states in one pass
+(`distributions._stream_states`).  Each block is drawn from its rows of
+both (`distributions._BlockSampler`, which takes states alone) and scored
+at once (`core._score_rows`), all in one workspace per range.
 
 Runs with more than one worker map their ranges, one task each, onto one
 process pool per process (`_SharedPool`): it is built on first use,
@@ -35,6 +38,7 @@ from .distributions import (
     DistributionSpec,
     RngStream,
     _BlockSampler,
+    _stream_states,
     tukey_g_transform,
 )
 
@@ -182,18 +186,20 @@ class GCurvePoint:
 def _replicate_range(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """CS, b1 and degenerate flags of replications start..stop-1.
 
-    The PCG64 states of the replications' streams are computed for a batch
-    of whole blocks at a time (about _SEED_REPS replications), and each
-    block draws from its rows of the batch.  Replications are drawn
-    straight into blocks of about _BLOCK_VALUES values and each block is
-    scored at once; a row's draws and scores do not depend on its block or
-    batch, so any split of the range gives the same results.
+    The PCG64 states of the replications' draw streams, and of their
+    contamination streams when the condition has a plan, are computed for
+    a batch of whole blocks at a time (about _SEED_REPS replications), one
+    pass per kind; no block seeds anything, and each block draws from its
+    rows of the batch.  Replications are drawn straight into blocks of
+    about _BLOCK_VALUES values and each block is scored at once; a row's
+    draws and scores do not depend on its block or batch, so any split of
+    the range gives the same results.
     """
     spec, base_seed, start, stop = args
-    n = spec.n
+    n, plan = spec.n, spec.contamination
     rows = max(1, min(_BLOCK_VALUES // n, stop - start))
     batch = rows * max(1, _SEED_REPS // rows)
-    sampler = _BlockSampler(spec.distribution, n, base_seed, spec.contamination)
+    sampler = _BlockSampler(spec.distribution, plan)
     prefix = f"{spec.id}:".encode("utf-8")
     # one workspace for every block: the block itself, then the kernel's
     # sorted copy and two scratch blocks; a short last block uses the
@@ -202,16 +208,16 @@ def _replicate_range(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     cs, b1 = np.empty(stop - start), np.empty(stop - start)
     degenerate = np.empty(stop - start, dtype=bool)
     for first in range(start, stop, batch):
-        last = min(first + batch, stop)
-        states = sampler.states(_stream_ids(prefix, range(first, last)))
-        for lo in range(first, last, rows):
-            reps = range(lo, min(lo + rows, last))
-            cids = None if spec.contamination is None else \
-                _stream_ids(prefix, reps, b":contamination")
-            block = sampler.draw(states[lo - first:reps.stop - first], cids,
-                                 out=space[0, :len(reps)])
-            scores = _score_rows(block, space[1:, :len(reps)])
-            done = slice(lo - start, reps.stop - start)
+        reps = range(first, min(first + batch, stop))
+        states = _stream_states(base_seed, _stream_ids(prefix, reps))
+        cstates = None if plan is None else \
+            _stream_states(base_seed, _stream_ids(prefix, reps, b":contamination"))
+        for lo in range(0, len(reps), rows):
+            part = slice(lo, lo + rows)
+            block = sampler.draw(states[part], None if plan is None else cstates[part],
+                                 space[0, :len(reps[part])])
+            scores = _score_rows(block, space[1:, :len(block)])
+            done = slice(first - start + lo, first - start + lo + len(block))
             cs[done], b1[done], degenerate[done] = scores.cs, scores.b1, scores.degenerate
     return cs, b1, degenerate
 
@@ -303,8 +309,10 @@ def run_condition(spec: ConditionSpec, base_seed: int, jobs: int = 1) -> Conditi
     one worker the ranges are mapped onto the process's shared pool, one
     task each; with one, the whole range runs in this process.  Results
     are reduced in replication order either way, so output is identical to
-    a serial run.
+    a serial run.  jobs below 1 raises ValueError.
     """
+    if jobs < 1:
+        raise ValueError("need jobs >= 1")
     workers = _pool_workers(jobs, spec.reps)
     if workers > 1:
         tasks = [(spec, base_seed, start, stop)

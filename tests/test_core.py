@@ -68,6 +68,10 @@ class TestValidateSample:
             validate_sample([[1, 2], [3, 4]])
         with pytest.raises(NotOneDimensional, match=r"expected 1-D data, got shape \(\)"):
             validate_sample(5.0)
+        # numpy cannot make an array of ragged nesting at all
+        for ragged in ([[1, 2], [3]], [1, [2, 3]]):
+            with pytest.raises(NotOneDimensional, match="expected 1-D data, got ragged"):
+                validate_sample(ragged)
 
     @pytest.mark.parametrize("raw", [
         ["1", "2", "7"],

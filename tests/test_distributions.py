@@ -24,7 +24,7 @@ from cumskew import (
     validate_sample,
 )
 from cumskew import distributions
-from cumskew.distributions import _BlockSampler, _pcg_states, _seed_words
+from cumskew.distributions import _BlockSampler, _pcg_states, _seed_words, _stream_states
 
 M64 = (1 << 64) - 1
 EDGE_BASES = (0, 1, 42, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1, -1)
@@ -71,14 +71,14 @@ def assert_states_are_seeded_states(words):
             "state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo}
 
 
-def state_writes(base, monkeypatch):
-    """Two block samplers of base seed `base`: one writes each stream's
+def state_writes(monkeypatch):
+    """Two block samplers: one writes each stream's
     state into its generator's memory, the other sets it through the public
     setter, as where the probe of that memory fails."""
-    memory = _BlockSampler(DistributionSpec.normal(), 2, base)
+    memory = _BlockSampler(DistributionSpec.normal())
     with monkeypatch.context() as patch:
         patch.setattr(distributions, "_state_memory", lambda bit_generator: None)
-        setter = _BlockSampler(DistributionSpec.normal(), 2, base)
+        setter = _BlockSampler(DistributionSpec.normal())
     return memory, setter
 
 
@@ -126,7 +126,7 @@ class TestBatchedSeeding:
     def test_probe_finds_the_state_memory(self, monkeypatch):
         # numpy's PCG64 keeps one layout on every build this package
         # supports; a failed probe would leave only the slow setter path
-        memory, setter = state_writes(0, monkeypatch)
+        memory, setter = state_writes(monkeypatch)
         assert memory._memory is not None
         assert setter._memory is None
 
@@ -135,10 +135,10 @@ class TestBatchedSeeding:
         if state_write == "setter":  # as where the probe of the memory fails
             monkeypatch.setattr(distributions, "_state_memory", lambda bit_generator: None)
         for base in EDGE_BASES:
-            sampler = _BlockSampler(DistributionSpec.normal(), 2, base)
+            sampler = _BlockSampler(DistributionSpec.normal())
             gen = sampler.gen
             assert (sampler._memory is None) == (state_write == "setter")
-            for sid, _ in zip(EDGE_IDS, sampler._seed_each(sampler.states(EDGE_U64))):
+            for sid, _ in zip(EDGE_IDS, sampler._seed_each(_stream_states(base, EDGE_U64))):
                 assert gen.bit_generator.state == seeded(base, sid).bit_generator.state
                 # as a contaminated row's outlier count does: draw a 32-bit
                 # half-word, which buffers the other half for the next one
@@ -147,8 +147,8 @@ class TestBatchedSeeding:
 
     @pytest.mark.parametrize("base", EDGE_BASES)
     def test_preset_stream_equals_seeded_stream(self, base, monkeypatch):
-        for sampler in state_writes(base, monkeypatch):
-            for sid, _ in zip(EDGE_IDS, sampler._seed_each(sampler.states(EDGE_U64))):
+        for sampler in state_writes(monkeypatch):
+            for sid, _ in zip(EDGE_IDS, sampler._seed_each(_stream_states(base, EDGE_U64))):
                 single = seeded(base, sid)
                 assert sampler.gen.bit_generator.state == single.bit_generator.state
                 assert np.array_equal(sampler.gen.random(8), single.random(8))

@@ -34,7 +34,7 @@ from cumskew import (
 )
 from cumskew import distributions, experiments
 from cumskew.core import _score_rows
-from cumskew.distributions import _BlockSampler
+from cumskew.distributions import _BlockSampler, _stream_states
 
 
 class TestAggregate:
@@ -181,12 +181,42 @@ class TestRunCondition:
         assert np.array_equal(cs, ref.cs) and np.array_equal(b1, ref.b1)
         assert np.array_equal(degenerate, ref.degenerate)
 
-    def test_seeding_memory_does_not_grow_with_reps(self):
+    def test_each_stream_kind_seeded_once_per_batch(self, monkeypatch):
+        # n=100 scores 327 replications per block, so 1,000 replications
+        # are four blocks of one seeding batch
+        spec = ConditionSpec("once", DistributionSpec.lognormal(1.0), 100, 1000,
+                             contamination=ContaminationPlan(side="high"))
+        assert experiments._BLOCK_VALUES // spec.n * 3 < spec.reps <= experiments._SEED_REPS
+        hashed, seeded = [], []
+        stream_ids, seed_words = experiments._stream_ids, distributions._seed_words
+
+        def count_ids(prefix, reps, suffix=b""):
+            hashed.append((suffix, reps))
+            return stream_ids(prefix, reps, suffix)
+
+        def count_words(base_seed, ids):
+            seeded.append(len(ids))
+            return seed_words(base_seed, ids)
+
+        monkeypatch.setattr(experiments, "_stream_ids", count_ids)
+        monkeypatch.setattr(distributions, "_seed_words", count_words)
+        experiments._replicate_range((spec, 3, 1, spec.reps + 1))
+        reps = range(1, spec.reps + 1)
+        assert hashed == [(b"", reps), (b":contamination", reps)]
+        assert seeded == [spec.reps, spec.reps]
+
+    @pytest.mark.parametrize("plan,reps", [(None, 50_000),
+                                           (ContaminationPlan(side="high"), 20_000)],
+                             ids=["clean", "contaminated"])
+    def test_seeding_memory_does_not_grow_with_reps(self, plan, reps):
         # the results take 17 bytes a replication; the rest of a range's
         # peak, the block workspace (4 * _BLOCK_VALUES floats, 1 MiB) and
-        # one seeding batch, is bounded, where seeding all 50k streams at
-        # once would hold about 9 MB of hash temporaries
-        spec = ConditionSpec("null-normal", DistributionSpec.normal(), 100, 50_000)
+        # one seeding batch of each stream kind, is bounded, where seeding
+        # all 50k streams at once would hold about 9 MB of hash temporaries,
+        # and all 20k streams of both kinds about 4.9 MB (the contaminated
+        # run is shorter because its per-row outlier draws are slow to trace)
+        spec = ConditionSpec("null-normal", DistributionSpec.normal(), 100, reps,
+                             contamination=plan)
         experiments._replicate_range((spec, 11, 1, 11))  # numpy.random's import untraced
         tracemalloc.start()
         try:
@@ -203,6 +233,15 @@ class TestRunCondition:
         assert experiments._pool_workers(8, 3) == 3
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
         assert experiments._pool_workers(8, 32) == 1
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="need jobs >= 1"):
+            run_condition(small_spec(), 1, jobs=jobs)
+        with pytest.raises(ValueError, match="need jobs >= 1"):
+            run_null(DistributionSpec.normal(), 20, 50, 1, jobs=jobs)
+        with pytest.raises(ValueError, match="need jobs >= 1"):
+            run_table1(1, n=20, reps=10, jobs=jobs)
 
     def test_seed_changes_results(self):
         spec = small_spec()
@@ -268,8 +307,9 @@ def assert_rows_drawn_as_alone(dist, n, side=None):
         side=side, count_min=0, count_max=n // 2, magnitude_range=(1.05, 20.0))
     ids = [derive_stream_id("rows", n, r) for r in range(13)]
     cids = [derive_stream_id("rows", n, r, "contamination") for r in range(13)]
-    sampler = _BlockSampler(dist, n, base, plan)
-    block = sampler.draw(sampler.states(ids), cids if plan else None)
+    sampler = _BlockSampler(dist, plan)
+    block = sampler.draw(_stream_states(base, ids),
+                         _stream_states(base, cids) if plan else None, np.empty((13, n)))
     assert block.shape == (13, n)
     assert np.array_equal(block, drawn_alone(dist, n, base, ids, cids, plan))
     return sampler
@@ -314,10 +354,9 @@ class TestBlockSampler:
 
     def test_plan_checked_as_contaminate_checks_it(self):
         with pytest.raises(ValueError):
-            _BlockSampler(DistributionSpec.lognormal(1.0), 10, 1,
-                          ContaminationPlan(side="sideways"))
+            _BlockSampler(DistributionSpec.lognormal(1.0), ContaminationPlan(side="sideways"))
         with pytest.raises(ValueError):
-            _BlockSampler(DistributionSpec.lognormal(1.0), 10, 1,
+            _BlockSampler(DistributionSpec.lognormal(1.0),
                           ContaminationPlan(side="high", magnitude_range=(0.5, 2.0)))
 
     def test_plan_checks_itself_when_built(self):

@@ -538,6 +538,10 @@ EXPERIMENT_PINS = {
     "null-cauchy --reps 30 --n 20 --seed 2": (
         "cd3c53f087a8ba4586765b6d1cc2c4eb2e0f31f105c473b824a020a5f9b46bde",
         "de1ea4afd0caff54b9aaba880cbe3ba09b6b5fe3ffa900831873bac0ee80d393"),
+    # 4 blocks in 2 seeding batches per condition, contaminated ones included
+    "table1 --reps 5000 --n 20": (
+        "023477621881b4639e8b73547812dc2eeb83732cc9d22b4388cfc8b164c31cf5",
+        "b7a857acd260c9640a913c11b62036109cf3468e7d4ef3a99cdb33e1324c2271"),
     "gcurve --n 500 --seed 2": (
         "ca99ad2106984701bc35d64c3daaa3770a9426b6f2d3210c11731451c5da8b78",
         "02387291be2839c8d860a8de79a51d735d854dfadcb54028754cf82c5a8b417b"),
