@@ -205,16 +205,8 @@ class TestRunCondition:
         assert hashed == [(b"", reps), (b":contamination", reps)]
         assert seeded == [spec.reps, spec.reps]
 
-    @pytest.mark.parametrize("plan,reps", [(None, 50_000),
-                                           (ContaminationPlan(side="high"), 20_000)],
-                             ids=["clean", "contaminated"])
-    def test_seeding_memory_does_not_grow_with_reps(self, plan, reps):
-        # the results take 17 bytes a replication; the rest of a range's
-        # peak, the block workspace (4 * _BLOCK_VALUES floats, 1 MiB) and
-        # one seeding batch of each stream kind, is bounded, where seeding
-        # all 50k streams at once would hold about 9 MB of hash temporaries,
-        # and all 20k streams of both kinds about 4.9 MB (the contaminated
-        # run is shorter because its per-row outlier draws are slow to trace)
+    @staticmethod
+    def _seeding_peak_over_results(plan, reps):
         spec = ConditionSpec("null-normal", DistributionSpec.normal(), 100, reps,
                              contamination=plan)
         experiments._replicate_range((spec, 11, 1, 11))  # numpy.random's import untraced
@@ -224,7 +216,22 @@ class TestRunCondition:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - sum(col.nbytes for col in got) <= 3 * 2**20
+        return peak - sum(col.nbytes for col in got)
+
+    def test_seeding_memory_does_not_grow_with_reps(self):
+        # the results take 17 bytes a replication; the rest of a range's
+        # peak, the block workspace (4 * _BLOCK_VALUES floats, 1 MiB) and
+        # one seeding batch, is bounded, where seeding all 50k streams at
+        # once would hold about 9 MB of hash temporaries
+        assert self._seeding_peak_over_results(None, 50_000) <= 3 * 2**20
+
+    def test_contaminated_seeding_memory_does_not_grow_with_reps(self):
+        # one seeding batch of each stream kind stays within the same bound,
+        # where seeding all 20k streams of both kinds at once would hold
+        # about 4.9 MB (the run is shorter than the clean one because its
+        # per-row outlier draws are slow to trace)
+        plan = ContaminationPlan(side="high")
+        assert self._seeding_peak_over_results(plan, 20_000) <= 3 * 2**20
 
     def test_pool_workers_capped_by_cpus_and_tasks(self, monkeypatch):
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
