@@ -7,12 +7,11 @@ usage or configuration.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from contextlib import contextmanager
 
 from .core import lorenz_grid, raw_lorenz_grid, skew_report, weight_vector
-from .errors import CumskewError
+from .errors import CumskewError, InvalidParameter
 from .io import (
     format_sig,
     parse_csv,
@@ -26,10 +25,6 @@ from .svg import lorenz_svg
 EXIT_OK = 0
 EXIT_DATA = 1
 EXIT_CONFIG = 2
-
-
-class UsageError(Exception):
-    pass
 
 
 @contextmanager
@@ -91,6 +86,14 @@ def _condition_row(spec, result) -> dict:
 
 
 def cmd_experiment(args) -> int:
+    """Run one built-in experiment and write its rows.
+
+    The library owns the bounds of --sigma, --n, --reps and --jobs: the
+    specs and runners raise InvalidParameter for a value out of range
+    before the condition it concerns runs any replication.  Checked here
+    is only what no library call sees: which options apply to which
+    experiment, and --jobs for gcurve, which runs no pool.
+    """
     # imported here, so that compute and lorenz never load the samplers,
     # the harness or its process pool
     from .distributions import DistributionSpec
@@ -98,21 +101,16 @@ def cmd_experiment(args) -> int:
 
     name = args.name
     if args.sigma is not None and name != "null-normal":
-        raise UsageError("--sigma only applies to the null-normal experiment")
-    if args.sigma is not None and not (math.isfinite(args.sigma) and args.sigma >= 0):
-        raise UsageError("--sigma must be finite and >= 0")
+        raise InvalidParameter("--sigma only applies to the null-normal experiment")
     if args.reps is not None and name == "gcurve":
-        raise UsageError("gcurve draws one sample per sd; --reps does not apply")
-    if args.reps is not None and args.reps < 1:
-        raise UsageError("--reps must be >= 1")
-    if args.n is not None and args.n < 2:
-        raise UsageError("--n must be >= 2")
-    if args.jobs < 1:
-        raise UsageError("--jobs must be >= 1")
+        raise InvalidParameter("gcurve draws one sample per sd; --reps does not apply")
+    if args.jobs < 1 and name == "gcurve":
+        raise InvalidParameter("--jobs must be >= 1")
     seed = args.seed
 
+    # an option left out takes the experiment's default; a given 0 does not
     if name == "gcurve":
-        n = args.n or 100_000
+        n = 100_000 if args.n is None else args.n
         points = run_gcurve(n=n, base_seed=seed)
         rows = [{"id": "gcurve", "g": pt.g, "sd": pt.sd, "n": pt.n,
                  "seed": seed, "cs": pt.cs} for pt in points]
@@ -120,12 +118,12 @@ def cmd_experiment(args) -> int:
                             g_grid="0.1..1.5 step 0.1", sds="1,3")
     else:
         if name == "table1":
-            n = args.n or 200
-            reps = args.reps or 10_000
+            n = 200 if args.n is None else args.n
+            reps = 10_000 if args.reps is None else args.reps
             specs = table1_conditions(n=n, reps=reps)
         else:
-            n = args.n or 100
-            reps = args.reps or 100_000
+            n = 100 if args.n is None else args.n
+            reps = 100_000 if args.reps is None else args.reps
             if name == "null-normal":
                 dist = DistributionSpec.normal(0.0, args.sigma if args.sigma is not None else 1.0)
             else:
@@ -201,7 +199,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except InvalidParameter as exc:
         print(f"cumskew: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (CumskewError, OSError, MemoryError) as exc:

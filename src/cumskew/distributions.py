@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Sample, _check_finite, validate_sample
-from .errors import CountTooLarge
+from .errors import CountTooLarge, InvalidParameter
 
 __all__ = [
     "RngStream",
@@ -286,19 +286,19 @@ class DistributionSpec:
 
     def __post_init__(self):
         if self.kind not in DISTRIBUTION_KINDS:
-            raise ValueError(f"unknown distribution kind {self.kind!r}")
+            raise InvalidParameter(f"unknown distribution kind {self.kind!r}")
         for name in ("mu", "sigma", "g"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+                raise InvalidParameter(f"{name} must be finite")
         if self.kind == "normal" and self.sigma < 0:
-            raise ValueError("normal sd must be >= 0")
+            raise InvalidParameter("normal sd must be >= 0")
         if self.kind == "lognormal" and self.sigma <= 0:
-            raise ValueError("lognormal shape must be > 0")
+            raise InvalidParameter("lognormal shape must be > 0")
         if self.kind == "tukey_g":
             if self.g < 0:
-                raise ValueError("g must be >= 0")
+                raise InvalidParameter("g must be >= 0")
             if self.sigma <= 0:
-                raise ValueError("underlying sd must be > 0")
+                raise InvalidParameter("underlying sd must be > 0")
 
     @classmethod
     def normal(cls, mu: float = 0.0, sigma: float = 1.0) -> "DistributionSpec":
@@ -334,14 +334,14 @@ class ContaminationSpec:
 
     def __post_init__(self):
         if self.count < 0:
-            raise ValueError("count must be >= 0")
+            raise InvalidParameter("count must be >= 0")
         if self.side not in CONTAMINATION_SIDES:
-            raise ValueError(f"side must be one of {CONTAMINATION_SIDES}")
+            raise InvalidParameter(f"side must be one of {CONTAMINATION_SIDES}")
         lo, hi = self.magnitude_range
         if not lo <= hi:
-            raise ValueError("magnitude range must satisfy lo <= hi")
+            raise InvalidParameter("magnitude range must satisfy lo <= hi")
         if lo <= 1.0:
-            raise ValueError("magnitude multipliers must exceed 1")
+            raise InvalidParameter("magnitude multipliers must exceed 1")
 
 
 def _cauchy(u: np.ndarray) -> None:

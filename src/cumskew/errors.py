@@ -3,7 +3,7 @@
 __all__ = [
     "CumskewError", "EmptyOrTooSmall", "NonFiniteValue", "ConstantSample",
     "CountTooLarge", "ColumnNotFound", "ParseError", "FloatRangeError",
-    "NonNumericData", "NotOneDimensional",
+    "NonNumericData", "NotOneDimensional", "InvalidParameter",
 ]
 
 
@@ -62,6 +62,12 @@ class ParseError(CumskewError, ValueError):
 
     def __str__(self) -> str:
         return f"line {self.line}: {self.message}"
+
+
+class InvalidParameter(CumskewError, ValueError):
+    """A parameter of a sampler or an experiment is out of its range: a
+    distribution's kind or shape, an outlier policy, a sample size, a
+    replication or worker count, a g-curve grid, or no values to average."""
 
 
 class FloatRangeError(CumskewError, ArithmeticError):

@@ -39,8 +39,9 @@ from .distributions import (
     RngStream,
     _BlockSampler,
     _stream_states,
-    tukey_g_transform,
+    _transform,
 )
+from .errors import InvalidParameter
 
 __all__ = [
     "ContaminationPlan",
@@ -108,7 +109,7 @@ def aggregate(values) -> tuple[float, float]:
     vals = list(values)
     count = len(vals)
     if count < 1:
-        raise ValueError("need at least one value")
+        raise InvalidParameter("need at least one value")
     mean = math.fsum(vals) / count
     if count == 1:
         return mean, 0.0
@@ -132,7 +133,7 @@ class ContaminationPlan:
 
     def __post_init__(self):
         if not 0 <= self.count_min <= self.count_max:
-            raise ValueError("need 0 <= count_min <= count_max")
+            raise InvalidParameter("need 0 <= count_min <= count_max")
         # side and magnitudes, checked as contaminate's spec checks them
         ContaminationSpec(self.count_min, self.side, self.magnitude_range)
 
@@ -149,9 +150,9 @@ class ConditionSpec:
 
     def __post_init__(self):
         if self.n < 2:
-            raise ValueError("need n >= 2")
+            raise InvalidParameter("need n >= 2")
         if self.reps < 1:
-            raise ValueError("need reps >= 1")
+            raise InvalidParameter("need reps >= 1")
 
 
 @dataclass(frozen=True)
@@ -309,10 +310,17 @@ def run_condition(spec: ConditionSpec, base_seed: int, jobs: int = 1) -> Conditi
     one worker the ranges are mapped onto the process's shared pool, one
     task each; with one, the whole range runs in this process.  Results
     are reduced in replication order either way, so output is identical to
-    a serial run.  jobs below 1 raises ValueError.
+    a serial run.
+
+    Raises InvalidParameter before any replication runs: for jobs below 1,
+    and for a plan whose count_max exceeds n/2, so that whether a condition
+    runs does not depend on the outlier counts its replications draw.
     """
     if jobs < 1:
-        raise ValueError("need jobs >= 1")
+        raise InvalidParameter("need jobs >= 1")
+    plan = spec.contamination
+    if plan is not None and 2 * plan.count_max > spec.n:
+        raise InvalidParameter(f"count_max {plan.count_max} exceeds n/2 = {spec.n / 2:g}")
     workers = _pool_workers(jobs, spec.reps)
     if workers > 1:
         tasks = [(spec, base_seed, start, stop)
@@ -360,8 +368,8 @@ def run_null(dist: DistributionSpec, n: int, reps: int, base_seed: int,
              jobs: int = 1) -> ConditionResult:
     """Null study of CS under a symmetric distribution (normal or cauchy)."""
     if dist.kind not in ("normal", "cauchy"):
-        raise ValueError("null experiments need a symmetric distribution "
-                         "(normal or cauchy)")
+        raise InvalidParameter("null experiments need a symmetric distribution "
+                               "(normal or cauchy)")
     spec = ConditionSpec(id=f"null-{dist.kind}", distribution=dist, n=n, reps=reps)
     return run_condition(spec, base_seed, jobs=jobs)
 
@@ -370,19 +378,28 @@ def run_gcurve(g_grid=DEFAULT_G_GRID, sds=DEFAULT_GCURVE_SDS, n: int = 100_000,
                base_seed: int = 0, loc: float = 0.0) -> list[GCurvePoint]:
     """CS of g-distribution samples along a grid of g values.
 
-    For each underlying sd, one normal sample Z of size n is drawn and
-    reused across the whole grid (common random numbers), which makes the
-    increase of CS in g a sharp property of the output rather than a
-    statistical one.
+    For each underlying sd, one standard normal sample Z of size n is drawn
+    and reused across the whole grid (common random numbers), which makes
+    the increase of CS in g a sharp property of the output rather than a
+    statistical one.  Each grid point maps a copy of Z to the family of
+    DistributionSpec.tukey_g(g, loc, sd); every such spec is built, and so
+    checked, before the first sample is drawn.
+
+    Raises InvalidParameter for a grid that does not strictly increase, a
+    g below 0, an sd not above 0, a non-finite g, sd or loc, or n below 2.
     """
     grid = list(g_grid)
     if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("g grid must be strictly increasing")
+        raise InvalidParameter("g grid must be strictly increasing")
+    if n < 2:
+        raise InvalidParameter("need n >= 2")
+    rows = [(sd, [DistributionSpec.tukey_g(g, loc, sd) for g in grid]) for sd in sds]
     points = []
-    for sd in sds:
-        rng = RngStream(base_seed, derive_stream_id("gcurve", f"sd={sd!r}"))
-        z = loc + sd * rng.standard_normal(n)
-        for g in grid:
-            cs = cumulative_skew(validate_sample(tukey_g_transform(z, g)))
-            points.append(GCurvePoint(g=float(g), sd=float(sd), cs=cs, n=n))
+    for sd, specs in rows:
+        z = RngStream(base_seed, derive_stream_id("gcurve", f"sd={sd!r}")).standard_normal(n)
+        for spec in specs:
+            values = z.copy()
+            _transform(values, spec)
+            cs = cumulative_skew(validate_sample(values))
+            points.append(GCurvePoint(g=float(spec.g), sd=float(sd), cs=cs, n=n))
     return points

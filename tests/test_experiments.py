@@ -18,6 +18,7 @@ from cumskew import (
     ContaminationSpec,
     CumskewError,
     DistributionSpec,
+    InvalidParameter,
     NonFiniteValue,
     RngStream,
     aggregate,
@@ -702,3 +703,77 @@ class TestRunGCurve:
         a = run_gcurve(g_grid=(0.2, 1.0), n=1000, base_seed=7)
         b = run_gcurve(g_grid=(0.2, 1.0), n=1000, base_seed=7)
         assert a == b
+
+
+NAN, INF = math.nan, math.inf
+
+# every parameter check of the samplers and the harness, with its message
+PARAMETER_CHECKS = {
+    "kind": (lambda: DistributionSpec("weibull"), "unknown distribution kind 'weibull'"),
+    "normal-mu": (lambda: DistributionSpec.normal(INF), "mu must be finite"),
+    "normal-sd": (lambda: DistributionSpec.normal(0.0, -1.0), "normal sd must be >= 0"),
+    "lognormal-nan": (lambda: DistributionSpec.lognormal(NAN), "sigma must be finite"),
+    "lognormal-shape": (lambda: DistributionSpec.lognormal(0.0), "lognormal shape must be > 0"),
+    "cauchy-sigma": (lambda: DistributionSpec("cauchy", sigma=-INF), "sigma must be finite"),
+    "tukey-g-inf": (lambda: DistributionSpec.tukey_g(INF), "g must be finite"),
+    "tukey-g": (lambda: DistributionSpec.tukey_g(-0.1), "g must be >= 0"),
+    "tukey-sd": (lambda: DistributionSpec.tukey_g(0.5, 0.0, 0.0), "underlying sd must be > 0"),
+    "spec-count": (lambda: ContaminationSpec(-1, "high"), "count must be >= 0"),
+    "spec-side": (lambda: ContaminationSpec(1, "sideways"),
+                  "side must be one of ('high', 'low')"),
+    "spec-range": (lambda: ContaminationSpec(1, "high", (3.0, 2.0)),
+                   "magnitude range must satisfy lo <= hi"),
+    "spec-multiplier": (lambda: ContaminationSpec(1, "low", (0.5, 2.0)),
+                        "magnitude multipliers must exceed 1"),
+    "plan-counts": (lambda: ContaminationPlan("high", count_min=3, count_max=2),
+                    "need 0 <= count_min <= count_max"),
+    "plan-negative": (lambda: ContaminationPlan("high", count_min=-1),
+                      "need 0 <= count_min <= count_max"),
+    "plan-side": (lambda: ContaminationPlan("sideways"), "side must be one of ('high', 'low')"),
+    "condition-n": (lambda: ConditionSpec("c", DistributionSpec.cauchy(), 1, 10), "need n >= 2"),
+    "condition-reps": (lambda: ConditionSpec("c", DistributionSpec.cauchy(), 10, 0),
+                       "need reps >= 1"),
+    "run-jobs": (lambda: run_condition(small_spec(), 1, jobs=0), "need jobs >= 1"),
+    "run-count": (lambda: run_condition(ConditionSpec(
+        "c", DistributionSpec.lognormal(1.0), 9, 5, ContaminationPlan("high")), 1),
+        "count_max 5 exceeds n/2 = 4.5"),
+    "null-kind": (lambda: run_null(DistributionSpec.lognormal(1.0), 50, 10, 1),
+                  "null experiments need a symmetric distribution (normal or cauchy)"),
+    "gcurve-grid": (lambda: run_gcurve(g_grid=(0.5, 0.5), n=100), "g grid must be strictly increasing"),
+    "gcurve-g": (lambda: run_gcurve(g_grid=(-0.5, 0.1), n=100), "g must be >= 0"),
+    "gcurve-g-nan": (lambda: run_gcurve(g_grid=(NAN,), n=100), "g must be finite"),
+    "gcurve-sd-negative": (lambda: run_gcurve(sds=(-1.0,), n=100), "underlying sd must be > 0"),
+    "gcurve-sd-zero": (lambda: run_gcurve(sds=(0.0,), n=100), "underlying sd must be > 0"),
+    "gcurve-sd-nan": (lambda: run_gcurve(sds=(NAN,), n=100), "sigma must be finite"),
+    "gcurve-loc": (lambda: run_gcurve(n=100, loc=INF), "mu must be finite"),
+    "gcurve-n": (lambda: run_gcurve(n=-5), "need n >= 2"),
+    "gcurve-n-one": (lambda: run_gcurve(n=1), "need n >= 2"),
+    "aggregate": (lambda: aggregate([]), "need at least one value"),
+}
+
+
+class TestInvalidParameter:
+    @pytest.mark.parametrize("case", PARAMETER_CHECKS)
+    def test_raised_as_a_value_error_and_a_cumskew_error(self, case):
+        call, message = PARAMETER_CHECKS[case]
+        with pytest.raises(InvalidParameter) as got:
+            call()
+        assert str(got.value) == message
+        assert isinstance(got.value, ValueError) and isinstance(got.value, CumskewError)
+
+    def test_count_limit_checked_before_any_replication(self, monkeypatch):
+        # so the outcome does not depend on the counts the replications draw
+        def replicate(args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(experiments, "_replicate_range", replicate)
+        spec = ConditionSpec("c", DistributionSpec.lognormal(1.0), 9, 1,
+                             ContaminationPlan("high"))
+        for jobs in (1, 2):
+            with pytest.raises(InvalidParameter):
+                run_condition(spec, 42, jobs=jobs)
+
+    def test_count_limit_admits_half_the_sample(self):
+        spec = ConditionSpec("c", DistributionSpec.lognormal(1.0), 10, 20,
+                             ContaminationPlan("high", count_min=5, count_max=5))
+        assert run_condition(spec, 3).reps == 20

@@ -4,8 +4,10 @@ import math
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stderr
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -608,7 +610,8 @@ class TestExperimentCommand:
     @pytest.mark.parametrize("sigma", ["-1", "nan", "inf", "-inf"])
     def test_sigma_must_be_finite_and_nonnegative(self, sigma, capsys):
         assert main(["experiment", "null-normal", f"--sigma={sigma}", "--reps", "5"]) == 2
-        assert capsys.readouterr().err == "cumskew: --sigma must be finite and >= 0\n"
+        want = "normal sd must be >= 0" if sigma == "-1" else "sigma must be finite"
+        assert capsys.readouterr().err == f"cumskew: {want}\n"
 
     def test_reps_rejected_for_gcurve(self):
         assert main(["experiment", "gcurve", "--reps", "10"]) == 2
@@ -617,6 +620,16 @@ class TestExperimentCommand:
         assert main(["experiment", "table1", "--reps", "0"]) == 2
         assert main(["experiment", "table1", "--n", "1"]) == 2
         assert main(["experiment", "table1", "--jobs", "0"]) == 2
+        # each one line from a library check; a given 0 must not run the
+        # default size, and table1 at n=9 fails however few reps it draws
+        for argv in ["table1 --n 0", "table1 --reps -1", "null-normal --n 0",
+                     "null-cauchy --reps 0", "gcurve --n 0", "gcurve --n -5",
+                     "gcurve --jobs 0", "table1 --n 9 --reps 1"]:
+            err = StringIO()
+            with redirect_stderr(err):
+                assert main(["experiment", *argv.split()]) == 2, argv
+            lines = err.getvalue().splitlines(keepends=True)
+            assert len(lines) == 1 and lines[0].startswith("cumskew: "), (argv, lines)
 
     def test_table1_csv_structure(self, tmp_path):
         out = tmp_path / "t.csv"
