@@ -11,7 +11,7 @@ import sys
 from contextlib import contextmanager
 
 from .core import lorenz_grid, raw_lorenz_grid, skew_report, weight_vector
-from .errors import CumskewError, InvalidParameter
+from .errors import CumskewError, InvalidParameter, NonPositiveTotal
 from .io import (
     format_sig,
     parse_csv,
@@ -88,16 +88,17 @@ def _condition_row(spec, result) -> dict:
 def cmd_experiment(args) -> int:
     """Run one built-in experiment and write its rows.
 
-    The library owns the bounds of --sigma, --n, --reps and --jobs: the
-    specs and runners raise InvalidParameter for a value out of range
-    before the condition it concerns runs any replication.  Checked here
-    is only what no library call sees: which options apply to which
+    The library owns each experiment's conditions, ids and default sizes,
+    and the bounds of --sigma, --n, --reps and --jobs: only the options
+    given are passed on, and the specs and runners raise InvalidParameter
+    for a value out of range before any replication runs.  Checked here is
+    only what no library call sees: which options apply to which
     experiment, and --jobs for gcurve, which runs no pool.
     """
     # imported here, so that compute and lorenz never load the samplers,
     # the harness or its process pool
     from .distributions import DistributionSpec
-    from .experiments import ConditionSpec, run_condition, run_gcurve, table1_conditions
+    from .experiments import _null_condition, run_condition, run_gcurve, table1_conditions
 
     name = args.name
     if args.sigma is not None and name != "null-normal":
@@ -107,31 +108,26 @@ def cmd_experiment(args) -> int:
     if args.jobs < 1 and name == "gcurve":
         raise InvalidParameter("--jobs must be >= 1")
     seed = args.seed
+    # an option left out takes the library's default; a given 0 does not
+    sizes = {key: getattr(args, key) for key in ("n", "reps") if getattr(args, key) is not None}
 
-    # an option left out takes the experiment's default; a given 0 does not
     if name == "gcurve":
-        n = 100_000 if args.n is None else args.n
-        points = run_gcurve(n=n, base_seed=seed)
+        points = run_gcurve(base_seed=seed, **sizes)
         rows = [{"id": "gcurve", "g": pt.g, "sd": pt.sd, "n": pt.n,
                  "seed": seed, "cs": pt.cs} for pt in points]
-        meta = run_metadata("experiment gcurve", seed=seed, n=n, loc=0.0,
+        meta = run_metadata("experiment gcurve", seed=seed, n=points[0].n, loc=0.0,
                             g_grid="0.1..1.5 step 0.1", sds="1,3")
     else:
         if name == "table1":
-            n = 200 if args.n is None else args.n
-            reps = 10_000 if args.reps is None else args.reps
-            specs = table1_conditions(n=n, reps=reps)
+            specs = table1_conditions(**sizes)
         else:
-            n = 100 if args.n is None else args.n
-            reps = 100_000 if args.reps is None else args.reps
-            if name == "null-normal":
-                dist = DistributionSpec.normal(0.0, args.sigma if args.sigma is not None else 1.0)
-            else:
-                dist = DistributionSpec.cauchy()
-            specs = [ConditionSpec(name, dist, n, reps)]
+            sd = {} if args.sigma is None else {"sigma": args.sigma}
+            dist = (DistributionSpec.normal(**sd) if name == "null-normal"
+                    else DistributionSpec.cauchy())
+            specs = [_null_condition(dist, **sizes)]
         rows = [_condition_row(spec, run_condition(spec, seed, jobs=args.jobs))
                 for spec in specs]
-        meta = run_metadata(f"experiment {name}", seed=seed, n=n, reps=reps)
+        meta = run_metadata(f"experiment {name}", seed=seed, n=specs[0].n, reps=specs[0].reps)
 
     _write(args, rows, meta)
     return EXIT_OK
@@ -141,7 +137,7 @@ def cmd_lorenz(args) -> int:
     sample = parse_csv(args.path, args.column)
     try:
         grid = raw_lorenz_grid(sample)
-    except ValueError:  # the classical curve needs a positive total
+    except NonPositiveTotal:  # the classical curve needs a positive total
         grid = lorenz_grid(sample)
     columns = {
         "i": range(1, grid.n),

@@ -80,6 +80,7 @@ from .errors import (
     FloatRangeError,
     NonFiniteValue,
     NonNumericData,
+    NonPositiveTotal,
     NotOneDimensional,
 )
 
@@ -418,7 +419,7 @@ def _lorenz(sample: Sample, classical: bool) -> LorenzGrid:
     del sums
     raw_mean, mean = _raw_means(sample.values[None, :], mean, e)
     if classical and not raw_mean[0] > 0.0:
-        raise ValueError("classical Lorenz curve needs a positive total")
+        raise NonPositiveTotal("classical Lorenz curve needs a positive total")
     g = float(_gini(l2, n, raw_mean, mean, e)[0])
     d = gaps[0]
     if classical:
@@ -453,7 +454,7 @@ def raw_lorenz_grid(sample: Sample) -> LorenzGrid:
     on both footings whenever the raw total is positive.
 
     Raises:
-        ValueError: the values sum to zero or less.
+        NonPositiveTotal: the values sum to zero or less.
         FloatRangeError: the grid is not finite.
     """
     return _lorenz(sample, classical=True)

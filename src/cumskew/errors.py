@@ -3,7 +3,7 @@
 __all__ = [
     "CumskewError", "EmptyOrTooSmall", "NonFiniteValue", "ConstantSample",
     "CountTooLarge", "ColumnNotFound", "ParseError", "FloatRangeError",
-    "NonNumericData", "NotOneDimensional", "InvalidParameter",
+    "NonNumericData", "NotOneDimensional", "InvalidParameter", "NonPositiveTotal",
 ]
 
 
@@ -68,6 +68,11 @@ class InvalidParameter(CumskewError, ValueError):
     """A parameter of a sampler or an experiment is out of its range: a
     distribution's kind or shape, an outlier policy, a sample size, a
     replication or worker count, a g-curve grid, or no values to average."""
+
+
+class NonPositiveTotal(CumskewError, ValueError):
+    """The values sum to zero or less, so the classical Lorenz curve,
+    whose heights are shares of the total, is undefined."""
 
 
 class FloatRangeError(CumskewError, ArithmeticError):

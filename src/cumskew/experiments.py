@@ -302,6 +302,16 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_POOL._forget)
 
 
+def _check_outlier_limit(spec: ConditionSpec) -> None:
+    """Raise InvalidParameter when the condition's plan may replace more
+    than half of a sample (count_max above n/2); checked before any
+    replication runs, so whether a condition runs does not depend on the
+    outlier counts its replications draw."""
+    plan = spec.contamination
+    if plan is not None and 2 * plan.count_max > spec.n:
+        raise InvalidParameter(f"count_max {plan.count_max} exceeds n/2 = {spec.n / 2:g}")
+
+
 def run_condition(spec: ConditionSpec, base_seed: int, jobs: int = 1) -> ConditionResult:
     """Run all replications of one condition and aggregate.
 
@@ -313,14 +323,11 @@ def run_condition(spec: ConditionSpec, base_seed: int, jobs: int = 1) -> Conditi
     a serial run.
 
     Raises InvalidParameter before any replication runs: for jobs below 1,
-    and for a plan whose count_max exceeds n/2, so that whether a condition
-    runs does not depend on the outlier counts its replications draw.
+    and for a plan whose count_max exceeds n/2.
     """
     if jobs < 1:
         raise InvalidParameter("need jobs >= 1")
-    plan = spec.contamination
-    if plan is not None and 2 * plan.count_max > spec.n:
-        raise InvalidParameter(f"count_max {plan.count_max} exceeds n/2 = {spec.n / 2:g}")
+    _check_outlier_limit(spec)
     workers = _pool_workers(jobs, spec.reps)
     if workers > 1:
         tasks = [(spec, base_seed, start, stop)
@@ -342,36 +349,48 @@ def run_condition(spec: ConditionSpec, base_seed: int, jobs: int = 1) -> Conditi
 
 
 def table1_conditions(n: int = 200, reps: int = 10_000) -> tuple[ConditionSpec, ...]:
-    """The six built-in lognormal conditions (four clean, two contaminated)."""
+    """The six built-in lognormal conditions (four clean, two contaminated).
+
+    Raises InvalidParameter for an n or reps out of range, and for an n
+    below 10, where a contaminated condition could replace more than half
+    of a sample, so a bad size fails before any condition runs.
+    """
     high = ContaminationPlan(side="high", magnitude_range=TABLE1_HIGH_MAGNITUDES)
     low = ContaminationPlan(side="low", magnitude_range=TABLE1_LOW_MAGNITUDES)
-    return (
-        ConditionSpec("1. sigma=0.2", DistributionSpec.lognormal(0.2), n, reps),
-        ConditionSpec("2. sigma=0.5", DistributionSpec.lognormal(0.5), n, reps),
-        ConditionSpec("3. sigma=1.0", DistributionSpec.lognormal(1.0), n, reps),
-        ConditionSpec("4. sigma=2.0", DistributionSpec.lognormal(2.0), n, reps),
-        ConditionSpec("5. sigma=0.5 outliers(high)", DistributionSpec.lognormal(0.5),
-                      n, reps, contamination=high),
-        ConditionSpec("6. sigma=1.0 outliers(low)", DistributionSpec.lognormal(1.0),
-                      n, reps, contamination=low),
-    )
+    rows = (("1. sigma=0.2", 0.2, None), ("2. sigma=0.5", 0.5, None),
+            ("3. sigma=1.0", 1.0, None), ("4. sigma=2.0", 2.0, None),
+            ("5. sigma=0.5 outliers(high)", 0.5, high), ("6. sigma=1.0 outliers(low)", 1.0, low))
+    specs = tuple(ConditionSpec(name, DistributionSpec.lognormal(sigma), n, reps, plan)
+                  for name, sigma, plan in rows)
+    for spec in specs:
+        _check_outlier_limit(spec)
+    return specs
 
 
 def run_table1(base_seed: int, n: int = 200, reps: int = 10_000,
                jobs: int = 1) -> list[ConditionResult]:
-    """Run the six built-in conditions at n=200, reps=10,000 by default."""
+    """Run the six built-in conditions at n=200, reps=10,000 by default.
+
+    Every condition is built, and so checked, before the first one runs:
+    an n below 10 raises InvalidParameter before any replication.
+    """
     return [run_condition(spec, base_seed, jobs=jobs)
             for spec in table1_conditions(n=n, reps=reps)]
+
+
+def _null_condition(dist: DistributionSpec, n: int = 100, reps: int = 100_000) -> ConditionSpec:
+    """The condition of the null study of dist, at n=100, reps=100,000 by
+    default; dist must be symmetric (normal or cauchy)."""
+    if dist.kind not in ("normal", "cauchy"):
+        raise InvalidParameter("null experiments need a symmetric distribution "
+                               "(normal or cauchy)")
+    return ConditionSpec(f"null-{dist.kind}", dist, n, reps)
 
 
 def run_null(dist: DistributionSpec, n: int, reps: int, base_seed: int,
              jobs: int = 1) -> ConditionResult:
     """Null study of CS under a symmetric distribution (normal or cauchy)."""
-    if dist.kind not in ("normal", "cauchy"):
-        raise InvalidParameter("null experiments need a symmetric distribution "
-                               "(normal or cauchy)")
-    spec = ConditionSpec(id=f"null-{dist.kind}", distribution=dist, n=n, reps=reps)
-    return run_condition(spec, base_seed, jobs=jobs)
+    return run_condition(_null_condition(dist, n, reps), base_seed, jobs=jobs)
 
 
 def run_gcurve(g_grid=DEFAULT_G_GRID, sds=DEFAULT_GCURVE_SDS, n: int = 100_000,

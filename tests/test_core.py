@@ -15,6 +15,7 @@ from cumskew import (
     FloatRangeError,
     NonFiniteValue,
     NonNumericData,
+    NonPositiveTotal,
     NotOneDimensional,
     cumulative_skew,
     gini,
@@ -166,6 +167,12 @@ class TestLorenzGrid:
         with pytest.raises(ValueError):
             raw_lorenz_grid(validate_sample([-1, 1]))
 
+    def test_non_positive_total_is_a_typed_error(self):
+        with pytest.raises(NonPositiveTotal) as got:
+            raw_lorenz_grid(validate_sample([-1, 1]))
+        assert str(got.value) == "classical Lorenz curve needs a positive total"
+        assert isinstance(got.value, ValueError) and isinstance(got.value, CumskewError)
+
     def test_constant_sample_sits_on_diagonal(self):
         g = lorenz_grid(validate_sample([7, 7, 7, 7]))
         assert np.array_equal(g.d, [0.0, 0.0, 0.0])
@@ -204,7 +211,7 @@ GRID_FAMILIES = {
     "mixed-1e-10..1": lambda rng, n: 10.0 ** rng.uniform(-10, 0, n),
 }
 GRID_SIZES = (2, 3, 4, 7, 10, 33, 100, 101, 1000, 4999, 5000)
-GRID_PIN = "a10d3f45f7363534466d999aa8caccb17e3298a5e33019f779046f28221bfe4b"
+GRID_PIN = "8c82131e62ca970ba47ceaa9e21b8890ec854bfde0c070735b1a38632e79f3dd"
 
 
 def grid_digest():

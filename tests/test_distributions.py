@@ -176,7 +176,7 @@ PUBLIC_NAMES = [
     "parse_csv",
     "CumskewError", "EmptyOrTooSmall", "NonFiniteValue", "ConstantSample",
     "CountTooLarge", "ColumnNotFound", "ParseError", "FloatRangeError",
-    "NonNumericData", "NotOneDimensional", "InvalidParameter",
+    "NonNumericData", "NotOneDimensional", "InvalidParameter", "NonPositiveTotal",
 ]
 
 

@@ -737,6 +737,7 @@ PARAMETER_CHECKS = {
     "run-count": (lambda: run_condition(ConditionSpec(
         "c", DistributionSpec.lognormal(1.0), 9, 5, ContaminationPlan("high")), 1),
         "count_max 5 exceeds n/2 = 4.5"),
+    "table1-n": (lambda: table1_conditions(n=9), "count_max 5 exceeds n/2 = 4.5"),
     "null-kind": (lambda: run_null(DistributionSpec.lognormal(1.0), 50, 10, 1),
                   "null experiments need a symmetric distribution (normal or cauchy)"),
     "gcurve-grid": (lambda: run_gcurve(g_grid=(0.5, 0.5), n=100), "g grid must be strictly increasing"),
@@ -772,6 +773,17 @@ class TestInvalidParameter:
         for jobs in (1, 2):
             with pytest.raises(InvalidParameter):
                 run_condition(spec, 42, jobs=jobs)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_table1_checks_every_condition_before_the_first_runs(self, monkeypatch, jobs):
+        # the contaminated conditions come last; a too-small n must not
+        # run the four clean ones first
+        def replicate(args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(experiments, "_replicate_range", replicate)
+        with pytest.raises(InvalidParameter, match=r"^count_max 5 exceeds n/2 = 4\.5$"):
+            run_table1(1, n=9, reps=5, jobs=jobs)
 
     def test_count_limit_admits_half_the_sample(self):
         spec = ConditionSpec("c", DistributionSpec.lognormal(1.0), 10, 20,

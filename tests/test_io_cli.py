@@ -1,10 +1,11 @@
 import hashlib
+import inspect
 import json
 import math
 import subprocess
 import sys
 import tracemalloc
-from contextlib import redirect_stderr
+from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from io import StringIO
@@ -16,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cumskew import ColumnNotFound, CumskewError, EmptyOrTooSmall, ParseError, parse_csv
-from cumskew import ConditionSpec, DistributionSpec, run_condition, validate_sample
+from cumskew import ConditionSpec, DistributionSpec, run_condition, run_gcurve, validate_sample
+from cumskew import cli, experiments
 from cumskew.cli import _condition_row, main
 from cumskew import io
 from cumskew.io import _parse_rows, _read_column, run_metadata
@@ -463,6 +465,15 @@ class TestLorenzCommand:
         assert [r[0] for r in rows] == pytest.approx(q, abs=1e-15)
         assert [r[1] for r in rows] == pytest.approx(d, abs=1e-15)
 
+    def test_only_a_non_positive_total_falls_back(self, tmp_path, monkeypatch):
+        # any other fault of the classical grid is not hidden by the canonical one
+        def broken(sample):
+            raise ValueError("unrelated fault")
+
+        monkeypatch.setattr(cli, "raw_lorenz_grid", broken)
+        with pytest.raises(ValueError, match="unrelated fault"):
+            main(["lorenz", write(tmp_path, "1\n2\n")])
+
     def test_float_range_failure_exits_1(self, tmp_path, capsys):
         # the spread dwarfs the positive mean: the classical grid overflows
         path = write(tmp_path, "-1e300\n1e300\n1e-10\n")
@@ -629,6 +640,75 @@ class TestExperimentCommand:
             with redirect_stderr(err):
                 assert main(["experiment", *argv.split()]) == 2, argv
             lines = err.getvalue().splitlines(keepends=True)
+            assert len(lines) == 1 and lines[0].startswith("cumskew: "), (argv, lines)
+
+    def test_table1_too_small_n_fails_before_any_replication(self, monkeypatch, capsys):
+        def replicate(args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(experiments, "_replicate_range", replicate)
+        assert main(["experiment", "table1", "--n", "9", "--reps", "200000"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "cumskew: count_max 5 exceeds n/2 = 4.5\n")
+
+    @pytest.mark.parametrize("argv, want", [
+        ("null-normal --reps 3", ["# n=100", "# reps=3"]),
+        ("table1 --reps 1", ["# n=200", "# reps=1"]),
+        ("gcurve", ["# n=100000"]),
+    ])
+    def test_left_out_sizes_take_the_library_defaults(self, tmp_path, argv, want):
+        out = tmp_path / "d.csv"
+        assert main(["experiment", *argv.split(), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert set(want) <= set(lines)
+        rows = [l.split(",") for l in lines if not l.startswith("#")]
+        n = rows[0].index("n")
+        assert {row[n] for row in rows[1:]} == {want[0].removeprefix("# n=")}
+
+    def test_gcurve_provenance_names_the_library_defaults(self, tmp_path):
+        out = tmp_path / "g.csv"
+        assert main(["experiment", "gcurve", "--n", "50", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        meta = dict(l[2:].split("=", 1) for l in lines if l.startswith("# "))
+        span, step = meta["g_grid"].split(" step ")
+        lo, hi = map(float, span.split(".."))
+        step = float(step)
+        grid = [lo + k * step for k in range(round((hi - lo) / step) + 1)]
+        assert len(grid) == len(experiments.DEFAULT_G_GRID)
+        assert grid == pytest.approx(experiments.DEFAULT_G_GRID, abs=1e-12, rel=0)
+        assert tuple(map(float, meta["sds"].split(","))) == experiments.DEFAULT_GCURVE_SDS
+        assert float(meta["loc"]) == inspect.signature(run_gcurve).parameters["loc"].default
+        rows = [l.split(",") for l in lines if not l.startswith("#")][1:]
+        for sd in experiments.DEFAULT_GCURVE_SDS:
+            g = [float(row[1]) for row in rows if float(row[2]) == sd]
+            assert tuple(g) == experiments.DEFAULT_G_GRID
+
+    @settings(max_examples=100, deadline=None)
+    @given(name=st.sampled_from(["table1", "null-normal", "null-cauchy", "gcurve"]),
+           n=st.sampled_from([-5, 0, 1, 2, 3, 9, 10, 25]),
+           reps=st.sampled_from([-1, 0, 1, 7]),
+           gcurve_reps=st.booleans(),
+           sigma=st.none() | st.sampled_from(["-1", "0", "0.5", "nan", "inf", "1e308"]),
+           jobs=st.sampled_from([None, 0, 1, 2]))
+    def test_any_options_exit_with_a_code_and_at_most_one_line(
+            self, name, n, reps, gcurve_reps, sigma, jobs):
+        # --reps is always given where it applies, so nothing runs at the
+        # default size; for gcurve, where it is rejected, it is drawn too
+        argv = ["experiment", name, "--n", str(n)]
+        if name != "gcurve" or gcurve_reps:
+            argv += ["--reps", str(reps)]
+        if sigma is not None:
+            argv.append(f"--sigma={sigma}")
+        if jobs is not None:
+            argv += ["--jobs", str(jobs)]
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        lines = err.getvalue().splitlines(keepends=True)
+        if code == 0:
+            assert lines == [] and out.getvalue(), argv
+        else:
+            assert code in (1, 2), argv
             assert len(lines) == 1 and lines[0].startswith("cumskew: "), (argv, lines)
 
     def test_table1_csv_structure(self, tmp_path):
