@@ -139,13 +139,8 @@ def cmd_lorenz(args) -> int:
         grid = raw_lorenz_grid(sample)
     except NonPositiveTotal:  # the classical curve needs a positive total
         grid = lorenz_grid(sample)
-    columns = {
-        "i": range(1, grid.n),
-        "p": grid.p.tolist(),
-        "q": grid.q.tolist(),
-        "d": grid.d.tolist(),
-        "w": weight_vector(grid.n).tolist(),
-    }
+    columns = {"i": range(1, grid.n), "p": grid.p, "q": grid.q, "d": grid.d,
+               "w": weight_vector(grid.n)}
     with _output(args.out) as fh:
         # the curve's end points (0,0) and (1,1) have no weight
         write_rows_tsv(fh, columns, first=(0, 0.0, 0.0, 0.0, ""),

@@ -78,6 +78,7 @@ from .errors import (
     ConstantSample,
     EmptyOrTooSmall,
     FloatRangeError,
+    InvalidParameter,
     NonFiniteValue,
     NonNumericData,
     NonPositiveTotal,
@@ -400,6 +401,13 @@ def _check_finite(block: np.ndarray) -> None:
         raise NonFiniteValue(idx, float(block[row, idx]))
 
 
+def _check_integer(name: str, value) -> None:
+    """Raise InvalidParameter unless the parameter `name` is an integer: a
+    numbers.Integral, such as a numpy integer, that is not a bool."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise InvalidParameter(f"{name} must be an integer, got {value!r}")
+
+
 @np.errstate(all="ignore")  # a grid that leaves the float range raises below
 def _lorenz(sample: Sample, classical: bool) -> LorenzGrid:
     """The grid of a sample from its gap vector: the gaps in the data's own
@@ -466,7 +474,12 @@ def weight_vector(n: int) -> np.ndarray:
     Antisymmetric (w_i = -w_{n-i}), summing to zero, with the median gap
     carrying weight zero when n is even.  Magnitudes stay below 3.  The
     row is cached and read-only.
+
+    Raises:
+        InvalidParameter: n is not an integer.
+        EmptyOrTooSmall: n is below 2.
     """
+    _check_integer("n", n)
     if n < 2:
         raise EmptyOrTooSmall(f"need n >= 2, got {n}")
     return _grid_rows(n)[2]

@@ -18,14 +18,16 @@ seed.  It owns one generator and probes numpy's struct layout for it once.
 Per stream it writes the stream's state into the generator: straight into
 its memory where the probe succeeded, or through the public `state` setter
 where it failed.  It then draws into the stream's row of the block.  The
-family's transform and the finite check then run once per block, and a
-contaminated block puts the same generator in each row's contamination
-stream in turn.  Every state, and so every value drawn, is bit-identical
-to that of the stream built alone (O'Neill, "PCG: A Family of Simple Fast
-Space-Efficient Statistically Good Algorithms for Random Number
-Generation", 2014, for PCG64 and its seeding; numpy's SeedSequence for the
-hash).  The single-stream samplers apply the same in-place transforms to
-their one row.
+family's transform runs once per block.  A contaminated block then puts
+the same generator in each row's contamination stream in turn, except in
+a row with a non-finite draw, which is left as drawn; contamination runs
+before the block's one finite check, which every block gets.  Every
+state, and so every value drawn, is bit-identical to that of the stream
+built alone (O'Neill, "PCG: A Family of Simple Fast Space-Efficient
+Statistically Good Algorithms for Random Number Generation", 2014, for
+PCG64 and its seeding; numpy's SeedSequence for the hash).  The
+single-stream samplers apply the same in-place transforms to their one
+row.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Sample, _check_finite, validate_sample
+from .core import Sample, _check_finite, _check_integer, validate_sample
 from .errors import CountTooLarge, InvalidParameter
 
 __all__ = [
@@ -333,6 +335,7 @@ class ContaminationSpec:
     magnitude_range: tuple[float, float] = (10.0, 20.0)
 
     def __post_init__(self):
+        _check_integer("count", self.count)
         if self.count < 0:
             raise InvalidParameter("count must be >= 0")
         if self.side not in CONTAMINATION_SIDES:
@@ -418,12 +421,13 @@ def sample_tukey_g(rng: RngStream, g: float, mu: float, sigma: float, n: int) ->
 
 
 def _replace(values: np.ndarray, count: int, side: str, magnitude_range, gen,
-             scale: float) -> np.ndarray | None:
+             scale: float) -> None:
     """Overwrite `count` entries of values in place with outliers scale*U(lo, hi),
     negated on the low side, drawing the indices and then the magnitudes
-    from gen; returns the magnitudes (None when count is 0)."""
+    from gen.  It checks no value: an outlier beyond the float range is
+    left for the caller's finite check, which runs after it."""
     if count == 0:
-        return None
+        return
     n = values.size
     if 2 * count > n:
         raise CountTooLarge(f"cannot replace {count} of {n} values (limit n/2)")
@@ -431,7 +435,6 @@ def _replace(values: np.ndarray, count: int, side: str, magnitude_range, gen,
     lo, hi = magnitude_range
     magnitudes = gen.uniform(lo, hi, count) * scale
     values[idx] = magnitudes if side == "high" else -magnitudes
-    return magnitudes
 
 
 @np.errstate(over="ignore")  # validate_sample reports an outlier beyond the float range
@@ -475,13 +478,15 @@ class _BlockSampler:
 
     The sampler owns one Generator over one PCG64 (`gen`), probed once by
     `_state_memory`.  Per row `draw` only puts `gen` in the row's stream
-    (`_seed_each`) and draws into the row; the family's transform and the
-    finite check run once per block.  A contaminated block then puts `gen`
-    in each row's contamination stream in turn: the block's draws are done
-    by then, and every seeding clears the buffered half-word, so no draw
-    carries over from one stream to the next.  Errors are those of the
-    one-row path, raised for the first row that has one.  Concurrent
-    callers each build their own sampler.
+    (`_seed_each`) and draws into the row; the family's transform runs once
+    per block.  A contaminated block then puts `gen` in each row's
+    contamination stream in turn: the block's draws are done by then, and
+    every seeding clears the buffered half-word, so no draw carries over
+    from one stream to the next.  A row with a non-finite draw is not
+    contaminated.  Contamination runs before the block's one finite check,
+    which reports the first row holding a NaN or an infinity, a bad draw
+    or an outlier beyond the float range, with the index and value the
+    one-row path reports.  Concurrent callers each build their own sampler.
     """
 
     def __init__(self, dist: DistributionSpec, plan=None):
@@ -526,21 +531,19 @@ class _BlockSampler:
         for row, _ in zip(out, self._seed_each(states)):
             fill(out=row)
         _transform(out, self.dist)
-        if self.plan is None:
-            _check_finite(out)
-        else:
+        if self.plan is not None:
             self._contaminate(out, cstates)
+        _check_finite(out)
         return out
 
-    @np.errstate(over="ignore")  # an outlier beyond the float range is reported below
+    @np.errstate(over="ignore")  # draw's finite check reports an overflowing outlier
     def _contaminate(self, block: np.ndarray, cstates) -> None:
+        """Contaminate each row of block from its `cstates` row's stream, but
+        not a row with a non-finite draw (its max|row| scale is not finite),
+        which keeps that draw for draw's finite check to report."""
         plan, gen = self.plan, self.gen
-        finite = np.isfinite(block).all(axis=1).tolist()
         scales = np.max(np.abs(block), axis=1).tolist()
-        for row, ok, scale, _ in zip(block, finite, scales, self._seed_each(cstates)):
-            if not ok:
-                _check_finite(row[None])
-            count = int(gen.integers(plan.count_min, plan.count_max + 1))
-            magnitudes = _replace(row, count, plan.side, plan.magnitude_range, gen, scale)
-            if magnitudes is not None and not np.isfinite(magnitudes).all():
-                _check_finite(row[None])
+        for row, scale, _ in zip(block, scales, self._seed_each(cstates)):
+            if math.isfinite(scale):
+                count = int(gen.integers(plan.count_min, plan.count_max + 1))
+                _replace(row, count, plan.side, plan.magnitude_range, gen, scale)

@@ -32,7 +32,7 @@ from multiprocessing.util import Finalize
 
 import numpy as np
 
-from .core import _score_rows, cumulative_skew, validate_sample
+from .core import _check_integer, _score_rows, cumulative_skew, validate_sample
 from .distributions import (
     ContaminationSpec,
     DistributionSpec,
@@ -132,6 +132,8 @@ class ContaminationPlan:
     magnitude_range: tuple[float, float] = (10.0, 20.0)
 
     def __post_init__(self):
+        _check_integer("count_min", self.count_min)
+        _check_integer("count_max", self.count_max)
         if not 0 <= self.count_min <= self.count_max:
             raise InvalidParameter("need 0 <= count_min <= count_max")
         # side and magnitudes, checked as contaminate's spec checks them
@@ -149,6 +151,8 @@ class ConditionSpec:
     contamination: ContaminationPlan | None = None
 
     def __post_init__(self):
+        _check_integer("n", self.n)
+        _check_integer("reps", self.reps)
         if self.n < 2:
             raise InvalidParameter("need n >= 2")
         if self.reps < 1:
@@ -322,9 +326,12 @@ def run_condition(spec: ConditionSpec, base_seed: int, jobs: int = 1) -> Conditi
     are reduced in replication order either way, so output is identical to
     a serial run.
 
-    Raises InvalidParameter before any replication runs: for jobs below 1,
-    and for a plan whose count_max exceeds n/2.
+    Raises InvalidParameter before any replication runs: for a jobs or
+    base_seed that is not an integer, jobs below 1, and a plan whose
+    count_max exceeds n/2.
     """
+    _check_integer("jobs", jobs)
+    _check_integer("base_seed", base_seed)
     if jobs < 1:
         raise InvalidParameter("need jobs >= 1")
     _check_outlier_limit(spec)
@@ -405,11 +412,13 @@ def run_gcurve(g_grid=DEFAULT_G_GRID, sds=DEFAULT_GCURVE_SDS, n: int = 100_000,
     checked, before the first sample is drawn.
 
     Raises InvalidParameter for a grid that does not strictly increase, a
-    g below 0, an sd not above 0, a non-finite g, sd or loc, or n below 2.
+    g below 0, an sd not above 0, a non-finite g, sd or loc, an n that is
+    not an integer, or n below 2.
     """
     grid = list(g_grid)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidParameter("g grid must be strictly increasing")
+    _check_integer("n", n)
     if n < 2:
         raise InvalidParameter("need n >= 2")
     rows = [(sd, [DistributionSpec.tukey_g(g, loc, sd) for g in grid]) for sd in sds]

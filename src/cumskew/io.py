@@ -11,7 +11,7 @@ import csv
 import json
 import math
 from array import array
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -230,15 +230,24 @@ def write_rows_tsv(fh, columns: dict, first, last) -> None:
     """Plot-ready TSV headed by the column names: the row `first`, one row
     per position of the equal-length columns, then the row `last`.
 
-    The columns hold ints and floats and go through one `%r` template per
-    row, which gives a float's shortest round-trip text, written a few
-    thousand rows at a time; the cells of `first` and `last` are written
+    The columns are sequences or arrays of ints and floats.  They are
+    converted to Python numbers a few thousand rows at a time, one slice
+    of each column, and each row goes through one `%r` template, which
+    gives a float's shortest round-trip text; so no whole column is ever
+    held as Python numbers.  The cells of `first` and `last` are written
     by `format_number`.
+
+    Raises:
+        ValueError: the columns differ in length.
     """
-    template = "\t".join(["%r"] * len(columns)) + "\n"
+    cols = list(columns.values())
+    size = len(cols[0])
+    if any(len(col) != size for col in cols):
+        raise ValueError("columns differ in length")
+    template = "\t".join(["%r"] * len(cols)) + "\n"
     fh.write("\t".join(columns) + "\n")
     fh.write("\t".join(map(format_number, first)) + "\n")
-    rows = zip(*columns.values(), strict=True)
-    while chunk := "".join(map(template.__mod__, islice(rows, 4096))):
-        fh.write(chunk)
+    for start in range(0, size, 4096):
+        part = [np.asarray(col[start:start + 4096]).tolist() for col in cols]
+        fh.write("".join(map(template.__mod__, zip(*part))))
     fh.write("\t".join(map(format_number, last)) + "\n")

@@ -13,6 +13,7 @@ from cumskew import (
     CumskewError,
     EmptyOrTooSmall,
     FloatRangeError,
+    InvalidParameter,
     NonFiniteValue,
     NonNumericData,
     NonPositiveTotal,
@@ -252,6 +253,16 @@ class TestWeightVector:
     def test_too_small(self):
         with pytest.raises(EmptyOrTooSmall):
             weight_vector(1)
+
+    @pytest.mark.parametrize("n, message", [
+        (3.5, "n must be an integer, got 3.5"),
+        (3.0, "n must be an integer, got 3.0"),
+        (True, "n must be an integer, got True"),
+    ])
+    def test_n_must_be_an_integer(self, n, message):
+        with pytest.raises(InvalidParameter) as got:
+            weight_vector(n)
+        assert str(got.value) == message
 
 
 class TestCumulativeSkew:

@@ -750,6 +750,36 @@ PARAMETER_CHECKS = {
     "gcurve-n": (lambda: run_gcurve(n=-5), "need n >= 2"),
     "gcurve-n-one": (lambda: run_gcurve(n=1), "need n >= 2"),
     "aggregate": (lambda: aggregate([]), "need at least one value"),
+    "spec-count-float": (lambda: ContaminationSpec(1.0, "high"),
+                         "count must be an integer, got 1.0"),
+    "spec-count-bool": (lambda: ContaminationSpec(True, "high"),
+                        "count must be an integer, got True"),
+    "plan-count-min-float": (lambda: ContaminationPlan("high", 1.5, 2),
+                             "count_min must be an integer, got 1.5"),
+    "plan-count-min-bool": (lambda: ContaminationPlan("high", True),
+                            "count_min must be an integer, got True"),
+    "plan-count-max-float": (lambda: ContaminationPlan("high", 1, 2.5),
+                             "count_max must be an integer, got 2.5"),
+    "plan-count-max-bool": (lambda: ContaminationPlan("high", 0, True),
+                            "count_max must be an integer, got True"),
+    "condition-n-float": (lambda: ConditionSpec("c", DistributionSpec.cauchy(), 10.0, 10),
+                          "n must be an integer, got 10.0"),
+    "condition-n-bool": (lambda: ConditionSpec("c", DistributionSpec.cauchy(), True, 10),
+                         "n must be an integer, got True"),
+    "condition-reps-float": (lambda: ConditionSpec("c", DistributionSpec.cauchy(), 10, 5.5),
+                             "reps must be an integer, got 5.5"),
+    "condition-reps-bool": (lambda: ConditionSpec("c", DistributionSpec.cauchy(), 10, True),
+                            "reps must be an integer, got True"),
+    "run-jobs-float": (lambda: run_condition(small_spec(), 1, jobs=2.5),
+                       "jobs must be an integer, got 2.5"),
+    "run-jobs-bool": (lambda: run_condition(small_spec(), 1, jobs=True),
+                      "jobs must be an integer, got True"),
+    "run-seed-float": (lambda: run_condition(small_spec(), 1.5),
+                       "base_seed must be an integer, got 1.5"),
+    "run-seed-bool": (lambda: run_condition(small_spec(), False),
+                      "base_seed must be an integer, got False"),
+    "gcurve-n-float": (lambda: run_gcurve(n=1000.0), "n must be an integer, got 1000.0"),
+    "gcurve-n-bool": (lambda: run_gcurve(n=True), "n must be an integer, got True"),
 }
 
 
@@ -761,6 +791,12 @@ class TestInvalidParameter:
             call()
         assert str(got.value) == message
         assert isinstance(got.value, ValueError) and isinstance(got.value, CumskewError)
+
+    def test_numpy_integers_are_integers(self):
+        spec = ConditionSpec("unit", DistributionSpec.lognormal(0.5), np.int64(40), np.int32(64),
+                             ContaminationPlan("high", np.int64(1), np.int16(5)))
+        assert run_condition(spec, np.int64(1), jobs=np.int64(1)) == \
+            run_condition(small_spec(contaminated=True), 1)
 
     def test_count_limit_checked_before_any_replication(self, monkeypatch):
         # so the outcome does not depend on the counts the replications draw

@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -487,6 +488,40 @@ class TestLorenzCommand:
         text = svg.read_text()
         assert text.startswith("<svg")
         assert "crimson" in text and "seagreen" in text
+
+    def test_tsv_holds_no_whole_column_as_python_numbers(self, tmp_path):
+        # a float column as a list of Python floats alone is 32 B per row
+        n = 200_000
+        values = np.random.default_rng(7).lognormal(size=n)
+        path = write(tmp_path, "".join(f"{v!r}\n" for v in values.tolist()))
+        args = ["lorenz", path, "--out", os.devnull]
+        assert main(args) == 0  # caches the weight rows of this n
+        tracemalloc.start()
+        try:
+            assert main(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 120 * n, peak / n
+
+
+class TestWriteRowsTsv:
+    def test_array_columns_write_python_numbers(self):
+        # three slices of rows; a numpy 2 scalar would print as np.float64(...)
+        p = np.linspace(0.0, 1.0, 10_001)
+        fh = StringIO()
+        io.write_rows_tsv(fh, {"i": range(10_001), "p": p}, first=(0, 0.0), last=(1, 1.0))
+        lines = fh.getvalue().splitlines()
+        want = [f"{i}\t{v!r}" for i, v in enumerate(p.tolist())]
+        assert len(lines) == 10_004
+        assert [(i, a) for i, (a, b) in enumerate(zip(lines[2:-1], want)) if a != b] == []
+
+    def test_columns_of_unequal_length_are_refused(self):
+        fh = StringIO()
+        with pytest.raises(ValueError, match="columns differ in length"):
+            io.write_rows_tsv(fh, {"a": np.zeros(5000), "b": np.zeros(4999)},
+                              first=(0, 0), last=(1, 1))
+        assert fh.getvalue() == ""
 
 
 class TestGoldenOutputs:
