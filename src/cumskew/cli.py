@@ -147,7 +147,7 @@ def cmd_lorenz(args) -> int:
                        last=(grid.n, 1.0, 1.0, 0.0, ""))
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(lorenz_svg(grid))
+            lorenz_svg(grid, fh)
     return EXIT_OK
 
 

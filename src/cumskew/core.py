@@ -138,10 +138,24 @@ def _l_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only integer weights a and c of the sorted sample, j = 1..n:
     n(n-1) l2 = sum_j a_j x_(j) with a_j = 2j - n - 1, and
     n(n-1)(n-2) l3 = sum_j c_j x_(j) with c_j = 6(j-1)(j-n) + (n-1)(n-2);
-    |a_j| < n and |c_j| <= (n-1)(n-2)."""
-    j = np.arange(1.0, n + 1)
-    return (_readonly(2 * j - n - 1),
-            _readonly(6 * (j - 1) * (j - n) + (n - 1) * (n - 2)))
+    |a_j| < n and |c_j| <= (n-1)(n-2).
+
+    The two rows are the only n-sized arrays built: a by one `arange`, and
+    c from a by `_l3_weights`."""
+    a = np.arange(1.0 - n, n, 2.0)
+    return _readonly(a), _readonly(_l3_weights(a, n))
+
+
+def _l3_weights(a: np.ndarray, n: int) -> np.ndarray:
+    """c_j = 6(j-1)(j-n) + (n-1)(n-2) from a_j = 2j - n - 1, in one new
+    array changed in place: a^2 - (n-1)^2 = 4(j-1)(j-n), so
+    c = 1.5 (a^2 - (n-1)^2) + (n-1)(n-2).  Every step is an integer of
+    magnitude at most 1.5 (n-1)^2, so exact in float64 for n below 7e7."""
+    c = np.multiply(a, a)
+    c -= (n - 1) ** 2
+    c *= 1.5
+    c += (n - 1) * (n - 2)
+    return c
 
 
 def _centre_rows(x: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -246,11 +246,14 @@ class RngStream:
     are statistically independent.
 
     The stream is seeded by SeedSequence([base_seed, stream_id]) (both
-    masked to 64 bits).  The Monte Carlo harness draws the same streams
+    masked to 64 bits); either key that is not an integer raises
+    InvalidParameter.  The Monte Carlo harness draws the same streams
     without building an RngStream each (see `_BlockSampler`).
     """
 
     def __init__(self, base_seed: int, stream_id: int = 0):
+        _check_integer("base_seed", base_seed)
+        _check_integer("stream_id", stream_id)
         self.base_seed = int(base_seed)
         self.stream_id = int(stream_id)
         seed = np.random.SeedSequence([self.base_seed & _MASK64, self.stream_id & _MASK64])

@@ -105,8 +105,17 @@ def _stream_ids(prefix: bytes, reps, suffix: bytes = b"") -> np.ndarray:
 
 
 def aggregate(values) -> tuple[float, float]:
-    """Mean and standard error (sd / sqrt(count), ddof 1; zero for count 1)."""
-    vals = list(values)
+    """Mean and standard error (sd / sqrt(count), ddof 1; zero for count 1)
+    of real numbers, each taken as a float.
+
+    Both sums are math.fsum over the values in order.  They read a float64
+    array through a memoryview, one Python float at a time, so the values
+    are never held as a list; any other iterable is first read into such
+    an array.
+    """
+    if not isinstance(values, np.ndarray):
+        values = np.fromiter(values, float)
+    vals = memoryview(np.ascontiguousarray(values, dtype=float))
     count = len(vals)
     if count < 1:
         raise InvalidParameter("need at least one value")
@@ -312,7 +321,8 @@ def _check_outlier_limit(spec: ConditionSpec) -> None:
     replication runs, so whether a condition runs does not depend on the
     outlier counts its replications draw."""
     plan = spec.contamination
-    if plan is not None and 2 * plan.count_max > spec.n:
+    # as Python ints: a fixed-width numpy count would wrap when doubled
+    if plan is not None and 2 * int(plan.count_max) > spec.n:
         raise InvalidParameter(f"count_max {plan.count_max} exceeds n/2 = {spec.n / 2:g}")
 
 
@@ -344,10 +354,10 @@ def run_condition(spec: ConditionSpec, base_seed: int, jobs: int = 1) -> Conditi
     else:
         cs, b1, degenerate = _replicate_range((spec, base_seed, 1, spec.reps + 1))
 
-    b1_vals = b1[~degenerate].tolist()
     degenerate_count = int(degenerate.sum())
-    cs_ave, cs_se = aggregate(cs.tolist())
-    b1_ave, b1_se = aggregate(b1_vals) if b1_vals else (0.0, 0.0)
+    cs_ave, cs_se = aggregate(cs)
+    b1_ave, b1_se = (aggregate(b1[~degenerate]) if degenerate_count < spec.reps
+                     else (0.0, 0.0))
     return ConditionResult(
         id=spec.id, reps=spec.reps,
         b1_ave=b1_ave, b1_se=b1_se, cs_ave=cs_ave, cs_se=cs_se,
@@ -412,13 +422,14 @@ def run_gcurve(g_grid=DEFAULT_G_GRID, sds=DEFAULT_GCURVE_SDS, n: int = 100_000,
     checked, before the first sample is drawn.
 
     Raises InvalidParameter for a grid that does not strictly increase, a
-    g below 0, an sd not above 0, a non-finite g, sd or loc, an n that is
-    not an integer, or n below 2.
+    g below 0, an sd not above 0, a non-finite g, sd or loc, an n or
+    base_seed that is not an integer, or n below 2.
     """
     grid = list(g_grid)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidParameter("g grid must be strictly increasing")
     _check_integer("n", n)
+    _check_integer("base_seed", base_seed)
     if n < 2:
         raise InvalidParameter("need n >= 2")
     rows = [(sd, [DistributionSpec.tukey_g(g, loc, sd) for g in grid]) for sd in sds]

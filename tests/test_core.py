@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +28,7 @@ from cumskew import (
     validate_sample,
     weight_vector,
 )
-from cumskew.core import _score_rows, _xsum
+from cumskew.core import _l3_weights, _l_weights, _score_rows, _xsum
 
 
 def cs(values):
@@ -263,6 +264,38 @@ class TestWeightVector:
         with pytest.raises(InvalidParameter) as got:
             weight_vector(n)
         assert str(got.value) == message
+
+
+class TestLWeights:
+    def test_equal_the_direct_expression_bit_for_bit(self):
+        for n in [*range(2, 3001), 2**20 + 1, 1_000_003]:
+            j = np.arange(1.0, n + 1)
+            a, c = _l_weights.__wrapped__(n)
+            assert a.tobytes() == (2 * j - n - 1).tobytes(), n
+            assert c.tobytes() == (6 * (j - 1) * (j - n) + (n - 1) * (n - 2)).tobytes(), n
+
+    @pytest.mark.parametrize("n", [69_999_999, 70_000_000])
+    def test_in_place_steps_are_exact_near_the_bound(self, n):
+        # the ends, the middle (where |c| peaks) and points between
+        j = [1, 2, 3, n // 7, n // 2, n // 2 + 1, (n + 1) // 2, n - 2, n - 1, n,
+             *np.random.default_rng(n).integers(1, n + 1, 20).tolist()]
+        c = _l3_weights(np.array([2.0 * k - n - 1 for k in j]), n)
+        assert [int(v) for v in c.tolist()] == \
+            [6 * (k - 1) * (k - n) + (n - 1) * (n - 2) for k in j]
+
+    def test_first_report_at_a_new_n_holds_its_workspace_and_weights(self):
+        # the kernel's workspace is 24 B a value and the weights it keeps 16
+        n = 200_000
+        sample = validate_sample(np.random.default_rng(4).lognormal(size=n))
+        skew_report(validate_sample([1.0, 2.0, 4.0]))
+        _l_weights.cache_clear()
+        tracemalloc.start()
+        try:
+            skew_report(sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 44 * n, peak / n
 
 
 class TestCumulativeSkew:

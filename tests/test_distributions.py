@@ -103,6 +103,11 @@ class TestRngStream:
         b = RngStream(-3, -9).random(5)
         assert np.array_equal(a, b)
 
+    def test_numpy_integer_keys_are_the_python_keys(self):
+        a = RngStream(np.int64(-3), np.uint64(2**64 - 9))
+        assert repr(a) == f"RngStream(base_seed=-3, stream_id={2**64 - 9})"
+        assert np.array_equal(a.random(5), RngStream(-3, -9).random(5))
+
 
 class TestBatchedSeeding:
     @pytest.mark.parametrize("base", EDGE_BASES)

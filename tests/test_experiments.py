@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,38 @@ class TestAggregate:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             aggregate([])
+
+    def test_array_gives_the_bits_of_its_list(self):
+        values = np.random.default_rng(3).standard_cauchy(10_001)
+        as_list = values.tolist()
+        mean = math.fsum(as_list) / len(as_list)
+        var = math.fsum((v - mean) ** 2 for v in as_list) / (len(as_list) - 1)
+        assert aggregate(values) == aggregate(as_list) == aggregate(iter(as_list)) \
+            == (mean, math.sqrt(var / len(as_list)))
+        assert aggregate(values[::3]) == aggregate(as_list[::3])  # a strided view
+
+    def test_run_condition_holds_no_per_replication_lists(self, monkeypatch):
+        # a list of 2e5 Python floats alone takes 32 B a replication; the
+        # reduction keeps the float64 columns and a copy of the kept b1
+        reps = 200_000
+        rng = np.random.default_rng(5)
+        cs, b1 = rng.normal(size=reps), rng.standard_cauchy(reps)
+        degenerate = np.zeros(reps, dtype=bool)
+        degenerate[::1000] = True
+        cs[degenerate] = b1[degenerate] = 0.0
+        monkeypatch.setattr(experiments, "_replicate_range",
+                            lambda args: (cs, b1, degenerate))
+        spec = ConditionSpec("unit", DistributionSpec.normal(), 10, reps)
+        tracemalloc.start()
+        try:
+            got = run_condition(spec, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * reps, peak / reps
+        assert (got.cs_ave, got.cs_se) == aggregate(cs.tolist())
+        assert (got.b1_ave, got.b1_se) == aggregate(b1[~degenerate].tolist())
+        assert got.degenerate_count == 200
 
 
 class TestStreamDerivation:
@@ -780,6 +813,13 @@ PARAMETER_CHECKS = {
                       "base_seed must be an integer, got False"),
     "gcurve-n-float": (lambda: run_gcurve(n=1000.0), "n must be an integer, got 1000.0"),
     "gcurve-n-bool": (lambda: run_gcurve(n=True), "n must be an integer, got True"),
+    "gcurve-seed-float": (lambda: run_gcurve(n=100, base_seed=1.5),
+                          "base_seed must be an integer, got 1.5"),
+    "gcurve-seed-bool": (lambda: run_gcurve(n=100, base_seed=True),
+                         "base_seed must be an integer, got True"),
+    "rng-seed-float": (lambda: RngStream(1.5, 2), "base_seed must be an integer, got 1.5"),
+    "rng-stream-float": (lambda: RngStream(1, 2.7), "stream_id must be an integer, got 2.7"),
+    "rng-stream-bool": (lambda: RngStream(1, False), "stream_id must be an integer, got False"),
 }
 
 
@@ -820,6 +860,16 @@ class TestInvalidParameter:
         monkeypatch.setattr(experiments, "_replicate_range", replicate)
         with pytest.raises(InvalidParameter, match=r"^count_max 5 exceeds n/2 = 4\.5$"):
             run_table1(1, n=9, reps=5, jobs=jobs)
+
+    @pytest.mark.parametrize("action", ["default", "error"])
+    def test_count_limit_does_not_wrap_in_a_numpy_integer(self, action):
+        # 2 * np.uint8(200) wraps to 144, below n = 300
+        spec = ConditionSpec("c", DistributionSpec.lognormal(0.5), 300, 5,
+                             ContaminationPlan("high", np.uint8(1), np.uint8(200)))
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            with pytest.raises(InvalidParameter, match=r"^count_max 200 exceeds n/2 = 150$"):
+                run_condition(spec, 1)
 
     def test_count_limit_admits_half_the_sample(self):
         spec = ConditionSpec("c", DistributionSpec.lognormal(1.0), 10, 20,

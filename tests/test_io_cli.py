@@ -18,11 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cumskew import ColumnNotFound, CumskewError, EmptyOrTooSmall, ParseError, parse_csv
-from cumskew import ConditionSpec, DistributionSpec, run_condition, run_gcurve, validate_sample
+from cumskew import ConditionSpec, DistributionSpec, raw_lorenz_grid, run_condition, run_gcurve
+from cumskew import validate_sample
 from cumskew import cli, experiments
 from cumskew.cli import _condition_row, main
 from cumskew import io
 from cumskew.io import _parse_rows, _read_column, run_metadata
+from cumskew.svg import lorenz_svg
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -503,6 +505,45 @@ class TestLorenzCommand:
         finally:
             tracemalloc.stop()
         assert peak <= 120 * n, peak / n
+
+
+    def test_svg_holds_no_per_point_text(self, tmp_path):
+        # within the TSV's own bound, where holding every segment's text and
+        # the whole document takes about 360 B a row more (2e4 rows, because
+        # traced formatting is slow)
+        n = 20_000
+        values = np.random.default_rng(7).lognormal(size=n)
+        path = write(tmp_path, "".join(f"{v!r}\n" for v in values.tolist()))
+        args = ["lorenz", path, "--out", os.devnull, "--svg", os.devnull]
+        assert main(args) == 0  # caches the weight rows of this n
+        tracemalloc.start()
+        try:
+            assert main(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 120 * n, peak / n
+
+
+class TestLorenzSvg:
+    def test_writes_the_golden_document_into_any_text_file(self):
+        fh = StringIO()
+        assert lorenz_svg(raw_lorenz_grid(validate_sample([1, 1, 4])), fh) is None
+        assert fh.getvalue() == (GOLDEN / "lorenz_1_1_4.svg").read_text()
+
+    def test_streams_the_document_a_block_at_a_time(self):
+        # the document is 127 B a point; one block's text and coordinates
+        # take about 400 KB, 20 B a point here
+        n = 20_001
+        grid = raw_lorenz_grid(validate_sample(np.random.default_rng(8).lognormal(size=n)))
+        with open(os.devnull, "w", encoding="utf-8") as sink:
+            tracemalloc.start()
+            try:
+                lorenz_svg(grid, sink)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 40 * (n - 1), peak / (n - 1)
 
 
 class TestWriteRowsTsv:
