@@ -145,6 +145,7 @@ def cmd_lorenz(args) -> int:
         # the curve's end points (0,0) and (1,1) have no weight
         write_rows_tsv(fh, columns, first=(0, 0.0, 0.0, 0.0, ""),
                        last=(grid.n, 1.0, 1.0, 0.0, ""))
+    del columns  # frees the weights before the SVG builds its own
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as fh:
             lorenz_svg(grid, fh)

@@ -19,7 +19,10 @@ the gap between the diagonal and the curve in the data's own units, with
 no shift of the data and no division by their total; the running sums are
 extraction sums, split as the kernel's row sums are (below).
 `lorenz_grid` reports the gaps in the data's units and `raw_lorenz_grid`
-as shares of the mean.
+as shares of the mean.  A grid builds every row it needs and keeps only
+its own p, q and d, so a dropped grid leaves nothing held; the one cache
+is the kernel's L-weights (below), which the Monte Carlo harness reuses
+for every sample of one n.
 
 CS and Gini need only sums of the gaps, and both sums are linear in the
 order statistics.  Exchanging the sums over i and j gives, with e_j the
@@ -127,23 +130,23 @@ def _xsum(p: np.ndarray, bound: float, q: np.ndarray,
 
 
 @functools.lru_cache(maxsize=4)
-def _grid_rows(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only ranks i, grid points p_i = i/n and weights w_i, i = 1..n-1."""
-    i = np.arange(1.0, n)
-    return _readonly(i), _readonly(i / n), _readonly((2 * i - n) * 3.0 / n)
-
-
-@functools.lru_cache(maxsize=4)
 def _l_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only integer weights a and c of the sorted sample, j = 1..n:
     n(n-1) l2 = sum_j a_j x_(j) with a_j = 2j - n - 1, and
     n(n-1)(n-2) l3 = sum_j c_j x_(j) with c_j = 6(j-1)(j-n) + (n-1)(n-2);
     |a_j| < n and |c_j| <= (n-1)(n-2).
 
-    The two rows are the only n-sized arrays built: a by one `arange`, and
-    c from a by `_l3_weights`."""
-    a = np.arange(1.0 - n, n, 2.0)
+    The two rows are the only n-sized arrays built: a by `_l2_weights`, and
+    c from a by `_l3_weights`.  They are cached because the Monte Carlo
+    harness scores many samples at one n: every block of a condition and
+    every point of the g-curve."""
+    a = _l2_weights(n)
     return _readonly(a), _readonly(_l3_weights(a, n))
+
+
+def _l2_weights(n: int) -> np.ndarray:
+    """A new row of the integer weights a_j = 2j - n - 1, j = 1..n."""
+    return np.arange(1.0 - n, n, 2.0)
 
 
 def _l3_weights(a: np.ndarray, n: int) -> np.ndarray:
@@ -167,13 +170,6 @@ def _centre_rows(x: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mean = _xsum(x, 1.0, q) / x.shape[1]
     x -= mean[:, None]
     return e, mean
-
-
-def _l2_sums(dev: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """sum_j a_j dev_j of each row of scaled sorted deviations (|dev| <= 2):
-    twice the sum of the row's Lorenz gaps n * g_i.  p and q are scratch."""
-    n = dev.shape[1]
-    return _xsum(np.multiply(dev, _l_weights(n)[0], out=p), 2.0 * n, q)
 
 
 def _raw_means(values: np.ndarray, mean: np.ndarray,
@@ -202,10 +198,11 @@ def _raw_means(values: np.ndarray, mean: np.ndarray,
 
 def _gini(l2_sum: np.ndarray, n: int, raw_mean: np.ndarray, mean: np.ndarray,
           e: np.ndarray) -> np.ndarray:
-    """Gini of each row from `_l2_sums` of its scaled deviations: twice the
-    area between the diagonal and the curve, over the mean when the raw mean
-    is positive and in the data's units otherwise; inf outside the float
-    range.  The one Gini rule of the package."""
+    """Gini of each row from l2_sum = sum_j a_j dev_j on its scaled sorted
+    deviations (a from `_l2_weights`), twice the sum of its gaps n * g_i.
+    The Gini is twice the area between the diagonal and the curve, over the
+    mean when the raw mean is positive and in the data's units otherwise;
+    inf outside the float range.  The one Gini rule of the package."""
     area = l2_sum / n / n
     return np.where(raw_mean > 0.0, area / mean, np.ldexp(area, e))
 
@@ -262,8 +259,8 @@ def _score_rows(block: np.ndarray, work: np.ndarray | None = None) -> _Scores:
     s2 = _xsum(p, 4.0, q) / n
     p *= x
     s3 = _xsum(p, 8.0, q) / n
-    l2 = _l2_sums(x, p, q)
-    c = _l_weights(n)[1]
+    a, c = _l_weights(n)
+    l2 = _xsum(np.multiply(x, a, out=p), 2.0 * n, q)
     l3 = _xsum(np.multiply(x, c, out=p), 2.0 * (n - 1) * (n - 2), q)
     del work, x, p, q  # frees a workspace this call allocated
     m2 = s2 - r * r
@@ -428,22 +425,24 @@ def _lorenz(sample: Sample, classical: bool) -> LorenzGrid:
     units, or as shares of the mean on the classical footing."""
     x = np.sort(sample.values)[None, :]
     n = x.shape[1]
-    i, p, _ = _grid_rows(n)
     q = np.empty_like(x)
     e, mean = _centre_rows(x, q)
-    l2 = _l2_sums(x, np.empty_like(x), q)
-    sums = _xsum(x, 2.0, q, np.add.accumulate)
-    del q  # each buffer is freed once used, keeping large samples' peak down
-    # n * g_i = i * r - C_i, from the running sums C of the deviations and
-    # their own mean r = C_n / n
-    gaps = np.multiply(i, sums[:, -1:] / n, out=x[:, :-1])
-    gaps -= sums[:, :-1]
-    del sums
     raw_mean, mean = _raw_means(sample.values[None, :], mean, e)
     if classical and not raw_mean[0] > 0.0:
         raise NonPositiveTotal("classical Lorenz curve needs a positive total")
-    g = float(_gini(l2, n, raw_mean, mean, e)[0])
-    d = gaps[0]
+    a = _l2_weights(n)[None, :]
+    a *= x
+    g = float(_gini(_xsum(a, 2.0 * n, q), n, raw_mean, mean, e)[0])
+    del a  # each buffer is freed once used, keeping large samples' peak down
+    sums = _xsum(x, 2.0, q, np.add.accumulate)
+    del q
+    # n * g_i = i * r - C_i, from the running sums C of the deviations and
+    # their own mean r = C_n / n; the ranks i then become the grid's p = i/n
+    p = np.arange(1.0, n)
+    d = np.multiply(p, sums[0, -1] / n, out=x[0, :-1])
+    d -= sums[0, :-1]
+    del sums
+    p /= n
     if classical:
         d /= n * mean[0]
     else:
@@ -452,7 +451,7 @@ def _lorenz(sample: Sample, classical: bool) -> LorenzGrid:
     if not np.isfinite(d).all():
         raise FloatRangeError("the Lorenz grid cannot be computed within "
                               "the float range")
-    return LorenzGrid(p=p, q=_readonly(p - d), d=_readonly(d), n=n, gini=g)
+    return LorenzGrid(p=_readonly(p), q=_readonly(p - d), d=_readonly(d), n=n, gini=g)
 
 
 def lorenz_grid(sample: Sample) -> LorenzGrid:
@@ -486,8 +485,8 @@ def weight_vector(n: int) -> np.ndarray:
     """Weights (2*i - n) * 3 / n for gap indices i = 1..n-1.
 
     Antisymmetric (w_i = -w_{n-i}), summing to zero, with the median gap
-    carrying weight zero when n is even.  Magnitudes stay below 3.  The
-    row is cached and read-only.
+    carrying weight zero when n is even.  Magnitudes stay below 3.  Each
+    call builds a new read-only row.
 
     Raises:
         InvalidParameter: n is not an integer.
@@ -496,7 +495,7 @@ def weight_vector(n: int) -> np.ndarray:
     _check_integer("n", n)
     if n < 2:
         raise EmptyOrTooSmall(f"need n >= 2, got {n}")
-    return _grid_rows(n)[2]
+    return _readonly((2 * np.arange(1.0, n) - n) * 3.0 / n)
 
 
 def cumulative_skew(sample: Sample) -> float:

@@ -432,7 +432,8 @@ def _replace(values: np.ndarray, count: int, side: str, magnitude_range, gen,
     if count == 0:
         return
     n = values.size
-    if 2 * count > n:
+    # as a Python int: a fixed-width numpy count would wrap when doubled
+    if 2 * int(count) > n:
         raise CountTooLarge(f"cannot replace {count} of {n} values (limit n/2)")
     idx = gen.choice(n, size=count, replace=False)
     lo, hi = magnitude_range

@@ -202,6 +202,23 @@ class TestLorenzGrid:
         # d, q and Gini of seeded grids on both footings, bit for bit
         assert grid_digest() == GRID_PIN
 
+    def test_a_dropped_grid_leaves_nothing_held(self):
+        # the sorted copy, its scratch and two running-sum rows peak at 32 B
+        # a value; once the grid is dropped, no n-sized row stays held, only
+        # a few hundred bytes of the interpreter's own
+        n = 200_000
+        sample = validate_sample(np.random.default_rng(6).lognormal(size=n))
+        lorenz_grid(validate_sample([1.0, 2.0, 4.0]))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            lorenz_grid(sample)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 40 * n, (peak - start) / n
+        assert held - start <= 4096, held - start
+
 
 GRID_FAMILIES = {
     "lognormal": lambda rng, n: rng.lognormal(size=n),

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -335,6 +336,15 @@ class TestContaminate:
         s = self.lognormal(3, n=10)
         with pytest.raises(CountTooLarge):
             contaminate(s, ContaminationSpec(6, "high"), RngStream(6, 103))
+
+    @pytest.mark.parametrize("action", ["default", "error"])
+    def test_count_limit_does_not_wrap_in_a_numpy_integer(self, action):
+        # 2 * np.uint8(200) wraps to 144, below n = 300
+        s = validate_sample(np.arange(1.0, 301))
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            with pytest.raises(CountTooLarge, match=r"^cannot replace 200 of 300 values"):
+                contaminate(s, ContaminationSpec(np.uint8(200), "high"), RngStream(1, 2))
 
     def test_negative_sample_outliers_leave_its_range(self):
         s = validate_sample([-5, -3, -2, -1, -4, -6])

@@ -492,12 +492,14 @@ class TestLorenzCommand:
         assert "crimson" in text and "seagreen" in text
 
     def test_tsv_holds_no_whole_column_as_python_numbers(self, tmp_path):
-        # a float column as a list of Python floats alone is 32 B per row
-        n = 200_000
+        # a float column as a list of Python floats alone is 32 B per row;
+        # a writer holding every column so reads about 230 B a row (5e4
+        # rows, because traced formatting is slow)
+        n = 50_000
         values = np.random.default_rng(7).lognormal(size=n)
         path = write(tmp_path, "".join(f"{v!r}\n" for v in values.tolist()))
         args = ["lorenz", path, "--out", os.devnull]
-        assert main(args) == 0  # caches the weight rows of this n
+        assert main(args) == 0  # a first run loads what the command needs
         tracemalloc.start()
         try:
             assert main(args) == 0
@@ -515,7 +517,7 @@ class TestLorenzCommand:
         values = np.random.default_rng(7).lognormal(size=n)
         path = write(tmp_path, "".join(f"{v!r}\n" for v in values.tolist()))
         args = ["lorenz", path, "--out", os.devnull, "--svg", os.devnull]
-        assert main(args) == 0  # caches the weight rows of this n
+        assert main(args) == 0  # a first run loads what the command needs
         tracemalloc.start()
         try:
             assert main(args) == 0
