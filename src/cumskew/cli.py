@@ -10,8 +10,8 @@ import argparse
 import sys
 from contextlib import contextmanager
 
-from .core import lorenz_grid, raw_lorenz_grid, skew_report, weight_vector
-from .errors import CumskewError, InvalidParameter, NonPositiveTotal
+from .core import _lorenz, skew_report, weight_vector
+from .errors import CumskewError, InvalidParameter
 from .io import (
     format_sig,
     parse_csv,
@@ -135,10 +135,9 @@ def cmd_experiment(args) -> int:
 
 def cmd_lorenz(args) -> int:
     sample = parse_csv(args.path, args.column)
-    try:
-        grid = raw_lorenz_grid(sample)
-    except NonPositiveTotal:  # the classical curve needs a positive total
-        grid = lorenz_grid(sample)
+    # the classical curve when the total is positive, else the canonical one
+    grid = _lorenz(sample, classical=None)
+    del sample  # the grid holds its own rows
     columns = {"i": range(1, grid.n), "p": grid.p, "q": grid.q, "d": grid.d,
                "w": weight_vector(grid.n)}
     with _output(args.out) as fh:

@@ -20,9 +20,9 @@ no shift of the data and no division by their total; the running sums are
 extraction sums, split as the kernel's row sums are (below).
 `lorenz_grid` reports the gaps in the data's units and `raw_lorenz_grid`
 as shares of the mean.  A grid builds every row it needs and keeps only
-its own p, q and d, so a dropped grid leaves nothing held; the one cache
-is the kernel's L-weights (below), which the Monte Carlo harness reuses
-for every sample of one n.
+its own p, q and d, so a dropped grid leaves nothing held.  The module
+keeps no cache: a single sample's L-weights (below) are written into the
+kernel's scratch, and the Monte Carlo harness builds them once per run.
 
 CS and Gini need only sums of the gaps, and both sums are linear in the
 order statistics.  Exchanging the sums over i and j gives, with e_j the
@@ -68,7 +68,6 @@ depend on the block's shape).
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import sys
@@ -129,36 +128,49 @@ def _xsum(p: np.ndarray, bound: float, q: np.ndarray,
     return high
 
 
-@functools.lru_cache(maxsize=4)
-def _l_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only integer weights a and c of the sorted sample, j = 1..n:
-    n(n-1) l2 = sum_j a_j x_(j) with a_j = 2j - n - 1, and
+# The L-weights are written this many at a time, so that no temporary of
+# the writer grows with n.
+_WEIGHT_CHUNK = 8192
+
+
+def _write_l_weights(out: np.ndarray, cubic: bool) -> np.ndarray:
+    """Write into the 1-D row out of length n, and return it, the integer
+    weights of the sorted sample, j = 1..n:
+    n(n-1) l2 = sum_j a_j x_(j) with a_j = 2j - n - 1, or with cubic,
     n(n-1)(n-2) l3 = sum_j c_j x_(j) with c_j = 6(j-1)(j-n) + (n-1)(n-2);
     |a_j| < n and |c_j| <= (n-1)(n-2).
 
-    The two rows are the only n-sized arrays built: a by `_l2_weights`, and
-    c from a by `_l3_weights`.  They are cached because the Monte Carlo
-    harness scores many samples at one n: every block of a condition and
-    every point of the g-curve."""
-    a = _l2_weights(n)
-    return _readonly(a), _readonly(_l3_weights(a, n))
-
-
-def _l2_weights(n: int) -> np.ndarray:
-    """A new row of the integer weights a_j = 2j - n - 1, j = 1..n."""
-    return np.arange(1.0 - n, n, 2.0)
+    A chunk of _WEIGHT_CHUNK values at a time: a by one arange, then c
+    from it in place (`_l3_weights`).  The weights are exact integers, so
+    the same bits whatever the chunk."""
+    n = len(out)
+    for lo in range(0, n, _WEIGHT_CHUNK):
+        w = out[lo:lo + _WEIGHT_CHUNK]
+        first = 2.0 * lo + 1.0 - n
+        w[...] = np.arange(first, first + 2.0 * len(w) - 1.0, 2.0)
+        if cubic:
+            _l3_weights(w, n)
+    return out
 
 
 def _l3_weights(a: np.ndarray, n: int) -> np.ndarray:
-    """c_j = 6(j-1)(j-n) + (n-1)(n-2) from a_j = 2j - n - 1, in one new
-    array changed in place: a^2 - (n-1)^2 = 4(j-1)(j-n), so
+    """Turn a row of a_j = 2j - n - 1 in place into c_j = 6(j-1)(j-n) +
+    (n-1)(n-2), and return it: a^2 - (n-1)^2 = 4(j-1)(j-n), so
     c = 1.5 (a^2 - (n-1)^2) + (n-1)(n-2).  Every step is an integer of
     magnitude at most 1.5 (n-1)^2, so exact in float64 for n below 7e7."""
-    c = np.multiply(a, a)
-    c -= (n - 1) ** 2
-    c *= 1.5
-    c += (n - 1) * (n - 2)
-    return c
+    a *= a
+    a -= (n - 1) ** 2
+    a *= 1.5
+    a += (n - 1) * (n - 2)
+    return a
+
+
+def _l_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """New read-only rows of the weights a and c (`_write_l_weights`), for
+    a caller that scores many samples at one n: every block of a range and
+    every point of the g-curve."""
+    return tuple(_readonly(_write_l_weights(np.empty(n), cubic))
+                 for cubic in (False, True))
 
 
 def _centre_rows(x: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -199,7 +211,8 @@ def _raw_means(values: np.ndarray, mean: np.ndarray,
 def _gini(l2_sum: np.ndarray, n: int, raw_mean: np.ndarray, mean: np.ndarray,
           e: np.ndarray) -> np.ndarray:
     """Gini of each row from l2_sum = sum_j a_j dev_j on its scaled sorted
-    deviations (a from `_l2_weights`), twice the sum of its gaps n * g_i.
+    deviations (a from `_write_l_weights`), twice the sum of its gaps
+    n * g_i.
     The Gini is twice the area between the diagonal and the curve, over the
     mean when the raw mean is positive and in the data's units otherwise;
     inf outside the float range.  The one Gini rule of the package."""
@@ -223,7 +236,8 @@ class _Scores(NamedTuple):
 
 
 @np.errstate(all="ignore")  # rows that leave the float range raise below
-def _score_rows(block: np.ndarray, work: np.ndarray | None = None) -> _Scores:
+def _score_rows(block: np.ndarray, work: np.ndarray | None = None,
+                weights: tuple[np.ndarray, np.ndarray] | None = None) -> _Scores:
     """CS, b1, Gini and the degenerate flag of each row of a (k, n) block.
 
     A row is degenerate when it is constant or its variance vanishes; its
@@ -236,7 +250,11 @@ def _score_rows(block: np.ndarray, work: np.ndarray | None = None) -> _Scores:
     copy of the block and two scratch blocks, which the kernel overwrites.
     A caller that scores many blocks passes one workspace to all of them,
     so that no call allocates, and page-faults on, n-sized temporaries;
-    without it each call allocates its own.
+    without it each call allocates its own.  Such a caller also passes
+    `weights`, the rows a and c of `_l_weights(n)`, built once for all its
+    blocks; without them the kernel writes a, then c, into its free
+    scratch row just before each L-sum, so that a lone sample builds no
+    n-sized row beyond the workspace and nothing stays held after the call.
 
     Raises:
         FloatRangeError: a row's CS or b1 is not finite.
@@ -259,10 +277,12 @@ def _score_rows(block: np.ndarray, work: np.ndarray | None = None) -> _Scores:
     s2 = _xsum(p, 4.0, q) / n
     p *= x
     s3 = _xsum(p, 8.0, q) / n
-    a, c = _l_weights(n)
+    # without `weights`, each row is written into q, free until its L-sum
+    a = _write_l_weights(q[0], False) if weights is None else weights[0]
     l2 = _xsum(np.multiply(x, a, out=p), 2.0 * n, q)
+    c = _write_l_weights(q[0], True) if weights is None else weights[1]
     l3 = _xsum(np.multiply(x, c, out=p), 2.0 * (n - 1) * (n - 2), q)
-    del work, x, p, q  # frees a workspace this call allocated
+    del work, x, p, q, a, c  # frees a workspace this call allocated
     m2 = s2 - r * r
     m3 = s3 - 3.0 * r * s2 + 2.0 * (r * r * r)
     degenerate |= m2 == 0.0
@@ -420,17 +440,21 @@ def _check_integer(name: str, value) -> None:
 
 
 @np.errstate(all="ignore")  # a grid that leaves the float range raises below
-def _lorenz(sample: Sample, classical: bool) -> LorenzGrid:
+def _lorenz(sample: Sample, classical: bool | None) -> LorenzGrid:
     """The grid of a sample from its gap vector: the gaps in the data's own
-    units, or as shares of the mean on the classical footing."""
+    units, or as shares of the mean on the classical footing.  With
+    classical None the footing follows the raw total: classical when it is
+    positive, canonical otherwise."""
     x = np.sort(sample.values)[None, :]
     n = x.shape[1]
     q = np.empty_like(x)
     e, mean = _centre_rows(x, q)
     raw_mean, mean = _raw_means(sample.values[None, :], mean, e)
-    if classical and not raw_mean[0] > 0.0:
+    if classical is None:
+        classical = bool(raw_mean[0] > 0.0)
+    elif classical and not raw_mean[0] > 0.0:
         raise NonPositiveTotal("classical Lorenz curve needs a positive total")
-    a = _l2_weights(n)[None, :]
+    a = _write_l_weights(np.empty(n), False)[None, :]
     a *= x
     g = float(_gini(_xsum(a, 2.0 * n, q), n, raw_mean, mean, e)[0])
     del a  # each buffer is freed once used, keeping large samples' peak down

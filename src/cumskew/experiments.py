@@ -10,7 +10,8 @@ hashes the draw stream ids and, for a contaminated condition, the
 contamination stream ids, and computes each kind's states in one pass
 (`distributions._stream_states`).  Each block is drawn from its rows of
 both (`distributions._BlockSampler`, which takes states alone) and scored
-at once (`core._score_rows`), all in one workspace per range.
+at once (`core._score_rows`), all in one workspace and with one set of
+L-weights per range.
 
 Runs with more than one worker map their ranges, one task each, onto one
 process pool per process (`_SharedPool`): it is built on first use,
@@ -32,7 +33,7 @@ from multiprocessing.util import Finalize
 
 import numpy as np
 
-from .core import _check_integer, _score_rows, cumulative_skew, validate_sample
+from .core import _check_finite, _check_integer, _l_weights, _score_rows
 from .distributions import (
     ContaminationSpec,
     DistributionSpec,
@@ -219,6 +220,7 @@ def _replicate_range(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # sorted copy and two scratch blocks; a short last block uses the
     # leading rows of each, which are C-contiguous too
     space = np.empty((4, rows, n))
+    weights = _l_weights(n)
     cs, b1 = np.empty(stop - start), np.empty(stop - start)
     degenerate = np.empty(stop - start, dtype=bool)
     for first in range(start, stop, batch):
@@ -230,7 +232,7 @@ def _replicate_range(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             part = slice(lo, lo + rows)
             block = sampler.draw(states[part], None if plan is None else cstates[part],
                                  space[0, :len(reps[part])])
-            scores = _score_rows(block, space[1:, :len(block)])
+            scores = _score_rows(block, space[1:, :len(block)], weights)
             done = slice(first - start + lo, first - start + lo + len(block))
             cs[done], b1[done], degenerate[done] = scores.cs, scores.b1, scores.degenerate
     return cs, b1, degenerate
@@ -433,12 +435,18 @@ def run_gcurve(g_grid=DEFAULT_G_GRID, sds=DEFAULT_GCURVE_SDS, n: int = 100_000,
     if n < 2:
         raise InvalidParameter("need n >= 2")
     rows = [(sd, [DistributionSpec.tukey_g(g, loc, sd) for g in grid]) for sd in sds]
+    # one workspace and one set of L-weights for every sample, as a range
+    # has: the sample itself, then the kernel's sorted copy and scratch
+    space = np.empty((4, 1, n))
+    values, work = space[0], space[1:]
+    weights = _l_weights(n)
     points = []
     for sd, specs in rows:
         z = RngStream(base_seed, derive_stream_id("gcurve", f"sd={sd!r}")).standard_normal(n)
         for spec in specs:
-            values = z.copy()
+            np.copyto(values, z)
             _transform(values, spec)
-            cs = cumulative_skew(validate_sample(values))
+            _check_finite(values)
+            cs = float(_score_rows(values, work, weights).cs[0])
             points.append(GCurvePoint(g=float(spec.g), sd=float(sd), cs=cs, n=n))
     return points

@@ -28,7 +28,14 @@ from cumskew import (
     validate_sample,
     weight_vector,
 )
-from cumskew.core import _l3_weights, _l_weights, _score_rows, _xsum
+from cumskew.core import (
+    _WEIGHT_CHUNK,
+    _l3_weights,
+    _l_weights,
+    _score_rows,
+    _write_l_weights,
+    _xsum,
+)
 
 
 def cs(values):
@@ -285,11 +292,19 @@ class TestWeightVector:
 
 class TestLWeights:
     def test_equal_the_direct_expression_bit_for_bit(self):
-        for n in [*range(2, 3001), 2**20 + 1, 1_000_003]:
+        # sizes about the chunk cover a row written in one chunk and in many
+        for n in [*range(2, 3001), _WEIGHT_CHUNK - 1, _WEIGHT_CHUNK, _WEIGHT_CHUNK + 1,
+                  3 * _WEIGHT_CHUNK + 7, 2**20 + 1, 1_000_003]:
             j = np.arange(1.0, n + 1)
-            a, c = _l_weights.__wrapped__(n)
+            a, c = (_write_l_weights(np.empty(n), cubic) for cubic in (False, True))
             assert a.tobytes() == (2 * j - n - 1).tobytes(), n
             assert c.tobytes() == (6 * (j - 1) * (j - n) + (n - 1) * (n - 2)).tobytes(), n
+
+    def test_rows_for_many_samples_are_the_written_ones_read_only(self):
+        n = 3 * _WEIGHT_CHUNK + 7
+        for cubic, row in enumerate(_l_weights(n)):
+            assert not row.flags.writeable
+            assert row.tobytes() == _write_l_weights(np.empty(n), cubic).tobytes()
 
     @pytest.mark.parametrize("n", [69_999_999, 70_000_000])
     def test_in_place_steps_are_exact_near_the_bound(self, n):
@@ -300,19 +315,21 @@ class TestLWeights:
         assert [int(v) for v in c.tolist()] == \
             [6 * (k - 1) * (k - n) + (n - 1) * (n - 2) for k in j]
 
-    def test_first_report_at_a_new_n_holds_its_workspace_and_weights(self):
-        # the kernel's workspace is 24 B a value and the weights it keeps 16
+    def test_a_report_peaks_at_its_workspace_and_holds_nothing(self):
+        # the kernel's workspace is 24 B a value; the weights are written
+        # into its scratch a chunk at a time, and nothing stays held
         n = 200_000
         sample = validate_sample(np.random.default_rng(4).lognormal(size=n))
         skew_report(validate_sample([1.0, 2.0, 4.0]))
-        _l_weights.cache_clear()
         tracemalloc.start()
         try:
+            start = tracemalloc.get_traced_memory()[0]
             skew_report(sample)
-            peak = tracemalloc.get_traced_memory()[1]
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 44 * n, peak / n
+        assert peak - start <= 26 * n, (peak - start) / n
+        assert held - start <= 4096, held - start
 
 
 class TestCumulativeSkew:

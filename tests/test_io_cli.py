@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from cumskew import ColumnNotFound, CumskewError, EmptyOrTooSmall, ParseError, parse_csv
 from cumskew import ConditionSpec, DistributionSpec, raw_lorenz_grid, run_condition, run_gcurve
 from cumskew import validate_sample
-from cumskew import cli, experiments
+from cumskew import cli, core, experiments
 from cumskew.cli import _condition_row, main
 from cumskew import io
 from cumskew.io import _parse_rows, _read_column, run_metadata
@@ -468,14 +468,30 @@ class TestLorenzCommand:
         assert [r[0] for r in rows] == pytest.approx(q, abs=1e-15)
         assert [r[1] for r in rows] == pytest.approx(d, abs=1e-15)
 
-    def test_only_a_non_positive_total_falls_back(self, tmp_path, monkeypatch):
-        # any other fault of the classical grid is not hidden by the canonical one
-        def broken(sample):
+    def test_a_grid_fault_is_reported(self, tmp_path, monkeypatch):
+        # any other fault of the grid is not hidden by the canonical footing
+        def broken(sample, classical):
             raise ValueError("unrelated fault")
 
-        monkeypatch.setattr(cli, "raw_lorenz_grid", broken)
+        monkeypatch.setattr(cli, "_lorenz", broken)
         with pytest.raises(ValueError, match="unrelated fault"):
             main(["lorenz", write(tmp_path, "1\n2\n")])
+
+    @pytest.mark.parametrize("values", ["-3\n-1\n2\n", "-3\n-1\n2\n5\n", "1\n1\n4\n"],
+                             ids=["mixed-sign-negative-total", "mixed-sign-positive-total",
+                                  "positive"])
+    def test_one_sort_and_centring_whatever_the_total(self, tmp_path, monkeypatch, values):
+        # the footing follows the raw mean of the one centred grid, so data
+        # with a non-positive total are not sorted and centred again
+        centre, calls = core._centre_rows, []
+
+        def counted(x, q):
+            calls.append(x.shape)
+            return centre(x, q)
+
+        monkeypatch.setattr(core, "_centre_rows", counted)
+        assert main(["lorenz", write(tmp_path, values), "--out", os.devnull]) == 0
+        assert len(calls) == 1
 
     def test_float_range_failure_exits_1(self, tmp_path, capsys):
         # the spread dwarfs the positive mean: the classical grid overflows
