@@ -13,20 +13,25 @@ both (`distributions._BlockSampler`, which takes states alone) and scored
 at once (`core._score_rows`), all in one workspace and with one set of
 L-weights per range.
 
-Runs with more than one worker map their ranges, one task each, onto one
-process pool per process (`_SharedPool`): it is built on first use,
-rebuilt when the worker count changes or a worker has died, never used by
-a forked child, and closed at exit.  A run with one worker, including any
-run on a 1-CPU host, stays in the calling process.
+Runs with N > 1 workers split their ranges, one task each, between the
+calling process and the N - 1 worker processes of one pool per process
+(`_SharedPool`): the caller sends each worker its task over the worker's
+own pipe, scores the first range itself, then reads the workers' ranges
+in order.  The pool has no helper threads.  It is built on first use,
+rebuilt when the worker count changes or a worker has died (the next call
+reaps it), never used by a forked child, and closed at exit.  A run with
+one worker, including any run on a 1-CPU host, stays in the calling
+process.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
+import multiprocessing
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from multiprocessing.util import Finalize
@@ -76,6 +81,11 @@ TABLE1_LOW_MAGNITUDES = (1.05, 1.5)
 # of 2048-4096 rows.
 _BLOCK_VALUES = 32_768
 
+# aggregate squares the deviations about this many values at a time: a
+# fixed bound on its temporaries, and one numpy call per 2,000-replication
+# column.
+_SQUARE_VALUES = 4096
+
 # Stream states are computed for about this many replications at a time,
 # in whole blocks: enough to spread the seeding hash's numpy calls over
 # many rows, and a fixed bound on its temporaries (about 200 bytes per
@@ -109,22 +119,46 @@ def aggregate(values) -> tuple[float, float]:
     """Mean and standard error (sd / sqrt(count), ddof 1; zero for count 1)
     of real numbers, each taken as a float.
 
-    Both sums are math.fsum over the values in order.  They read a float64
-    array through a memoryview, one Python float at a time, so the values
-    are never held as a list; any other iterable is first read into such
-    an array.
+    Both sums are math.fsum over the values in order: the mean's over a
+    float64 array read through a memoryview, one Python float at a time,
+    and the variance's over the squared deviations (_squares).  Any
+    iterable that is not an array is first read into one, so the values
+    are never held as a list.
     """
     if not isinstance(values, np.ndarray):
         values = np.fromiter(values, float)
-    vals = memoryview(np.ascontiguousarray(values, dtype=float))
+    vals = np.ascontiguousarray(values, dtype=float)
     count = len(vals)
     if count < 1:
         raise InvalidParameter("need at least one value")
-    mean = math.fsum(vals) / count
+    mean = math.fsum(memoryview(vals)) / count
     if count == 1:
         return mean, 0.0
-    var = math.fsum((v - mean) ** 2 for v in vals) / (count - 1)
+    var = math.fsum(itertools.chain.from_iterable(_squares(vals, mean))) / (count - 1)
     return mean, math.sqrt(var / count)
+
+
+def _squares(vals: np.ndarray, mean: float):
+    """(v - mean) ** 2 of every value in order, as Python computes each,
+    in runs of _SQUARE_VALUES at a time.
+
+    A run is squared in numpy with the bits of Python's square: the same
+    subtraction, then C pow on |d| (float_power on float64), as
+    float.__pow__ does for an even exponent.  From the first run with a
+    square that is not finite on, the squares are Python's own, so an
+    overflow raises OverflowError, and a NaN keeps its sign, as in the
+    plain generator.
+    """
+    for lo in range(0, len(vals), _SQUARE_VALUES):
+        # numpy would warn on an overflow or on inf - inf; Python does not
+        with np.errstate(all="ignore"):
+            d = vals[lo:lo + _SQUARE_VALUES] - mean
+            np.abs(d, out=d)
+            np.float_power(d, 2.0, out=d)
+        if not np.isfinite(d).all():
+            yield ((v - mean) ** 2 for v in memoryview(vals[lo:]))
+            return
+        yield memoryview(d)
 
 
 @dataclass(frozen=True)
@@ -256,44 +290,95 @@ def _pool_workers(jobs: int, reps: int) -> int:
     return min(jobs, os.cpu_count() or 1, reps)
 
 
-class _SharedPool:
-    """The process pool that run_condition maps its ranges onto.
+def _answer(fn, task) -> tuple[bool, object]:
+    """(True, fn(task)), or (False, the exception it raised)."""
+    try:
+        return True, fn(task)
+    except Exception as exc:
+        return False, exc
 
-    The pool is built on the first call and reused while the worker count
-    stays the same.  A new count, or a pool found broken as a call starts
-    (a worker died since the last call), shuts the old pool down, waiting
-    for its workers, and builds a new one.  Workers exit with the
-    interpreter through concurrent.futures' exit hook.  A multiprocessing
-    child joins its child processes before that hook runs, so a
-    multiprocessing finalizer also shuts the pool down, ahead of the
-    queues' own finalizers (priority 10) that the shutdown still needs.
+
+def _serve(conn) -> None:
+    """A pool worker: answer each (fn, task) the caller sends down conn,
+    until the caller closes its end.  Returning, not being terminated,
+    lets multiprocessing's exit hooks run in the worker."""
+    with conn:
+        try:
+            while True:
+                fn, task = conn.recv()
+                conn.send(_answer(fn, task))
+        except (EOFError, OSError):
+            return  # the caller has closed its end
+
+
+def _stop(conns: list, procs: list) -> None:
+    # every worker returns once the caller's ends of all the pipes are closed
+    for conn in conns:
+        conn.close()
+    for proc in procs:
+        proc.join()
+
+
+class _SharedPool:
+    """The worker processes that run_condition shares its ranges with.
+
+    A pool for N workers is N - 1 multiprocessing processes from the
+    default context, each fed over its own duplex pipe by the calling
+    thread, which takes the first task itself; there are no helper
+    threads.  The pool is built on the first call and reused while the
+    worker count stays the same.  A new count, or a worker found dead as a
+    call starts (which reaps it), shuts the old pool down and builds a new
+    one; so does a call that leaves before reading every reply.  Shutting
+    down closes the pipes and waits for each worker to return.  That runs
+    at exit through a multiprocessing finalizer, ahead of multiprocessing's
+    own join of its children, in a multiprocessing child too.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._executor = None
+        self._conns = []
+        self._procs = []
         self._workers = 0
         self._finalizer = None
 
     def map(self, fn, tasks: list, workers: int) -> list:
-        """fn over tasks on a pool of `workers` processes, in task order."""
+        """fn over tasks, one task for each of `workers` workers, the first
+        in this process; results in task order.
+
+        Every reply is read before any error is raised, and the first error
+        in task order is raised, as a serial run would raise it.  A worker
+        that dies during the call raises BrokenProcessPool.
+        """
         with self._lock:
-            if self._workers != workers:
+            if self._workers != workers or not all(p.is_alive() for p in self._procs):
                 self._build(workers)
-            # Executor.map submits every task before it returns, so no other
-            # thread can shut this pool down between submissions
             try:
-                results = self._executor.map(fn, tasks)
-            except BrokenProcessPool:
-                self._build(workers)
-                results = self._executor.map(fn, tasks)
-        return list(results)
+                for conn, task in zip(self._conns, tasks[1:]):
+                    conn.send((fn, task))
+                replies = [_answer(fn, tasks[0])] + [conn.recv() for conn in self._conns]
+            except BaseException as exc:
+                # replies left unread would put the pipes out of step
+                self._shutdown()
+                if isinstance(exc, (EOFError, OSError)):
+                    raise BrokenProcessPool("a worker process died during the call") from exc
+                raise
+        for ok, value in replies:
+            if not ok:
+                raise value
+        return [value for _, value in replies]
 
     def _build(self, workers: int) -> None:
         self._shutdown()
-        self._executor = ProcessPoolExecutor(max_workers=workers)
-        self._finalizer = Finalize(self._executor, self._executor.shutdown,
+        self._finalizer = Finalize(None, _stop, (self._conns, self._procs),
                                    exitpriority=20)
+        for _ in range(workers - 1):
+            conn, theirs = multiprocessing.Pipe()
+            # listed before the fork, so that _forget closes it in the worker
+            self._conns.append(conn)
+            proc = multiprocessing.Process(target=_serve, args=(theirs,))
+            proc.start()
+            theirs.close()
+            self._procs.append(proc)
         self._workers = workers
 
     def _shutdown(self) -> None:
@@ -301,12 +386,15 @@ class _SharedPool:
         holds the lock or is the only thread using the pool."""
         if self._finalizer is not None:
             self._finalizer()
-        self._executor, self._workers, self._finalizer = None, 0, None
+        self._conns, self._procs, self._workers, self._finalizer = [], [], 0, None
 
     def _forget(self) -> None:
-        """In a forked child, drop the parent's pool and lock unused: the
-        pool's manager thread does not exist here, so its futures would
-        never finish, and the lock may have been held at the fork."""
+        """In a forked child, a pool worker included, close the parent's ends
+        of the workers' pipes, which would keep the workers from seeing EOF,
+        and drop the parent's pool and lock unused: the lock may have been
+        held at the fork."""
+        for conn in self._conns:
+            conn.close()
         if self._finalizer is not None:
             self._finalizer.cancel()
         self.__init__()
@@ -333,10 +421,10 @@ def run_condition(spec: ConditionSpec, base_seed: int, jobs: int = 1) -> Conditi
 
     The replications are split into one contiguous range per worker, at
     most jobs workers and no more than the host has CPUs.  With more than
-    one worker the ranges are mapped onto the process's shared pool, one
-    task each; with one, the whole range runs in this process.  Results
-    are reduced in replication order either way, so output is identical to
-    a serial run.
+    one worker this process runs the first range and the process's shared
+    pool the others, one task each; with one, the whole range runs in this
+    process.  Results are reduced in replication order either way, so
+    output is identical to a serial run.
 
     Raises InvalidParameter before any replication runs: for a jobs or
     base_seed that is not an integer, jobs below 1, and a plan whose

@@ -1,11 +1,13 @@
+import itertools
 import math
 import multiprocessing
 import os
 import pickle
 import signal
+import struct
+import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 import warnings
 
@@ -39,6 +41,15 @@ from cumskew.core import _score_rows
 from cumskew.distributions import _BlockSampler, _stream_states
 
 
+_FINITE_SQUARES = [
+    pytest.param(np.random.default_rng(10).normal(size=200_000), id="normal"),
+    pytest.param(np.random.default_rng(11).standard_cauchy(10_001), id="cauchy"),
+    pytest.param(np.random.default_rng(12).lognormal(0.0, 3.0, 9_000), id="lognormal-3"),
+    pytest.param(1e-300 * np.random.default_rng(13).normal(size=5_000), id="1e-300"),
+    pytest.param(np.random.default_rng(14).standard_cauchy(30_000)[::7], id="strided"),
+]
+
+
 class TestAggregate:
     def test_single_value_convention(self):
         assert aggregate([3.0]) == (3.0, 0.0)
@@ -64,6 +75,37 @@ class TestAggregate:
             == (mean, math.sqrt(var / len(as_list)))
         assert aggregate(values[::3]) == aggregate(as_list[::3])  # a strided view
 
+    @pytest.mark.parametrize("values", _FINITE_SQUARES)
+    def test_squares_are_pythons(self, values):
+        # x * x and np.power round differently from Python's square on a
+        # few hundred of 2e5 normals, too rarely to move every variance
+        vals = np.ascontiguousarray(values, dtype=float)
+        mean = math.fsum(vals.tolist()) / len(vals)
+        got = np.fromiter(itertools.chain.from_iterable(experiments._squares(vals, mean)), float)
+        want = np.array([(v - mean) ** 2 for v in vals.tolist()])
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("values", _FINITE_SQUARES + [
+        pytest.param([1e154, -1e154, 3.0], id="fsum-overflow"),
+        pytest.param([1e308, -1e308], id="square-overflow"),
+        pytest.param([math.inf, 1.0], id="inf"),
+        pytest.param([1.0, -math.inf], id="-inf"),
+        pytest.param([math.nan, 1.0], id="nan"),
+        pytest.param([-math.nan, 1.0], id="-nan"),
+    ])
+    def test_gives_the_bits_of_the_generator_form(self, values):
+        assert _outcome(aggregate, values) == _outcome(_generator_aggregate, values)
+        assert _outcome(aggregate, iter(list(values))) == \
+            _outcome(_generator_aggregate, values)
+
+    @pytest.mark.parametrize("values, error", [
+        ([1e154, -1e154, 3.0], "intermediate overflow in fsum"),
+        ([1e308, -1e308], "Numerical result out of range"),
+    ])
+    def test_overflow_raises_as_the_generator_form(self, values, error):
+        with pytest.raises(OverflowError, match=error):
+            aggregate(values)
+
     def test_run_condition_holds_no_per_replication_lists(self, monkeypatch):
         # a list of 2e5 Python floats alone takes 32 B a replication; the
         # reduction keeps the float64 columns and a copy of the kept b1
@@ -86,6 +128,23 @@ class TestAggregate:
         assert (got.cs_ave, got.cs_se) == aggregate(cs.tolist())
         assert (got.b1_ave, got.b1_se) == aggregate(b1[~degenerate].tolist())
         assert got.degenerate_count == 200
+
+
+def _generator_aggregate(values):
+    """aggregate's result as one generator over Python floats computes it."""
+    vals = [float(v) for v in values]
+    mean = math.fsum(vals) / len(vals)
+    var = math.fsum((v - mean) ** 2 for v in vals) / (len(vals) - 1)
+    return mean, math.sqrt(var / len(vals))
+
+
+def _outcome(fn, values):
+    """The bytes of fn(values)'s floats, NaN signs included, or the type and
+    arguments of the OverflowError it raises."""
+    try:
+        return [struct.pack("<d", x) for x in fn(values)]
+    except OverflowError as exc:
+        return type(exc), exc.args
 
 
 class TestStreamDerivation:
@@ -510,16 +569,25 @@ def shared_pool():
 
 @pytest.fixture
 def built_pools(monkeypatch):
-    """Every executor experiments builds during the test, in build order."""
+    """The worker processes of every pool experiments builds during the
+    test, a list per build, in build order."""
     built = []
+    build = experiments._SharedPool._build
 
-    class Counting(experiments.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            built.append(self)
+    def counting(self, workers):
+        build(self, workers)
+        built.append(self._procs)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", Counting)
+    monkeypatch.setattr(experiments._SharedPool, "_build", counting)
     return built
+
+
+def _task_or_raise(task):
+    # a pool task: its number, or InvalidParameter naming it when marked to fail
+    number, fails = task
+    if fails:
+        raise InvalidParameter(f"task {number}")
+    return number
 
 
 def _send_run(spec, conn):
@@ -542,7 +610,7 @@ class TestSharedPool:
         assert built_pools == []
         assert run_null(dist, 20, 60, 3, jobs=2) == serial
         assert run_null(dist, 20, 60, 3, jobs=2) == serial
-        assert len(built_pools) == 1 and shared_pool._executor is built_pools[0]
+        assert len(built_pools) == 1 and shared_pool._procs is built_pools[0]
 
     def test_one_contiguous_task_per_worker(self, shared_pool, built_pools, monkeypatch):
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
@@ -562,7 +630,7 @@ class TestSharedPool:
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 1)
         spec = small_spec(reps=100, contaminated=True)
         assert run_condition(spec, 13, jobs=4) == run_condition(spec, 13, jobs=1)
-        assert built_pools == [] and shared_pool._executor is None
+        assert built_pools == [] and shared_pool._procs == []
 
     def test_killed_worker_does_not_fail_the_next_call(self, shared_pool):
         spec = small_spec(reps=80)
@@ -571,18 +639,59 @@ class TestSharedPool:
         assert run_condition(spec, 5, jobs=2) == serial
         pid = min({p.pid for p in multiprocessing.active_children()} - before)
         os.kill(pid, signal.SIGKILL)
-        # the pool's manager thread reaps the worker after marking the pool
-        # broken; signal 0 reaches the pid until then, zombie or not
-        deadline = time.monotonic() + 30
-        while time.monotonic() < deadline:
-            try:
-                os.kill(pid, 0)
-            except ProcessLookupError:
-                break
-            time.sleep(0.01)
-        else:
-            pytest.fail(f"killed worker {pid} was not reaped")
+        # wait for the kill to land, leaving the dead worker unreaped
+        os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
         assert run_condition(spec, 5, jobs=2) == serial
+        # the call found the worker dead and reaped it as it rebuilt the pool
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+    @pytest.mark.parametrize("jobs, cpus, started", [(2, 2, 1), (3, 4, 2)])
+    def test_n_workers_start_n_minus_one_processes(self, shared_pool, built_pools,
+                                                   monkeypatch, jobs, cpus, started):
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+        before = {p.pid for p in multiprocessing.active_children()}
+        threads = threading.active_count()
+        spec = small_spec(reps=90)
+        assert run_condition(spec, 5, jobs=jobs) == run_condition(spec, 5, jobs=1)
+        new = {p.pid for p in multiprocessing.active_children()} - before
+        assert len(built_pools) == 1 and {p.pid for p in built_pools[0]} == new
+        assert len(new) == started
+        assert threading.active_count() == threads  # the pool has no helper threads
+
+    def test_interpreter_with_two_workers_exits(self):
+        # each worker must close the caller's ends of its own pipe and of
+        # the pipes of the workers forked before it, or none sees EOF and
+        # the interpreter hangs joining them at exit
+        code = (
+            "import os\n"
+            "from cumskew import ConditionSpec, DistributionSpec, run_condition\n"
+            "os.cpu_count = lambda: 4\n"
+            "spec = ConditionSpec('exit', DistributionSpec.normal(), 20, 90)\n"
+            "assert run_condition(spec, 3, jobs=3) == run_condition(spec, 3, jobs=1)\n")
+        proc = subprocess.Popen([sys.executable, "-c", code], start_new_session=True)
+        try:
+            assert proc.wait(timeout=60) == 0
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+
+    @pytest.mark.parametrize("fails, raised", [
+        ((1,), "task 1"), ((1, 2), "task 1"), ((0,), "task 0"), ((0, 2), "task 0"),
+    ], ids=["worker", "both-workers", "caller", "caller-and-worker"])
+    def test_first_error_in_task_order_keeps_the_pool(self, shared_pool, built_pools,
+                                                      monkeypatch, fails, raised):
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+        spec = small_spec(reps=90, contaminated=True)
+        serial = run_condition(spec, 5, jobs=1)
+        assert run_condition(spec, 5, jobs=3) == serial
+        tasks = [(k, k in fails) for k in range(3)]
+        with pytest.raises(InvalidParameter, match=f"^{raised}$"):
+            shared_pool.map(_task_or_raise, tasks, 3)
+        assert shared_pool.map(_task_or_raise, [(k, False) for k in range(3)], 3) == [0, 1, 2]
+        assert run_condition(spec, 5, jobs=3) == serial
+        assert len(built_pools) == 1
 
     def test_forked_child_builds_its_own_pool(self, shared_pool):
         spec = small_spec(reps=80)
