@@ -427,15 +427,13 @@ def _replace(values: np.ndarray, count: int, side: str, magnitude_range, gen,
              scale: float) -> None:
     """Overwrite `count` entries of values in place with outliers scale*U(lo, hi),
     negated on the low side, drawing the indices and then the magnitudes
-    from gen.  It checks no value: an outlier beyond the float range is
-    left for the caller's finite check, which runs after it."""
+    from gen.  It checks nothing: the caller holds count to at most half
+    of values (contaminate checks its spec's count, a ConditionSpec its
+    plan's count_max), and an outlier beyond the float range is left for
+    the caller's finite check, which runs after it."""
     if count == 0:
         return
-    n = values.size
-    # as a Python int: a fixed-width numpy count would wrap when doubled
-    if 2 * int(count) > n:
-        raise CountTooLarge(f"cannot replace {count} of {n} values (limit n/2)")
-    idx = gen.choice(n, size=count, replace=False)
+    idx = gen.choice(values.size, size=count, replace=False)
     lo, hi = magnitude_range
     magnitudes = gen.uniform(lo, hi, count) * scale
     values[idx] = magnitudes if side == "high" else -magnitudes
@@ -446,11 +444,16 @@ def contaminate(sample: Sample, spec: ContaminationSpec, rng: RngStream) -> Samp
     """Overwrite spec.count randomly chosen entries with outliers.
 
     The sample size is unchanged; untouched entries keep their values.
-    Index draws precede magnitude draws on the supplied stream.
+    Index draws precede magnitude draws on the supplied stream.  This is
+    the one entry whose count comes from its caller, so it is the one
+    that checks the count against the sample.
 
     Raises:
         CountTooLarge: spec.count exceeds half the sample size.
     """
+    # as a Python int: a fixed-width numpy count would wrap when doubled
+    if 2 * int(spec.count) > sample.n:
+        raise CountTooLarge(f"cannot replace {spec.count} of {sample.n} values (limit n/2)")
     if spec.count == 0:
         return sample
     values = sample.values.copy()
@@ -478,7 +481,8 @@ class _BlockSampler:
     as `contaminate` would from RngStream(base_seed, cids[r]) after drawing
     the outlier count from [plan.count_min, plan.count_max] on that stream.
     `plan` is an experiments.ContaminationPlan, which checks itself when
-    built.
+    built; its count_max is held to n/2 by the ConditionSpec that holds
+    it, not by the plan or the sampler, which does not check it again.
 
     The sampler owns one Generator over one PCG64 (`gen`), probed once by
     `_state_memory`.  Per row `draw` only puts `gen` in the row's stream

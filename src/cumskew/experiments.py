@@ -186,7 +186,14 @@ class ContaminationPlan:
 
 @dataclass(frozen=True)
 class ConditionSpec:
-    """One Monte Carlo condition: distribution, size, reps, contamination."""
+    """One Monte Carlo condition: distribution, size, reps, contamination.
+
+    Raises InvalidParameter when built for an n or reps that is not an
+    integer, n below 2, reps below 1, and a plan whose count_max exceeds
+    n/2: a spec that may replace more than half of a sample is never
+    built, so whether a condition runs does not depend on the outlier
+    counts its replications draw.
+    """
 
     id: str
     distribution: DistributionSpec
@@ -201,6 +208,10 @@ class ConditionSpec:
             raise InvalidParameter("need n >= 2")
         if self.reps < 1:
             raise InvalidParameter("need reps >= 1")
+        plan = self.contamination
+        # as Python ints: a fixed-width numpy count would wrap when doubled
+        if plan is not None and 2 * int(plan.count_max) > self.n:
+            raise InvalidParameter(f"count_max {plan.count_max} exceeds n/2 = {self.n / 2:g}")
 
 
 @dataclass(frozen=True)
@@ -341,17 +352,17 @@ class _SharedPool:
         self._workers = 0
         self._finalizer = None
 
-    def map(self, fn, tasks: list, workers: int) -> list:
-        """fn over tasks, one task for each of `workers` workers, the first
-        in this process; results in task order.
+    def map(self, fn, tasks: list) -> list:
+        """fn over tasks, one worker for each task, the first in this
+        process; results in task order.
 
         Every reply is read before any error is raised, and the first error
         in task order is raised, as a serial run would raise it.  A worker
         that dies during the call raises BrokenProcessPool.
         """
         with self._lock:
-            if self._workers != workers or not all(p.is_alive() for p in self._procs):
-                self._build(workers)
+            if self._workers != len(tasks) or not all(p.is_alive() for p in self._procs):
+                self._build(len(tasks))
             try:
                 for conn, task in zip(self._conns, tasks[1:]):
                     conn.send((fn, task))
@@ -405,17 +416,6 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_POOL._forget)
 
 
-def _check_outlier_limit(spec: ConditionSpec) -> None:
-    """Raise InvalidParameter when the condition's plan may replace more
-    than half of a sample (count_max above n/2); checked before any
-    replication runs, so whether a condition runs does not depend on the
-    outlier counts its replications draw."""
-    plan = spec.contamination
-    # as Python ints: a fixed-width numpy count would wrap when doubled
-    if plan is not None and 2 * int(plan.count_max) > spec.n:
-        raise InvalidParameter(f"count_max {plan.count_max} exceeds n/2 = {spec.n / 2:g}")
-
-
 def run_condition(spec: ConditionSpec, base_seed: int, jobs: int = 1) -> ConditionResult:
     """Run all replications of one condition and aggregate.
 
@@ -427,22 +427,19 @@ def run_condition(spec: ConditionSpec, base_seed: int, jobs: int = 1) -> Conditi
     output is identical to a serial run.
 
     Raises InvalidParameter before any replication runs: for a jobs or
-    base_seed that is not an integer, jobs below 1, and a plan whose
-    count_max exceeds n/2.
+    base_seed that is not an integer, and jobs below 1.
     """
     _check_integer("jobs", jobs)
     _check_integer("base_seed", base_seed)
     if jobs < 1:
         raise InvalidParameter("need jobs >= 1")
-    _check_outlier_limit(spec)
-    workers = _pool_workers(jobs, spec.reps)
-    if workers > 1:
-        tasks = [(spec, base_seed, start, stop)
-                 for start, stop in _chunk_bounds(spec.reps, workers)]
-        chunks = _POOL.map(_replicate_range, tasks, workers)
+    tasks = [(spec, base_seed, start, stop)
+             for start, stop in _chunk_bounds(spec.reps, _pool_workers(jobs, spec.reps))]
+    if len(tasks) > 1:
+        chunks = _POOL.map(_replicate_range, tasks)
         cs, b1, degenerate = (np.concatenate(col) for col in zip(*chunks))
     else:
-        cs, b1, degenerate = _replicate_range((spec, base_seed, 1, spec.reps + 1))
+        cs, b1, degenerate = _replicate_range(tasks[0])
 
     degenerate_count = int(degenerate.sum())
     cs_ave, cs_se = aggregate(cs)
@@ -458,20 +455,18 @@ def run_condition(spec: ConditionSpec, base_seed: int, jobs: int = 1) -> Conditi
 def table1_conditions(n: int = 200, reps: int = 10_000) -> tuple[ConditionSpec, ...]:
     """The six built-in lognormal conditions (four clean, two contaminated).
 
-    Raises InvalidParameter for an n or reps out of range, and for an n
-    below 10, where a contaminated condition could replace more than half
-    of a sample, so a bad size fails before any condition runs.
+    Raises InvalidParameter, as each ConditionSpec is built, for an n or
+    reps out of range, and for an n below 10, where a contaminated
+    condition could replace more than half of a sample; so a bad size
+    fails before any condition runs.
     """
     high = ContaminationPlan(side="high", magnitude_range=TABLE1_HIGH_MAGNITUDES)
     low = ContaminationPlan(side="low", magnitude_range=TABLE1_LOW_MAGNITUDES)
     rows = (("1. sigma=0.2", 0.2, None), ("2. sigma=0.5", 0.5, None),
             ("3. sigma=1.0", 1.0, None), ("4. sigma=2.0", 2.0, None),
             ("5. sigma=0.5 outliers(high)", 0.5, high), ("6. sigma=1.0 outliers(low)", 1.0, low))
-    specs = tuple(ConditionSpec(name, DistributionSpec.lognormal(sigma), n, reps, plan)
-                  for name, sigma, plan in rows)
-    for spec in specs:
-        _check_outlier_limit(spec)
-    return specs
+    return tuple(ConditionSpec(name, DistributionSpec.lognormal(sigma), n, reps, plan)
+                 for name, sigma, plan in rows)
 
 
 def run_table1(base_seed: int, n: int = 200, reps: int = 10_000,

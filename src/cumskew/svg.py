@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import LorenzGrid, weight_vector
+from .core import LorenzGrid
 
 SIZE = 600
 MARGIN = 60
@@ -26,8 +26,13 @@ def _y(v):
 
 def lorenz_svg(grid: LorenzGrid, fh) -> None:
     """Write into the text file `fh` the curve, the 45-degree line, and gap
-    segments colored by the sign of their weight (`weight_vector(grid.n)`),
-    in a fixed 600x600 viewport.
+    segments colored by the sign of their weight, in a fixed 600x600
+    viewport.
+
+    Gap i's weight (2i - n) * 3 / n (`weight_vector`) has the sign of
+    p_i - 1/2, and p_i = i/n is read from the grid, so no weight is built:
+    the rounded i/n is below, at or above 1/2 exactly when 2i is below, at
+    or above n, for any n below 2**53.
 
     The gap segments and the polyline's points are written _BLOCK grid
     points at a time: pixel coordinates are computed for one slice of
@@ -44,20 +49,19 @@ def lorenz_svg(grid: LorenzGrid, fh) -> None:
         f'height="{SIZE - 2 * MARGIN}" fill="none" stroke="#444"/>\n'
         f'<line x1="{_x(0):.1f}" y1="{_y(0):.1f}" x2="{_x(1):.1f}" y2="{_y(1):.1f}" '
         f'stroke="gray" stroke-width="1.5"/>\n')
-    w = weight_vector(grid.n)
     colors = np.array(list(GAP_COLORS.values()), dtype=object)  # neg, pos, zero
     segment = ('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="%s" '
                'stroke-width="1" stroke-dasharray="4 3"/>\n')
-    for start in range(0, len(w), _BLOCK):
+    for start in range(0, len(grid.p), _BLOCK):
         part = slice(start, start + _BLOCK)
-        p, sign = grid.p[part], w[part]
+        p = grid.p[part]
         x = _x(p).tolist()
-        color = colors[np.where(sign < 0, 0, np.where(sign > 0, 1, 2))]
+        color = colors[np.where(p < 0.5, 0, np.where(p > 0.5, 1, 2))]
         fh.write("".join(map(segment.__mod__, zip(
             x, _y(p).tolist(), x, _y(grid.q[part]).tolist(), color))))
     # the polyline runs from (0,0) through every grid point to (1,1)
     fh.write('<polyline points="%.2f,%.2f' % (_x(0.0), _y(0.0)))
-    for start in range(0, len(w), _BLOCK):
+    for start in range(0, len(grid.p), _BLOCK):
         part = slice(start, start + _BLOCK)
         fh.write("".join(map(" %.2f,%.2f".__mod__, zip(
             _x(grid.p[part]).tolist(), _y(grid.q[part]).tolist()))))

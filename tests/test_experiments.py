@@ -497,10 +497,6 @@ class TestDrawErrors:
         ConditionSpec("mixed", DistributionSpec.normal(0.0, 5.1e307), 30, 300,
                       contamination=ContaminationPlan(side="low",
                                                       magnitude_range=(1.01, 1.02))),
-        # more outliers than half the sample
-        ConditionSpec("count", DistributionSpec.lognormal(1.0), 10, 50,
-                      contamination=ContaminationPlan(side="high", count_min=3,
-                                                      count_max=8)),
     ], ids=lambda spec: f"{spec.id}-{spec.distribution.sigma}")
     def test_first_error_is_the_one_row_path_error(self, spec):
         want = first_error_drawn_alone(spec, 5)
@@ -616,14 +612,14 @@ class TestSharedPool:
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
         mapped = []
 
-        def run_here(fn, tasks, workers):
-            mapped.append(([task[2:] for task in tasks], workers))
+        def run_here(fn, tasks):
+            mapped.append([task[2:] for task in tasks])
             return [fn(task) for task in tasks]
 
         monkeypatch.setattr(shared_pool, "map", run_here)
         spec = small_spec(reps=100, contaminated=True)
         assert run_condition(spec, 13, jobs=3) == run_condition(spec, 13, jobs=1)
-        assert mapped == [([(1, 35), (35, 68), (68, 101)], 3)]
+        assert mapped == [[(1, 35), (35, 68), (68, 101)]]
         assert built_pools == []
 
     def test_one_cpu_runs_in_process(self, shared_pool, built_pools, monkeypatch):
@@ -688,8 +684,8 @@ class TestSharedPool:
         assert run_condition(spec, 5, jobs=3) == serial
         tasks = [(k, k in fails) for k in range(3)]
         with pytest.raises(InvalidParameter, match=f"^{raised}$"):
-            shared_pool.map(_task_or_raise, tasks, 3)
-        assert shared_pool.map(_task_or_raise, [(k, False) for k in range(3)], 3) == [0, 1, 2]
+            shared_pool.map(_task_or_raise, tasks)
+        assert shared_pool.map(_task_or_raise, [(k, False) for k in range(3)]) == [0, 1, 2]
         assert run_condition(spec, 5, jobs=3) == serial
         assert len(built_pools) == 1
 
@@ -876,8 +872,8 @@ PARAMETER_CHECKS = {
     "condition-reps": (lambda: ConditionSpec("c", DistributionSpec.cauchy(), 10, 0),
                        "need reps >= 1"),
     "run-jobs": (lambda: run_condition(small_spec(), 1, jobs=0), "need jobs >= 1"),
-    "run-count": (lambda: run_condition(ConditionSpec(
-        "c", DistributionSpec.lognormal(1.0), 9, 5, ContaminationPlan("high")), 1),
+    "condition-count": (lambda: ConditionSpec(
+        "c", DistributionSpec.lognormal(1.0), 9, 5, ContaminationPlan("high")),
         "count_max 5 exceeds n/2 = 4.5"),
     "table1-n": (lambda: table1_conditions(n=9), "count_max 5 exceeds n/2 = 4.5"),
     "null-kind": (lambda: run_null(DistributionSpec.lognormal(1.0), 50, 10, 1),
@@ -947,17 +943,11 @@ class TestInvalidParameter:
         assert run_condition(spec, np.int64(1), jobs=np.int64(1)) == \
             run_condition(small_spec(contaminated=True), 1)
 
-    def test_count_limit_checked_before_any_replication(self, monkeypatch):
-        # so the outcome does not depend on the counts the replications draw
-        def replicate(args):
-            raise AssertionError("a replication ran")
-
-        monkeypatch.setattr(experiments, "_replicate_range", replicate)
-        spec = ConditionSpec("c", DistributionSpec.lognormal(1.0), 9, 1,
-                             ContaminationPlan("high"))
-        for jobs in (1, 2):
-            with pytest.raises(InvalidParameter):
-                run_condition(spec, 42, jobs=jobs)
+    def test_count_limit_checked_before_any_replication(self):
+        # so the outcome does not depend on the counts the replications draw:
+        # such a spec is never built, let alone run
+        with pytest.raises(InvalidParameter, match=r"^count_max 5 exceeds n/2 = 4\.5$"):
+            ConditionSpec("c", DistributionSpec.lognormal(1.0), 9, 1, ContaminationPlan("high"))
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_table1_checks_every_condition_before_the_first_runs(self, monkeypatch, jobs):
@@ -973,12 +963,11 @@ class TestInvalidParameter:
     @pytest.mark.parametrize("action", ["default", "error"])
     def test_count_limit_does_not_wrap_in_a_numpy_integer(self, action):
         # 2 * np.uint8(200) wraps to 144, below n = 300
-        spec = ConditionSpec("c", DistributionSpec.lognormal(0.5), 300, 5,
-                             ContaminationPlan("high", np.uint8(1), np.uint8(200)))
+        plan = ContaminationPlan("high", np.uint8(1), np.uint8(200))
         with warnings.catch_warnings():
             warnings.simplefilter(action)
             with pytest.raises(InvalidParameter, match=r"^count_max 200 exceeds n/2 = 150$"):
-                run_condition(spec, 1)
+                ConditionSpec("c", DistributionSpec.lognormal(0.5), 300, 5, plan)
 
     def test_count_limit_admits_half_the_sample(self):
         spec = ConditionSpec("c", DistributionSpec.lognormal(1.0), 10, 20,

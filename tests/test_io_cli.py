@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from cumskew import ColumnNotFound, CumskewError, EmptyOrTooSmall, ParseError, parse_csv
 from cumskew import ConditionSpec, DistributionSpec, raw_lorenz_grid, run_condition, run_gcurve
-from cumskew import validate_sample
+from cumskew import validate_sample, weight_vector
 from cumskew import cli, core, experiments
 from cumskew.cli import _condition_row, main
 from cumskew import io
@@ -562,6 +563,19 @@ class TestLorenzSvg:
             finally:
                 tracemalloc.stop()
         assert peak <= 40 * (n - 1), peak / (n - 1)
+
+    def test_gap_colours_follow_the_sign_of_the_weight(self):
+        sign = {"crimson": -1.0, "seagreen": 1.0, "silver": 0.0}
+        for n in range(2, 401):
+            fh = StringIO()
+            lorenz_svg(raw_lorenz_grid(validate_sample(np.arange(1.0, n + 1))), fh)
+            colours = re.findall(r'stroke="(\w+)" stroke-width="1" ', fh.getvalue())
+            assert [sign[c] for c in colours] == np.sign(weight_vector(n)).tolist(), n
+
+    @pytest.mark.parametrize("n", [2**20, 2**20 + 1])
+    def test_gap_position_has_the_sign_of_the_weight_at_large_n(self, n):
+        # the rule the gap colours use: p_i = i/n against 1/2
+        assert np.array_equal(np.sign(np.arange(1.0, n) / n - 0.5), np.sign(weight_vector(n)))
 
 
 class TestWriteRowsTsv:
