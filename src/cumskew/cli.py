@@ -93,7 +93,7 @@ def cmd_experiment(args) -> int:
     given are passed on, and the specs and runners raise InvalidParameter
     for a value out of range before any replication runs.  Checked here is
     only what no library call sees: which options apply to which
-    experiment, and --jobs for gcurve, which runs no pool.
+    experiment.
     """
     # imported here, so that compute and lorenz never load the samplers,
     # the harness or its process pool
@@ -105,14 +105,12 @@ def cmd_experiment(args) -> int:
         raise InvalidParameter("--sigma only applies to the null-normal experiment")
     if args.reps is not None and name == "gcurve":
         raise InvalidParameter("gcurve draws one sample per sd; --reps does not apply")
-    if args.jobs < 1 and name == "gcurve":
-        raise InvalidParameter("--jobs must be >= 1")
     seed = args.seed
     # an option left out takes the library's default; a given 0 does not
     sizes = {key: getattr(args, key) for key in ("n", "reps") if getattr(args, key) is not None}
 
     if name == "gcurve":
-        points = run_gcurve(base_seed=seed, **sizes)
+        points = run_gcurve(base_seed=seed, jobs=args.jobs, **sizes)
         rows = [{"id": "gcurve", "g": pt.g, "sd": pt.sd, "n": pt.n,
                  "seed": seed, "cs": pt.cs} for pt in points]
         meta = run_metadata("experiment gcurve", seed=seed, n=points[0].n, loc=0.0,

@@ -3,25 +3,28 @@
 Each replication owns an independent random stream whose id is a stable
 hash of (condition id, replication index), so results are bit-identical
 whether replications run serially or across a process pool, and across
-repeated invocations with the same base seed.  A condition's replications
-are split into one contiguous range per worker.  A range is the one place
-where stream ids become PCG64 states: a batch of blocks at a time, it
-hashes the draw stream ids and, for a contaminated condition, the
-contamination stream ids, and computes each kind's states in one pass
-(`distributions._stream_states`).  Each block is drawn from its rows of
-both (`distributions._BlockSampler`, which takes states alone) and scored
-at once (`core._score_rows`), all in one workspace and with one set of
-L-weights per range.
+repeated invocations with the same base seed.  A condition's
+replications are split into one contiguous range per worker, and so are
+a g-curve's sds (`_map_ranges`).  A g-curve range draws each of its sds'
+one normal sample from a stream of its own and scores it at every grid
+point, in one workspace and with one set of L-weights.  A replication
+range is the one place where stream ids become PCG64 states: a batch of
+blocks at a time, it hashes the draw stream ids and, for a contaminated
+condition, the contamination stream ids, and computes each kind's states
+in one pass (`distributions._stream_states`).  Each block is drawn from
+its rows of both (`distributions._BlockSampler`, which takes states
+alone) and scored at once (`core._score_rows`), all in one workspace and
+with one set of L-weights per range.
 
-Runs with N > 1 workers split their ranges, one task each, between the
-calling process and the N - 1 worker processes of one pool per process
-(`_SharedPool`): the caller sends each worker its task over the worker's
-own pipe, scores the first range itself, then reads the workers' ranges
-in order.  The pool has no helper threads.  It is built on first use,
-rebuilt when the worker count changes or a worker has died (the next call
-reaps it), never used by a forked child, and closed at exit.  A run with
-one worker, including any run on a 1-CPU host, stays in the calling
-process.
+Runs with N > 1 workers, conditions and g-curves alike, split their
+ranges, one task each, between the calling process and the N - 1 worker
+processes of one pool per process (`_SharedPool`): the caller sends each
+worker its task over the worker's own pipe, scores the first range
+itself, then reads the workers' ranges in order.  The pool has no helper
+threads.  It is built on first use, rebuilt when the worker count
+changes or a worker has died (the next call reaps it), never used by a
+forked child, and closed at exit.  A run with one worker, including any
+run on a 1-CPU host, stays in the calling process.
 """
 
 from __future__ import annotations
@@ -283,9 +286,9 @@ def _replicate_range(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return cs, b1, degenerate
 
 
-def _chunk_bounds(reps: int, chunks: int) -> list[tuple[int, int]]:
-    # contiguous 1-based rep ranges covering 1..reps, for 1 <= chunks <= reps
-    size, extra = divmod(reps, chunks)
+def _chunk_bounds(count: int, chunks: int) -> list[tuple[int, int]]:
+    # contiguous 1-based ranges covering 1..count, for 1 <= chunks <= max(count, 1)
+    size, extra = divmod(count, chunks)
     bounds = []
     start = 1
     for c in range(chunks):
@@ -295,10 +298,10 @@ def _chunk_bounds(reps: int, chunks: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def _pool_workers(jobs: int, reps: int) -> int:
-    """Worker processes for a condition of `reps` replications: jobs,
-    capped by the host's CPU count and by the number of replications."""
-    return min(jobs, os.cpu_count() or 1, reps)
+def _pool_workers(jobs: int, count: int) -> int:
+    """Workers for a run of `count` items (replications or sds): jobs,
+    capped by the host's CPU count and by count, and one at least."""
+    return min(jobs, os.cpu_count() or 1, max(count, 1))
 
 
 def _answer(fn, task) -> tuple[bool, object]:
@@ -331,7 +334,7 @@ def _stop(conns: list, procs: list) -> None:
 
 
 class _SharedPool:
-    """The worker processes that run_condition shares its ranges with.
+    """The worker processes that _map_ranges shares its ranges with.
 
     A pool for N workers is N - 1 multiprocessing processes from the
     default context, each fed over its own duplex pipe by the calling
@@ -349,7 +352,6 @@ class _SharedPool:
         self._lock = threading.Lock()
         self._conns = []
         self._procs = []
-        self._workers = 0
         self._finalizer = None
 
     def map(self, fn, tasks: list) -> list:
@@ -361,7 +363,7 @@ class _SharedPool:
         that dies during the call raises BrokenProcessPool.
         """
         with self._lock:
-            if self._workers != len(tasks) or not all(p.is_alive() for p in self._procs):
+            if len(self._procs) + 1 != len(tasks) or not all(p.is_alive() for p in self._procs):
                 self._build(len(tasks))
             try:
                 for conn, task in zip(self._conns, tasks[1:]):
@@ -390,14 +392,13 @@ class _SharedPool:
             proc.start()
             theirs.close()
             self._procs.append(proc)
-        self._workers = workers
 
     def _shutdown(self) -> None:
         """Shut the pool down and wait for its workers to exit; the caller
         holds the lock or is the only thread using the pool."""
         if self._finalizer is not None:
             self._finalizer()
-        self._conns, self._procs, self._workers, self._finalizer = [], [], 0, None
+        self._conns, self._procs, self._finalizer = [], [], None
 
     def _forget(self) -> None:
         """In a forked child, a pool worker included, close the parent's ends
@@ -416,30 +417,41 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_POOL._forget)
 
 
+def _map_ranges(fn, head: tuple, count: int, jobs: int) -> list:
+    """fn(head + (start, stop)) over 1..count split into one contiguous
+    1-based range per worker; results in range order.
+
+    There are at most jobs workers, and no more than the host has CPUs or
+    count has items.  With more than one worker this process runs the
+    first range and the process's shared pool the others, one task each,
+    and the first error in range order is raised, as a serial run would
+    raise it; with one, the whole range runs in this process.
+
+    Raises InvalidParameter before fn runs, for a jobs that is not an
+    integer or is below 1.
+    """
+    _check_integer("jobs", jobs)
+    if jobs < 1:
+        raise InvalidParameter("need jobs >= 1")
+    tasks = [head + bounds for bounds in _chunk_bounds(count, _pool_workers(jobs, count))]
+    return _POOL.map(fn, tasks) if len(tasks) > 1 else [fn(tasks[0])]
+
+
 def run_condition(spec: ConditionSpec, base_seed: int, jobs: int = 1) -> ConditionResult:
     """Run all replications of one condition and aggregate.
 
-    The replications are split into one contiguous range per worker, at
-    most jobs workers and no more than the host has CPUs.  With more than
-    one worker this process runs the first range and the process's shared
-    pool the others, one task each; with one, the whole range runs in this
-    process.  Results are reduced in replication order either way, so
+    The replications are split between at most jobs workers by
+    _map_ranges, one contiguous range each.  Results are reduced in
+    replication order, and a lone range is reduced as it is, uncopied; so
     output is identical to a serial run.
 
-    Raises InvalidParameter before any replication runs: for a jobs or
-    base_seed that is not an integer, and jobs below 1.
+    Raises InvalidParameter before any replication runs: for a base_seed
+    or jobs that is not an integer, and jobs below 1.
     """
-    _check_integer("jobs", jobs)
     _check_integer("base_seed", base_seed)
-    if jobs < 1:
-        raise InvalidParameter("need jobs >= 1")
-    tasks = [(spec, base_seed, start, stop)
-             for start, stop in _chunk_bounds(spec.reps, _pool_workers(jobs, spec.reps))]
-    if len(tasks) > 1:
-        chunks = _POOL.map(_replicate_range, tasks)
-        cs, b1, degenerate = (np.concatenate(col) for col in zip(*chunks))
-    else:
-        cs, b1, degenerate = _replicate_range(tasks[0])
+    ranges = _map_ranges(_replicate_range, (spec, base_seed), spec.reps, jobs)
+    cs, b1, degenerate = (ranges[0] if len(ranges) == 1
+                          else (np.concatenate(col) for col in zip(*ranges)))
 
     degenerate_count = int(degenerate.sum())
     cs_ave, cs_se = aggregate(cs)
@@ -495,8 +507,33 @@ def run_null(dist: DistributionSpec, n: int, reps: int, base_seed: int,
     return run_condition(_null_condition(dist, n, reps), base_seed, jobs=jobs)
 
 
+def _gcurve_range(args) -> list[GCurvePoint]:
+    """The points of rows start..stop-1 (1-based), each row an sd and the
+    specs of its grid.
+
+    One workspace and one set of L-weights serve every sample, as in a
+    replication range: the sample itself, then the kernel's sorted copy
+    and scratch.  Each sd's Z is drawn once and copied into the sample at
+    every grid point.
+    """
+    rows, n, base_seed, start, stop = args
+    space = np.empty((4, 1, n))
+    values, work = space[0], space[1:]
+    weights = _l_weights(n)
+    points = []
+    for sd, specs in rows[start - 1:stop - 1]:
+        z = RngStream(base_seed, derive_stream_id("gcurve", f"sd={sd!r}")).standard_normal(n)
+        for spec in specs:
+            np.copyto(values, z)
+            _transform(values, spec)
+            _check_finite(values)
+            cs = float(_score_rows(values, work, weights).cs[0])
+            points.append(GCurvePoint(g=float(spec.g), sd=float(sd), cs=cs, n=n))
+    return points
+
+
 def run_gcurve(g_grid=DEFAULT_G_GRID, sds=DEFAULT_GCURVE_SDS, n: int = 100_000,
-               base_seed: int = 0, loc: float = 0.0) -> list[GCurvePoint]:
+               base_seed: int = 0, loc: float = 0.0, jobs: int = 1) -> list[GCurvePoint]:
     """CS of g-distribution samples along a grid of g values.
 
     For each underlying sd, one standard normal sample Z of size n is drawn
@@ -504,11 +541,14 @@ def run_gcurve(g_grid=DEFAULT_G_GRID, sds=DEFAULT_GCURVE_SDS, n: int = 100_000,
     the increase of CS in g a sharp property of the output rather than a
     statistical one.  Each grid point maps a copy of Z to the family of
     DistributionSpec.tukey_g(g, loc, sd); every such spec is built, and so
-    checked, before the first sample is drawn.
+    checked, before the first sample is drawn.  The sds are split between
+    at most jobs workers by _map_ranges, one contiguous range each, as a
+    condition's replications are; a sample does not depend on its range,
+    so output is identical to a serial run.
 
     Raises InvalidParameter for a grid that does not strictly increase, a
-    g below 0, an sd not above 0, a non-finite g, sd or loc, an n or
-    base_seed that is not an integer, or n below 2.
+    g below 0, an sd not above 0, a non-finite g, sd or loc, an n,
+    base_seed or jobs that is not an integer, n below 2, or jobs below 1.
     """
     grid = list(g_grid)
     if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -518,18 +558,5 @@ def run_gcurve(g_grid=DEFAULT_G_GRID, sds=DEFAULT_GCURVE_SDS, n: int = 100_000,
     if n < 2:
         raise InvalidParameter("need n >= 2")
     rows = [(sd, [DistributionSpec.tukey_g(g, loc, sd) for g in grid]) for sd in sds]
-    # one workspace and one set of L-weights for every sample, as a range
-    # has: the sample itself, then the kernel's sorted copy and scratch
-    space = np.empty((4, 1, n))
-    values, work = space[0], space[1:]
-    weights = _l_weights(n)
-    points = []
-    for sd, specs in rows:
-        z = RngStream(base_seed, derive_stream_id("gcurve", f"sd={sd!r}")).standard_normal(n)
-        for spec in specs:
-            np.copyto(values, z)
-            _transform(values, spec)
-            _check_finite(values)
-            cs = float(_score_rows(values, work, weights).cs[0])
-            points.append(GCurvePoint(g=float(spec.g), sd=float(sd), cs=cs, n=n))
-    return points
+    ranges = _map_ranges(_gcurve_range, (rows, n, base_seed), len(rows), jobs)
+    return list(itertools.chain.from_iterable(ranges))

@@ -342,6 +342,8 @@ class TestRunCondition:
             run_null(DistributionSpec.normal(), 20, 50, 1, jobs=jobs)
         with pytest.raises(ValueError, match="need jobs >= 1"):
             run_table1(1, n=20, reps=10, jobs=jobs)
+        with pytest.raises(ValueError, match="need jobs >= 1"):
+            run_gcurve(n=20, jobs=jobs)
 
     def test_seed_changes_results(self):
         spec = small_spec()
@@ -842,6 +844,30 @@ class TestRunGCurve:
         b = run_gcurve(g_grid=(0.2, 1.0), n=1000, base_seed=7)
         assert a == b
 
+    def test_sds_split_between_workers_give_the_serial_points(self, shared_pool, monkeypatch):
+        # three sds in uneven ranges: 2 + 1 with two workers, 1 + 1 + 1 with three
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+
+        def bits(jobs):
+            return [(p.g, p.sd, p.n, p.cs.hex()) for p in run_gcurve(
+                g_grid=(0.2, 0.9), sds=(1.0, 2.0, 3.0), n=500, base_seed=9, jobs=jobs)]
+
+        serial = bits(1)
+        assert bits(2) == serial and bits(3) == serial
+
+    def test_pool_raises_the_serial_error_of_the_second_sd(self, shared_pool, monkeypatch):
+        # only sd=1e3 overflows, so with two workers the error is raised in
+        # the worker's range and the caller's range succeeds
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+        args = {"g_grid": (1.5,), "n": 100, "base_seed": 1}
+        assert len(run_gcurve(sds=(1.0,), **args)) == 1
+        with pytest.raises(NonFiniteValue) as serial:
+            run_gcurve(sds=(1.0, 1e3), **args)
+        with pytest.raises(NonFiniteValue) as pooled:
+            run_gcurve(sds=(1.0, 1e3), jobs=2, **args)
+        assert pooled.value.args == serial.value.args
+        assert serial.value.value == math.inf
+
 
 NAN, INF = math.nan, math.inf
 
@@ -922,6 +948,10 @@ PARAMETER_CHECKS = {
                           "base_seed must be an integer, got 1.5"),
     "gcurve-seed-bool": (lambda: run_gcurve(n=100, base_seed=True),
                          "base_seed must be an integer, got True"),
+    "gcurve-jobs-float": (lambda: run_gcurve(n=100, jobs=2.5),
+                          "jobs must be an integer, got 2.5"),
+    "gcurve-jobs-bool": (lambda: run_gcurve(n=100, jobs=True),
+                         "jobs must be an integer, got True"),
     "rng-seed-float": (lambda: RngStream(1.5, 2), "base_seed must be an integer, got 1.5"),
     "rng-stream-float": (lambda: RngStream(1, 2.7), "stream_id must be an integer, got 2.7"),
     "rng-stream-bool": (lambda: RngStream(1, False), "stream_id must be an integer, got False"),

@@ -915,7 +915,8 @@ class TestExperimentCommand:
         ["null-normal", "--reps", "2", "--jobs", "2"],
         ["table1", "--reps", "1"],
         ["gcurve"],
-    ], ids=["serial", "jobs2", "table1", "gcurve"])
+        ["gcurve", "--jobs", "2"],
+    ], ids=["serial", "jobs2", "table1", "gcurve", "gcurve-jobs2"])
     def test_unallocatable_sample_size_gives_one_message_line(self, args):
         # 1e14 doubles (728 TiB) exceed a 47-bit address space, so numpy's
         # allocation fails at once on every host and nothing is paged in
