@@ -184,9 +184,10 @@ def _centre_rows(x: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e, mean
 
 
-def _raw_means(values: np.ndarray, mean: np.ndarray,
-               e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's mean in the data's own units and in the scaled ones.
+def _signed_means(values: np.ndarray, mean: np.ndarray,
+                  e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each row's total is positive, and its scaled mean, corrected
+    where it is small; the one positivity rule of the package.
 
     The scaled mean is right to the last bit or two unless it is small: the
     extraction sum's error, beyond its rounding, stays below n**2 * 2**-98
@@ -194,30 +195,36 @@ def _raw_means(values: np.ndarray, mean: np.ndarray,
     scaling a row that spans more than the float range flushes its smallest
     values to zero, which decide the mean when the rest cancel ([-1e308,
     1e308, 1e-300] has a scaled mean of 0).  Such rows are summed again,
-    each part correctly rounded by math.fsum, with what the scaling flushed.
+    each part correctly rounded by math.fsum, with what the scaling flushed;
+    the sign of that total, a nonzero sum of doubles being at least 5e-324,
+    is the row's, and the total over n, scaled, its mean.  Elsewhere the
+    sign of the scaled mean is the row's.  The corrected means are written
+    into mean, which is returned.
     """
-    raw = np.ldexp(mean, e)
+    positive = mean > 0.0
     small = np.abs(mean) < values.shape[1] * 2.0 ** -45
     if small.any():
         rows, es = values[small], e[small, None]
         scaled = np.ldexp(rows, -es)
         flushed = rows - np.ldexp(scaled, es)
-        raw[small] = [(math.ldexp(math.fsum(s), k) + math.fsum(f)) / rows.shape[1]
-                      for s, f, k in zip(scaled, flushed, e[small].tolist())]
-        mean = np.where(small, np.ldexp(raw, -e), mean)
-    return raw, mean
+        totals = np.array([math.ldexp(math.fsum(s), k) + math.fsum(f)
+                           for s, f, k in zip(scaled, flushed, e[small].tolist())])
+        positive[small] = totals > 0.0
+        mean[small] = np.ldexp(totals / rows.shape[1], -e[small])
+    return positive, mean
 
 
-def _gini(l2_sum: np.ndarray, n: int, raw_mean: np.ndarray, mean: np.ndarray,
+def _gini(l2_sum: np.ndarray, n: int, positive: np.ndarray, mean: np.ndarray,
           e: np.ndarray) -> np.ndarray:
     """Gini of each row from l2_sum = sum_j a_j dev_j on its scaled sorted
     deviations (a from `_write_l_weights`), twice the sum of its gaps
     n * g_i.
     The Gini is twice the area between the diagonal and the curve, over the
-    mean when the raw mean is positive and in the data's units otherwise;
-    inf outside the float range.  The one Gini rule of the package."""
+    scaled mean where the total is positive (`_signed_means`) and in the
+    data's units otherwise; inf outside the float range.  The one Gini rule
+    of the package."""
     area = l2_sum / n / n
-    return np.where(raw_mean > 0.0, area / mean, np.ldexp(area, e))
+    return np.where(positive, area / mean, np.ldexp(area, e))
 
 
 def _finite_gini(value: float) -> float:
@@ -294,7 +301,7 @@ def _score_rows(block: np.ndarray, work: np.ndarray | None = None,
     if not (np.isfinite(cs).all() and np.isfinite(b1).all()):
         raise FloatRangeError("CS or b1 of the sample cannot be computed "
                               "within the float range")
-    gini = _gini(l2, n, *_raw_means(block, mean, e), e)
+    gini = _gini(l2, n, *_signed_means(block, mean, e), e)
     return _Scores(cs=cs, b1=b1, gini=np.where(degenerate, 0.0, gini),
                    degenerate=degenerate)
 
@@ -443,20 +450,20 @@ def _check_integer(name: str, value) -> None:
 def _lorenz(sample: Sample, classical: bool | None) -> LorenzGrid:
     """The grid of a sample from its gap vector: the gaps in the data's own
     units, or as shares of the mean on the classical footing.  With
-    classical None the footing follows the raw total: classical when it is
-    positive, canonical otherwise."""
+    classical None the footing follows the sign of the total
+    (`_signed_means`): classical when it is positive, canonical otherwise."""
     x = np.sort(sample.values)[None, :]
     n = x.shape[1]
     q = np.empty_like(x)
     e, mean = _centre_rows(x, q)
-    raw_mean, mean = _raw_means(sample.values[None, :], mean, e)
+    positive, mean = _signed_means(sample.values[None, :], mean, e)
     if classical is None:
-        classical = bool(raw_mean[0] > 0.0)
-    elif classical and not raw_mean[0] > 0.0:
+        classical = bool(positive[0])
+    elif classical and not positive[0]:
         raise NonPositiveTotal("classical Lorenz curve needs a positive total")
     a = _write_l_weights(np.empty(n), False)[None, :]
     a *= x
-    g = float(_gini(_xsum(a, 2.0 * n, q), n, raw_mean, mean, e)[0])
+    g = float(_gini(_xsum(a, 2.0 * n, q), n, positive, mean, e)[0])
     del a  # each buffer is freed once used, keeping large samples' peak down
     sums = _xsum(x, 2.0, q, np.add.accumulate)
     del q
@@ -494,9 +501,8 @@ def raw_lorenz_grid(sample: Sample) -> LorenzGrid:
     """Build the classical Lorenz grid on the data as given (no shift).
 
     This is the textbook curve with q_i = S_i / S_n on sorted values, the
-    canonical gaps over the mean; it requires a positive total.  Prefer
-    :func:`lorenz_grid` for computing cumulative skew, which is identical
-    on both footings whenever the raw total is positive.
+    canonical gaps over the mean; it requires a positive total, judged by
+    its exact sign, so a total as small as 5e-324 is positive.
 
     Raises:
         NonPositiveTotal: the values sum to zero or less.
@@ -551,12 +557,12 @@ def moment_skewness(sample: Sample) -> float:
 
 def gini(grid: LorenzGrid) -> float:
     """Gini coefficient, twice the gap area between the diagonal and the
-    curve, over the raw mean.
+    curve, over the mean.
 
     Positive data yield the standard trapezoid Gini in [0, 1).  When the
-    raw mean is not positive the classical coefficient is undefined and
-    the shift-invariant canonical value, the area itself in the data's
-    units, is returned instead.  Unlike CS, Gini depends on the location
+    total is not positive, judged by its exact sign, the classical
+    coefficient is undefined and the shift-invariant canonical value, the
+    area itself in the data's units, is returned instead.  Unlike CS, Gini depends on the location
     of the data.  The grid carries the value, computed by the rule the
     Monte Carlo kernel uses, so it is the same on either footing.
 

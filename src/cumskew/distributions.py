@@ -430,9 +430,8 @@ def _replace(values: np.ndarray, count: int, side: str, magnitude_range, gen,
     from gen.  It checks nothing: the caller holds count to at most half
     of values (contaminate checks its spec's count, a ConditionSpec its
     plan's count_max), and an outlier beyond the float range is left for
-    the caller's finite check, which runs after it."""
-    if count == 0:
-        return
+    the caller's finite check, which runs after it.  A count of 0 draws
+    nothing and leaves gen's state as it was."""
     idx = gen.choice(values.size, size=count, replace=False)
     lo, hi = magnitude_range
     magnitudes = gen.uniform(lo, hi, count) * scale

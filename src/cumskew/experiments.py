@@ -50,7 +50,7 @@ from .distributions import (
     _stream_states,
     _transform,
 )
-from .errors import InvalidParameter
+from .errors import FloatRangeError, InvalidParameter
 
 __all__ = [
     "ContaminationPlan",
@@ -127,6 +127,12 @@ def aggregate(values) -> tuple[float, float]:
     and the variance's over the squared deviations (_squares).  Any
     iterable that is not an array is first read into one, so the values
     are never held as a list.
+
+    Raises:
+        InvalidParameter: there are no values.
+        NonFiniteValue: a value is a NaN or infinity (first index reported).
+        FloatRangeError: the mean or the variance is outside the float
+            range, as for [1e200, -1e200].
     """
     if not isinstance(values, np.ndarray):
         values = np.fromiter(values, float)
@@ -134,33 +140,31 @@ def aggregate(values) -> tuple[float, float]:
     count = len(vals)
     if count < 1:
         raise InvalidParameter("need at least one value")
-    mean = math.fsum(memoryview(vals)) / count
-    if count == 1:
-        return mean, 0.0
-    var = math.fsum(itertools.chain.from_iterable(_squares(vals, mean))) / (count - 1)
+    _check_finite(vals[None, :])
+    try:
+        mean = math.fsum(memoryview(vals)) / count
+        if count == 1:
+            return mean, 0.0
+        var = math.fsum(itertools.chain.from_iterable(_squares(vals, mean))) / (count - 1)
+    except OverflowError:  # an intermediate sum of fsum
+        var = math.inf
+    if not math.isfinite(var):
+        raise FloatRangeError("the mean or variance is outside the float range")
     return mean, math.sqrt(var / count)
 
 
 def _squares(vals: np.ndarray, mean: float):
-    """(v - mean) ** 2 of every value in order, as Python computes each,
-    in runs of _SQUARE_VALUES at a time.
-
-    A run is squared in numpy with the bits of Python's square: the same
+    """(v - mean) ** 2 of every finite value in order, with the bits of
+    Python's square, in runs of _SQUARE_VALUES at a time: the same
     subtraction, then C pow on |d| (float_power on float64), as
-    float.__pow__ does for an even exponent.  From the first run with a
-    square that is not finite on, the squares are Python's own, so an
-    overflow raises OverflowError, and a NaN keeps its sign, as in the
-    plain generator.
-    """
+    float.__pow__ does for an even exponent.  A square beyond the float
+    range is inf, where Python's raises OverflowError."""
     for lo in range(0, len(vals), _SQUARE_VALUES):
-        # numpy would warn on an overflow or on inf - inf; Python does not
-        with np.errstate(all="ignore"):
+        # aggregate reports a square beyond the float range
+        with np.errstate(over="ignore"):
             d = vals[lo:lo + _SQUARE_VALUES] - mean
             np.abs(d, out=d)
             np.float_power(d, 2.0, out=d)
-        if not np.isfinite(d).all():
-            yield ((v - mean) ** 2 for v in memoryview(vals[lo:]))
-            return
         yield memoryview(d)
 
 
@@ -286,24 +290,6 @@ def _replicate_range(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return cs, b1, degenerate
 
 
-def _chunk_bounds(count: int, chunks: int) -> list[tuple[int, int]]:
-    # contiguous 1-based ranges covering 1..count, for 1 <= chunks <= max(count, 1)
-    size, extra = divmod(count, chunks)
-    bounds = []
-    start = 1
-    for c in range(chunks):
-        stop = start + size + (1 if c < extra else 0)
-        bounds.append((start, stop))
-        start = stop
-    return bounds
-
-
-def _pool_workers(jobs: int, count: int) -> int:
-    """Workers for a run of `count` items (replications or sds): jobs,
-    capped by the host's CPU count and by count, and one at least."""
-    return min(jobs, os.cpu_count() or 1, max(count, 1))
-
-
 def _answer(fn, task) -> tuple[bool, object]:
     """(True, fn(task)), or (False, the exception it raised)."""
     try:
@@ -421,8 +407,10 @@ def _map_ranges(fn, head: tuple, count: int, jobs: int) -> list:
     """fn(head + (start, stop)) over 1..count split into one contiguous
     1-based range per worker; results in range order.
 
-    There are at most jobs workers, and no more than the host has CPUs or
-    count has items.  With more than one worker this process runs the
+    There are min(jobs, CPUs, max(count, 1)) workers, so one at least.
+    With `size, extra = divmod(count, workers)`, range k (from 0) starts
+    at 1 + k*size + min(k, extra): the first `extra` ranges hold one item
+    more than the rest.  With more than one worker this process runs the
     first range and the process's shared pool the others, one task each,
     and the first error in range order is raised, as a serial run would
     raise it; with one, the whole range runs in this process.
@@ -433,7 +421,10 @@ def _map_ranges(fn, head: tuple, count: int, jobs: int) -> list:
     _check_integer("jobs", jobs)
     if jobs < 1:
         raise InvalidParameter("need jobs >= 1")
-    tasks = [head + bounds for bounds in _chunk_bounds(count, _pool_workers(jobs, count))]
+    workers = min(jobs, os.cpu_count() or 1, max(count, 1))
+    size, extra = divmod(count, workers)
+    cuts = [1 + k * size + min(k, extra) for k in range(workers + 1)]
+    tasks = [head + bounds for bounds in zip(cuts, cuts[1:])]
     return _POOL.map(fn, tasks) if len(tasks) > 1 else [fn(tasks[0])]
 
 

@@ -787,6 +787,35 @@ class TestFloatRange:
                 pairs = sum(abs(Fraction(a) - Fraction(b)) for a in x for b in x)
                 assert report.gini == pytest.approx(float(pairs / (2 * n * n * mean)), rel=1e-9)
 
+    def test_power_of_two_scalings_keep_every_bit(self):
+        # an exact scaling by 2**k moves no statistic, down to the smallest
+        # subnormal: CS, b1 and the flag always, and the Gini and the
+        # classical grid whenever the total is positive, however small its
+        # mean in the data's units
+        rng = np.random.default_rng(23)
+        samples = [[0.0, 0.0, 1.0], [-1.0, 0.0, 2.0], [0.0, 1.0, 3.0], [1.0, 2.0, 2.0, 7.0],
+                   rng.lognormal(size=20), rng.standard_normal(20)]
+
+        def bits(sample, positive):
+            report = skew_report(sample)
+            got = [report.cs.hex(), report.b1.hex(), report.degenerate]
+            if positive:
+                grid = raw_lorenz_grid(sample)
+                got += [report.gini.hex(), grid.p.tobytes(), grid.q.tobytes(), grid.d.tobytes()]
+            return got
+
+        for x in map(np.asarray, samples):
+            positive = math.fsum(x) > 0
+            want = bits(validate_sample(x), positive)
+            checked = 0
+            with np.errstate(over="ignore"):
+                for k in range(-1074, 1024):
+                    y = np.ldexp(x, k)
+                    if np.isfinite(y).all() and np.array_equal(np.ldexp(y, -k), x):
+                        assert bits(validate_sample(y), positive) == want, (x, k)
+                        checked += 1
+            assert checked > 1000
+
     def test_results_outside_the_float_range_raise_a_typed_error(self):
         # the spread dwarfs the positive mean: the classical grid and Gini
         # overflow, while CS and b1 stay finite

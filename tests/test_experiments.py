@@ -21,6 +21,7 @@ from cumskew import (
     ContaminationSpec,
     CumskewError,
     DistributionSpec,
+    FloatRangeError,
     InvalidParameter,
     NonFiniteValue,
     RngStream,
@@ -85,26 +86,26 @@ class TestAggregate:
         want = np.array([(v - mean) ** 2 for v in vals.tolist()])
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
-    @pytest.mark.parametrize("values", _FINITE_SQUARES + [
-        pytest.param([1e154, -1e154, 3.0], id="fsum-overflow"),
-        pytest.param([1e308, -1e308], id="square-overflow"),
-        pytest.param([math.inf, 1.0], id="inf"),
-        pytest.param([1.0, -math.inf], id="-inf"),
-        pytest.param([math.nan, 1.0], id="nan"),
-        pytest.param([-math.nan, 1.0], id="-nan"),
-    ])
+    @pytest.mark.parametrize("values", _FINITE_SQUARES)
     def test_gives_the_bits_of_the_generator_form(self, values):
         assert _outcome(aggregate, values) == _outcome(_generator_aggregate, values)
         assert _outcome(aggregate, iter(list(values))) == \
             _outcome(_generator_aggregate, values)
 
-    @pytest.mark.parametrize("values, error", [
-        ([1e154, -1e154, 3.0], "intermediate overflow in fsum"),
-        ([1e308, -1e308], "Numerical result out of range"),
+    @pytest.mark.parametrize("values, error, index", [
+        pytest.param([math.inf, 1.0], NonFiniteValue, 0, id="inf"),
+        pytest.param([1.0, -math.inf], NonFiniteValue, 1, id="-inf"),
+        pytest.param([math.nan, 1.0], NonFiniteValue, 0, id="nan"),
+        pytest.param([-math.nan, 1.0], NonFiniteValue, 0, id="-nan"),
+        pytest.param([1e154, -1e154, 3.0], FloatRangeError, None, id="fsum-overflow"),
+        pytest.param([1e308, -1e308], FloatRangeError, None, id="square-overflow"),
+        pytest.param([1e200, -1e200], FloatRangeError, None, id="variance-overflow"),
     ])
-    def test_overflow_raises_as_the_generator_form(self, values, error):
-        with pytest.raises(OverflowError, match=error):
-            aggregate(values)
+    def test_non_finite_or_overflowing_values_raise_typed_errors(self, values, error, index):
+        for given in (np.array(values), iter(values)):
+            with pytest.raises(error) as info:
+                aggregate(given)
+            assert getattr(info.value, "index", None) == index
 
     def test_run_condition_holds_no_per_replication_lists(self, monkeypatch):
         # a list of 2e5 Python floats alone takes 32 B a replication; the
@@ -139,12 +140,8 @@ def _generator_aggregate(values):
 
 
 def _outcome(fn, values):
-    """The bytes of fn(values)'s floats, NaN signs included, or the type and
-    arguments of the OverflowError it raises."""
-    try:
-        return [struct.pack("<d", x) for x in fn(values)]
-    except OverflowError as exc:
-        return type(exc), exc.args
+    """The bytes of fn(values)'s floats."""
+    return [struct.pack("<d", x) for x in fn(values)]
 
 
 class TestStreamDerivation:
@@ -327,12 +324,20 @@ class TestRunCondition:
         assert self._seeding_peak_over_results(plan, 20_000) <= 3 * 2**20
 
     def test_pool_workers_capped_by_cpus_and_tasks(self, monkeypatch):
+        # the workers of a run are its tasks, one range each
+        monkeypatch.setattr(experiments._POOL, "map",
+                            lambda fn, tasks: [fn(task) for task in tasks])
+
+        def workers(jobs, count):
+            return len(experiments._map_ranges(lambda task: task, (), count, jobs))
+
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
-        assert experiments._pool_workers(2, 8) == 2
-        assert experiments._pool_workers(64, 256) == 4
-        assert experiments._pool_workers(8, 3) == 3
+        assert workers(2, 8) == 2
+        assert workers(64, 256) == 4
+        assert workers(8, 3) == 3
+        assert workers(8, 0) == 1
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
-        assert experiments._pool_workers(8, 32) == 1
+        assert workers(8, 32) == 1
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_rejected(self, jobs):

@@ -469,6 +469,17 @@ class TestLorenzCommand:
         assert [r[0] for r in rows] == pytest.approx(q, abs=1e-15)
         assert [r[1] for r in rows] == pytest.approx(d, abs=1e-15)
 
+    def test_smallest_positive_total_gives_the_classical_grid(self, tmp_path):
+        # 0, 0, 5e-324 is 0, 0, 1 scaled by 2**-1074: its mean rounds to zero
+        # in the data's units, but its total is positive
+        written = []
+        for name, values in (("one", "0\n0\n1\n"), ("tiny", "0\n0\n5e-324\n")):
+            tsv, svg = tmp_path / f"{name}.tsv", tmp_path / f"{name}.svg"
+            path = write(tmp_path, values, f"{name}.csv")
+            assert main(["lorenz", path, "--out", str(tsv), "--svg", str(svg)]) == 0
+            written.append((tsv.read_bytes(), svg.read_bytes()))
+        assert written[0] == written[1]
+
     def test_a_grid_fault_is_reported(self, tmp_path, monkeypatch):
         # any other fault of the grid is not hidden by the canonical footing
         def broken(sample, classical):
