@@ -22,7 +22,7 @@ extraction sums, split as the kernel's row sums are (below).
 as shares of the mean.  A grid builds every row it needs and keeps only
 its own p, q and d, so a dropped grid leaves nothing held.  The module
 keeps no cache: a single sample's L-weights (below) are written into the
-kernel's scratch, and the Monte Carlo harness builds them once per run.
+kernel's scratch.
 
 CS and Gini need only sums of the gaps, and both sums are linear in the
 order statistics.  Exchanging the sums over i and j gives, with e_j the
@@ -45,7 +45,11 @@ are exact in float64 for n below 7e7.
 
 One kernel, `_score_rows`, scores a whole (k, n) block of samples at once:
 the Monte Carlo harness stacks its replications into blocks, and the
-single-sample functions are its one-row case.  Each row is first scaled by
+single-sample functions are its one-row case.  The kernel's memory is this
+module's alone: a caller that scores many blocks at one n builds one
+`_Workspace`, which sizes the blocks, holds the rows the caller fills and
+the kernel's scratch, and carries the L-weights, written once; a lone
+sample gets fresh scratch.  Each row is first scaled by
 the power of two that brings its largest magnitude into [0.5, 1); the
 scaling is exact, so it changes no result in the normal float range, and it
 keeps b1's moments and the mean from overflowing or underflowing at the
@@ -165,12 +169,28 @@ def _l3_weights(a: np.ndarray, n: int) -> np.ndarray:
     return a
 
 
-def _l_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """New read-only rows of the weights a and c (`_write_l_weights`), for
-    a caller that scores many samples at one n: every block of a range and
-    every point of the g-curve."""
-    return tuple(_readonly(_write_l_weights(np.empty(n), cubic))
-                 for cubic in (False, True))
+# Blocks of samples are scored about this many values at a time (256 KB of
+# float64): large enough to amortise numpy's per-call overhead, small enough
+# for the block's temporaries to stay in cache.  At n=100 on a 2-CPU x86
+# host, blocks of 256-512 rows scored about twice as fast per row as blocks
+# of 2048-4096 rows.
+_BLOCK_VALUES = 32_768
+
+
+class _Workspace:
+    """The memory `_score_rows` reuses across the blocks of many samples of
+    one size n, up to `most` samples a block: `block`, the (rows, n) rows a
+    caller fills with each block, rows = min(most, _BLOCK_VALUES // n) and
+    one at least; `work`, the kernel's sorted copy and two scratch blocks,
+    (3, rows, n); and `a` and `c`, the read-only L-weights
+    (`_write_l_weights`), written once for every block.  Each block of
+    rows is C-contiguous, as is every run of its leading rows."""
+
+    def __init__(self, n: int, most: int):
+        space = np.empty((4, max(1, min(_BLOCK_VALUES // n, most)), n))
+        self.block, self.work = space[0], space[1:]
+        self.a, self.c = (_readonly(_write_l_weights(np.empty(n), cubic))
+                          for cubic in (False, True))
 
 
 def _centre_rows(x: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -197,7 +217,9 @@ def _signed_means(values: np.ndarray, mean: np.ndarray,
     1e308, 1e-300] has a scaled mean of 0).  Such rows are summed again,
     each part correctly rounded by math.fsum, with what the scaling flushed;
     the sign of that total, a nonzero sum of doubles being at least 5e-324,
-    is the row's, and the total over n, scaled, its mean.  Elsewhere the
+    is the row's, and the total, scaled and then divided by n, its mean:
+    divided first, a mean that is subnormal in the data's units would lose
+    bits to the subnormal grid before it was scaled.  Elsewhere the
     sign of the scaled mean is the row's.  The corrected means are written
     into mean, which is returned.
     """
@@ -210,7 +232,7 @@ def _signed_means(values: np.ndarray, mean: np.ndarray,
         totals = np.array([math.ldexp(math.fsum(s), k) + math.fsum(f)
                            for s, f, k in zip(scaled, flushed, e[small].tolist())])
         positive[small] = totals > 0.0
-        mean[small] = np.ldexp(totals / rows.shape[1], -e[small])
+        mean[small] = np.ldexp(totals, -e[small]) / rows.shape[1]
     return positive, mean
 
 
@@ -243,8 +265,7 @@ class _Scores(NamedTuple):
 
 
 @np.errstate(all="ignore")  # rows that leave the float range raise below
-def _score_rows(block: np.ndarray, work: np.ndarray | None = None,
-                weights: tuple[np.ndarray, np.ndarray] | None = None) -> _Scores:
+def _score_rows(block: np.ndarray, space: _Workspace | None = None) -> _Scores:
     """CS, b1, Gini and the degenerate flag of each row of a (k, n) block.
 
     A row is degenerate when it is constant or its variance vanishes; its
@@ -252,22 +273,20 @@ def _score_rows(block: np.ndarray, work: np.ndarray | None = None,
     whichever block it is scored in.  A Gini outside the float range is
     returned as it is, for the caller that needs it to raise.
 
-    `work` is a float64 array of shape (3, k, n) whose blocks are
-    C-contiguous and overlap neither each other nor `block`: the sorted
-    copy of the block and two scratch blocks, which the kernel overwrites.
-    A caller that scores many blocks passes one workspace to all of them,
-    so that no call allocates, and page-faults on, n-sized temporaries;
-    without it each call allocates its own.  Such a caller also passes
-    `weights`, the rows a and c of `_l_weights(n)`, built once for all its
-    blocks; without them the kernel writes a, then c, into its free
-    scratch row just before each L-sum, so that a lone sample builds no
-    n-sized row beyond the workspace and nothing stays held after the call.
+    A caller that scores many blocks at one n passes one `_Workspace` to
+    all of them, of at least k rows, so that no call allocates, and
+    page-faults on, n-sized temporaries or weights; a block of fewer rows
+    than the workspace uses the leading rows of its scratch.  `block` may
+    be the workspace's own rows, which the kernel only reads.  Without a
+    workspace each call allocates its own scratch and writes a, then c,
+    into its free scratch row just before each L-sum, so that a lone
+    sample builds no n-sized row beyond that scratch and nothing stays held
+    after the call.
 
     Raises:
         FloatRangeError: a row's CS or b1 is not finite.
     """
-    if work is None:
-        work = np.empty((3,) + block.shape)
+    work = np.empty((3,) + block.shape) if space is None else space.work[:, :len(block)]
     x, q, p = work  # C order: `_xsum` sums along rows
     np.copyto(x, block)
     x.sort(axis=1)
@@ -284,10 +303,10 @@ def _score_rows(block: np.ndarray, work: np.ndarray | None = None,
     s2 = _xsum(p, 4.0, q) / n
     p *= x
     s3 = _xsum(p, 8.0, q) / n
-    # without `weights`, each row is written into q, free until its L-sum
-    a = _write_l_weights(q[0], False) if weights is None else weights[0]
+    # without a workspace, each row is written into q, free until its L-sum
+    a = _write_l_weights(q[0], False) if space is None else space.a
     l2 = _xsum(np.multiply(x, a, out=p), 2.0 * n, q)
-    c = _write_l_weights(q[0], True) if weights is None else weights[1]
+    c = _write_l_weights(q[0], True) if space is None else space.c
     l3 = _xsum(np.multiply(x, c, out=p), 2.0 * (n - 1) * (n - 2), q)
     del work, x, p, q, a, c  # frees a workspace this call allocated
     m2 = s2 - r * r

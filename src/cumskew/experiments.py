@@ -7,14 +7,16 @@ repeated invocations with the same base seed.  A condition's
 replications are split into one contiguous range per worker, and so are
 a g-curve's sds (`_map_ranges`).  A g-curve range draws each of its sds'
 one normal sample from a stream of its own and scores it at every grid
-point, in one workspace and with one set of L-weights.  A replication
-range is the one place where stream ids become PCG64 states: a batch of
-blocks at a time, it hashes the draw stream ids and, for a contaminated
-condition, the contamination stream ids, and computes each kind's states
-in one pass (`distributions._stream_states`).  Each block is drawn from
-its rows of both (`distributions._BlockSampler`, which takes states
-alone) and scored at once (`core._score_rows`), all in one workspace and
-with one set of L-weights per range.
+point, in one `core._Workspace`.  A replication range is the one place
+where stream ids become PCG64 states: a batch of blocks at a time, it
+hashes the draw stream ids and, for a contaminated condition, the
+contamination stream ids (`_stream_ids`, which spells an id as
+`derive_stream_id` does), and computes each kind's states in one pass
+(`distributions._stream_states`).  Each block is drawn from its rows of
+both (`distributions._BlockSampler`, which takes states alone) and scored
+at once (`core._score_rows`), all in one `core._Workspace` per range: the
+kernel's memory, block size and L-weights are `core`'s, and this module
+builds no array for the kernel.
 
 Runs with N > 1 workers, conditions and g-curves alike, split their
 ranges, one task each, between the calling process and the N - 1 worker
@@ -41,7 +43,7 @@ from multiprocessing.util import Finalize
 
 import numpy as np
 
-from .core import _check_finite, _check_integer, _l_weights, _score_rows
+from .core import _Workspace, _check_finite, _check_integer, _score_rows
 from .distributions import (
     ContaminationSpec,
     DistributionSpec,
@@ -77,13 +79,6 @@ DEFAULT_GCURVE_SDS = (1.0, 3.0)
 TABLE1_HIGH_MAGNITUDES = (10.0, 20.0)
 TABLE1_LOW_MAGNITUDES = (1.05, 1.5)
 
-# Replications are scored in blocks of about this many values (256 KB of
-# float64): large enough to amortise numpy's per-call overhead, small enough
-# for the block's temporaries to stay in cache.  At n=100 on a 2-CPU x86
-# host, blocks of 256-512 rows scored about twice as fast per row as blocks
-# of 2048-4096 rows.
-_BLOCK_VALUES = 32_768
-
 # aggregate squares the deviations about this many values at a time: a
 # fixed bound on its temporaries, and one numpy call per 2,000-replication
 # column.
@@ -96,20 +91,26 @@ _SQUARE_VALUES = 4096
 _SEED_REPS = 4096
 
 
+def _id_text(*parts) -> bytes:
+    """The text a stream id hashes: the parts joined by ":", in UTF-8."""
+    return ":".join(str(p) for p in parts).encode("utf-8")
+
+
 def derive_stream_id(*parts) -> int:
     """Stable 64-bit stream id from string-convertible parts."""
-    text = ":".join(str(p) for p in parts).encode("utf-8")
-    return int.from_bytes(hashlib.blake2b(text, digest_size=8).digest(), "big")
+    return int.from_bytes(hashlib.blake2b(_id_text(*parts), digest_size=8).digest(), "big")
 
 
-def _stream_ids(prefix: bytes, reps, suffix: bytes = b"") -> np.ndarray:
-    """derive_stream_id(condition id, rep) of every rep, or with the
-    "contamination" part, as a uint64 array, from the condition id's text
-    encoded once: prefix is b"<id>:" and suffix b"" or b":contamination".
+def _stream_ids(condition_id, reps, *tail) -> np.ndarray:
+    """derive_stream_id(condition_id, rep, *tail) of every int rep in reps,
+    as a uint64 array.
 
-    The prefix is hashed once; each rep continues a copy of that hash.
+    The text before the rep, "<condition_id>:", is hashed once, and each
+    rep continues a copy of that hash with its own digits and the tail's
+    text, which is encoded once.
     """
-    head = hashlib.blake2b(prefix, digest_size=8)
+    head = hashlib.blake2b(_id_text(condition_id, ""), digest_size=8)
+    suffix = _id_text("", *tail)
     digests = bytearray()
     for rep in reps:
         h = head.copy()
@@ -257,34 +258,30 @@ def _replicate_range(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     contamination streams when the condition has a plan, are computed for
     a batch of whole blocks at a time (about _SEED_REPS replications), one
     pass per kind; no block seeds anything, and each block draws from its
-    rows of the batch.  Replications are drawn straight into blocks of
-    about _BLOCK_VALUES values and each block is scored at once; a row's
+    rows of the batch.  Replications are drawn straight into the rows of
+    one `core._Workspace`, which sizes the blocks and holds the kernel's
+    scratch and L-weights, and each block is scored at once; a row's
     draws and scores do not depend on its block or batch, so any split of
     the range gives the same results.
     """
     spec, base_seed, start, stop = args
-    n, plan = spec.n, spec.contamination
-    rows = max(1, min(_BLOCK_VALUES // n, stop - start))
+    plan = spec.contamination
+    space = _Workspace(spec.n, stop - start)
+    rows = len(space.block)
     batch = rows * max(1, _SEED_REPS // rows)
     sampler = _BlockSampler(spec.distribution, plan)
-    prefix = f"{spec.id}:".encode("utf-8")
-    # one workspace for every block: the block itself, then the kernel's
-    # sorted copy and two scratch blocks; a short last block uses the
-    # leading rows of each, which are C-contiguous too
-    space = np.empty((4, rows, n))
-    weights = _l_weights(n)
     cs, b1 = np.empty(stop - start), np.empty(stop - start)
     degenerate = np.empty(stop - start, dtype=bool)
     for first in range(start, stop, batch):
         reps = range(first, min(first + batch, stop))
-        states = _stream_states(base_seed, _stream_ids(prefix, reps))
+        states = _stream_states(base_seed, _stream_ids(spec.id, reps))
         cstates = None if plan is None else \
-            _stream_states(base_seed, _stream_ids(prefix, reps, b":contamination"))
+            _stream_states(base_seed, _stream_ids(spec.id, reps, "contamination"))
         for lo in range(0, len(reps), rows):
             part = slice(lo, lo + rows)
             block = sampler.draw(states[part], None if plan is None else cstates[part],
-                                 space[0, :len(reps[part])])
-            scores = _score_rows(block, space[1:, :len(block)], weights)
+                                 space.block[:len(reps[part])])
+            scores = _score_rows(block, space)
             done = slice(first - start + lo, first - start + lo + len(block))
             cs[done], b1[done], degenerate[done] = scores.cs, scores.b1, scores.degenerate
     return cs, b1, degenerate
@@ -502,23 +499,20 @@ def _gcurve_range(args) -> list[GCurvePoint]:
     """The points of rows start..stop-1 (1-based), each row an sd and the
     specs of its grid.
 
-    One workspace and one set of L-weights serve every sample, as in a
-    replication range: the sample itself, then the kernel's sorted copy
-    and scratch.  Each sd's Z is drawn once and copied into the sample at
-    every grid point.
+    One one-row `core._Workspace` serves every sample, as in a
+    replication range.  Each sd's Z is drawn once and copied into the
+    workspace's row at every grid point.
     """
     rows, n, base_seed, start, stop = args
-    space = np.empty((4, 1, n))
-    values, work = space[0], space[1:]
-    weights = _l_weights(n)
+    space = _Workspace(n, 1)
     points = []
     for sd, specs in rows[start - 1:stop - 1]:
         z = RngStream(base_seed, derive_stream_id("gcurve", f"sd={sd!r}")).standard_normal(n)
         for spec in specs:
-            np.copyto(values, z)
-            _transform(values, spec)
-            _check_finite(values)
-            cs = float(_score_rows(values, work, weights).cs[0])
+            np.copyto(space.block, z)
+            _transform(space.block, spec)
+            _check_finite(space.block)
+            cs = float(_score_rows(space.block, space).cs[0])
             points.append(GCurvePoint(g=float(spec.g), sd=float(sd), cs=cs, n=n))
     return points
 

@@ -29,10 +29,11 @@ from cumskew import (
     weight_vector,
 )
 from cumskew.core import (
+    _BLOCK_VALUES,
     _WEIGHT_CHUNK,
     _l3_weights,
-    _l_weights,
     _score_rows,
+    _Workspace,
     _write_l_weights,
     _xsum,
 )
@@ -302,7 +303,8 @@ class TestLWeights:
 
     def test_rows_for_many_samples_are_the_written_ones_read_only(self):
         n = 3 * _WEIGHT_CHUNK + 7
-        for cubic, row in enumerate(_l_weights(n)):
+        space = _Workspace(n, 1)
+        for cubic, row in enumerate((space.a, space.c)):
             assert not row.flags.writeable
             assert row.tobytes() == _write_l_weights(np.empty(n), cubic).tobytes()
 
@@ -564,6 +566,24 @@ class TestBlockKernel:
             if not report.degenerate:
                 assert moment_skewness(sample) == report.b1
 
+    @pytest.mark.parametrize("n", [3, 100, 4000, _BLOCK_VALUES + 1])
+    def test_blocks_in_one_workspace_score_as_in_fresh_scratch(self, n):
+        # full and short blocks, in the workspace's own rows or an array of
+        # the caller's, each after the scratch a larger block left behind
+        rng = np.random.default_rng([15, n])
+        space = _Workspace(n, 40)
+        rows = len(space.block)
+        assert rows == max(1, min(40, _BLOCK_VALUES // n))
+        assert space.work.shape == (3, rows, n)
+        assert all(part.flags.c_contiguous for part in (space.block, *space.work))
+        for k in (rows, 1, max(1, rows - 3), rows):
+            block = np.stack([kernel_rows(rng, i % 7, n) for i in range(k)])
+            want = [v.tobytes() for v in _score_rows(block)]
+            assert [v.tobytes() for v in _score_rows(block, space)] == want, k
+            np.copyto(space.block[:k], block)
+            assert [v.tobytes() for v in _score_rows(space.block[:k], space)] == want, k
+            assert space.block[:k].tobytes() == block.tobytes()  # only read
+
     def test_degenerate_rows_score_zero(self):
         scores = _score_rows(np.array([[2.0, 2.0, 2.0], [1.0, 2.0, 4.0]]))
         assert scores.degenerate.tolist() == [True, False]
@@ -794,7 +814,7 @@ class TestFloatRange:
         # mean in the data's units
         rng = np.random.default_rng(23)
         samples = [[0.0, 0.0, 1.0], [-1.0, 0.0, 2.0], [0.0, 1.0, 3.0], [1.0, 2.0, 2.0, 7.0],
-                   rng.lognormal(size=20), rng.standard_normal(20)]
+                   [1.0, -1.0, 2.0**-60], rng.lognormal(size=20), rng.standard_normal(20)]
 
         def bits(sample, positive):
             report = skew_report(sample)

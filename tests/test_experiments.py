@@ -10,6 +10,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from cumskew import (
     table1_conditions,
 )
 from cumskew import distributions, experiments
-from cumskew.core import _score_rows
+from cumskew.core import _BLOCK_VALUES, _score_rows
 from cumskew.distributions import _BlockSampler, _stream_states
 
 
@@ -156,12 +157,10 @@ class TestStreamDerivation:
 
     @pytest.mark.parametrize("cid", ["unit", "1. sigma=0.2", "null-cauchy", "\u00e9t\u00e9:x"])
     def test_block_ids_are_derive_stream_id(self, cid):
-        prefix = f"{cid}:".encode("utf-8")
         reps = [1, 2, 9, 10, 99_999, 100_000, 2**40]
-        assert experiments._stream_ids(prefix, reps).tolist() == \
-            [derive_stream_id(cid, rep) for rep in reps]
-        assert experiments._stream_ids(prefix, reps, b":contamination").tolist() == \
-            [derive_stream_id(cid, rep, "contamination") for rep in reps]
+        for tail in [(), ("contamination",), ("a", 1.5)]:
+            assert experiments._stream_ids(cid, reps, *tail).tolist() == \
+                [derive_stream_id(cid, rep, *tail) for rep in reps]
 
 
 def small_spec(reps=64, contaminated=False):
@@ -235,7 +234,7 @@ class TestRunCondition:
         spec = ConditionSpec("part", DistributionSpec.lognormal(1.0), 4000, 20,
                              contamination=ContaminationPlan(side="low")
                              if contaminated else None)
-        rows = experiments._BLOCK_VALUES // spec.n
+        rows = _BLOCK_VALUES // spec.n
         assert rows == 8
         for start, stop in ((3, 3 + rows + 1), (2, 2 + 2 * rows - 1)):
             reps = range(start, stop)
@@ -257,7 +256,7 @@ class TestRunCondition:
         spec = ConditionSpec("batch", DistributionSpec.normal(1.0, 2.0), 100, 5000,
                              contamination=ContaminationPlan(side="high")
                              if contaminated else None)
-        rows = experiments._BLOCK_VALUES // spec.n
+        rows = _BLOCK_VALUES // spec.n
         batch = rows * (experiments._SEED_REPS // rows)
         assert rows < batch <= 10_000  # a second batch, and a cheap reference
         start, stop = 5, 5 + batch + rows + 11
@@ -276,13 +275,13 @@ class TestRunCondition:
         # are four blocks of one seeding batch
         spec = ConditionSpec("once", DistributionSpec.lognormal(1.0), 100, 1000,
                              contamination=ContaminationPlan(side="high"))
-        assert experiments._BLOCK_VALUES // spec.n * 3 < spec.reps <= experiments._SEED_REPS
+        assert _BLOCK_VALUES // spec.n * 3 < spec.reps <= experiments._SEED_REPS
         hashed, seeded = [], []
         stream_ids, seed_words = experiments._stream_ids, distributions._seed_words
 
-        def count_ids(prefix, reps, suffix=b""):
-            hashed.append((suffix, reps))
-            return stream_ids(prefix, reps, suffix)
+        def count_ids(condition_id, reps, *tail):
+            hashed.append((tail, reps))
+            return stream_ids(condition_id, reps, *tail)
 
         def count_words(base_seed, ids):
             seeded.append(len(ids))
@@ -292,7 +291,7 @@ class TestRunCondition:
         monkeypatch.setattr(distributions, "_seed_words", count_words)
         experiments._replicate_range((spec, 3, 1, spec.reps + 1))
         reps = range(1, spec.reps + 1)
-        assert hashed == [(b"", reps), (b":contamination", reps)]
+        assert hashed == [((), reps), (("contamination",), reps)]
         assert seeded == [spec.reps, spec.reps]
 
     @staticmethod
@@ -593,6 +592,13 @@ def _task_or_raise(task):
     return number
 
 
+def _exit_in_worker(caller):
+    # a pool task that ends any process it runs in but the caller's
+    if os.getpid() != caller:
+        os._exit(1)
+    return caller
+
+
 def _send_run(spec, conn):
     # a process group of its own, so that a hung child's pool workers can
     # be killed with it
@@ -648,6 +654,18 @@ class TestSharedPool:
         # the call found the worker dead and reaped it as it rebuilt the pool
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
+
+    def test_worker_dying_during_a_call_breaks_only_that_call(self, shared_pool, built_pools):
+        # two tasks fork one worker whatever the CPU count
+        caller = os.getpid()
+        with pytest.raises(BrokenProcessPool):
+            shared_pool.map(_exit_in_worker, [caller, caller])
+        (worker,) = built_pools[0]
+        assert shared_pool._procs == [] and worker.exitcode == 1
+        with pytest.raises(ChildProcessError):  # reaped as the pool shut down
+            os.waitpid(worker.pid, os.WNOHANG)
+        dist = DistributionSpec.normal()
+        assert run_null(dist, 20, 60, 3, jobs=2) == run_null(dist, 20, 60, 3, jobs=1)
 
     @pytest.mark.parametrize("jobs, cpus, started", [(2, 2, 1), (3, 4, 2)])
     def test_n_workers_start_n_minus_one_processes(self, shared_pool, built_pools,
