@@ -91,13 +91,16 @@ def cmd_experiment(args) -> int:
     The library owns each experiment's conditions, ids and default sizes,
     and the bounds of --sigma, --n, --reps and --jobs: only the options
     given are passed on, and the specs and runners raise InvalidParameter
-    for a value out of range before any replication runs.  Checked here is
-    only what no library call sees: which options apply to which
+    for a value out of range before any replication runs.  The g-curve's
+    provenance (its loc, g grid and sds) is written from the library's
+    DEFAULT_GCURVE_* constants, which run_gcurve runs with.  Checked here
+    is only what no library call sees: which options apply to which
     experiment.
     """
     # imported here, so that compute and lorenz never load the samplers,
     # the harness or its process pool
     from .distributions import DistributionSpec
+    from .experiments import DEFAULT_G_GRID, DEFAULT_GCURVE_LOC, DEFAULT_GCURVE_SDS
     from .experiments import _null_condition, run_condition, run_gcurve, table1_conditions
 
     name = args.name
@@ -113,8 +116,10 @@ def cmd_experiment(args) -> int:
         points = run_gcurve(base_seed=seed, jobs=args.jobs, **sizes)
         rows = [{"id": "gcurve", "g": pt.g, "sd": pt.sd, "n": pt.n,
                  "seed": seed, "cs": pt.cs} for pt in points]
-        meta = run_metadata("experiment gcurve", seed=seed, n=points[0].n, loc=0.0,
-                            g_grid="0.1..1.5 step 0.1", sds="1,3")
+        g = DEFAULT_G_GRID
+        meta = run_metadata("experiment gcurve", seed=seed, n=points[0].n, loc=DEFAULT_GCURVE_LOC,
+                            g_grid=f"{g[0]:g}..{g[-1]:g} step {g[1] - g[0]:g}",
+                            sds=",".join(f"{sd:g}" for sd in DEFAULT_GCURVE_SDS))
     else:
         if name == "table1":
             specs = table1_conditions(**sizes)
@@ -143,7 +148,7 @@ def cmd_lorenz(args) -> int:
         write_rows_tsv(fh, columns, first=(0, 0.0, 0.0, 0.0, ""),
                        last=(grid.n, 1.0, 1.0, 0.0, ""))
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
+        with _output(args.svg) as fh:
             lorenz_svg(grid, fh)
     return EXIT_OK
 

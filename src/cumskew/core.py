@@ -465,6 +465,15 @@ def _check_integer(name: str, value) -> None:
         raise InvalidParameter(f"{name} must be an integer, got {value!r}")
 
 
+def _check_size(name: str, value, least: int) -> None:
+    """Raise InvalidParameter unless the parameter `name` is an integer
+    (`_check_integer`) of at least `least`; the one size check of the
+    specs and runners."""
+    _check_integer(name, value)
+    if value < least:
+        raise InvalidParameter(f"need {name} >= {least}")
+
+
 @np.errstate(all="ignore")  # a grid that leaves the float range raises below
 def _lorenz(sample: Sample, classical: bool | None) -> LorenzGrid:
     """The grid of a sample from its gap vector: the gaps in the data's own

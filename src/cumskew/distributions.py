@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Sample, _check_finite, _check_integer, validate_sample
+from .core import Sample, _check_finite, _check_integer, _check_size, validate_sample
 from .errors import CountTooLarge, InvalidParameter
 
 __all__ = [
@@ -338,9 +338,7 @@ class ContaminationSpec:
     magnitude_range: tuple[float, float] = (10.0, 20.0)
 
     def __post_init__(self):
-        _check_integer("count", self.count)
-        if self.count < 0:
-            raise InvalidParameter("count must be >= 0")
+        _check_size("count", self.count, 0)
         if self.side not in CONTAMINATION_SIDES:
             raise InvalidParameter(f"side must be one of {CONTAMINATION_SIDES}")
         lo, hi = self.magnitude_range
@@ -431,7 +429,8 @@ def _replace(values: np.ndarray, count: int, side: str, magnitude_range, gen,
     of values (contaminate checks its spec's count, a ConditionSpec its
     plan's count_max), and an outlier beyond the float range is left for
     the caller's finite check, which runs after it.  A count of 0 draws
-    nothing and leaves gen's state as it was."""
+    nothing and leaves gen's state as it was, so no caller needs a branch
+    of its own for it."""
     idx = gen.choice(values.size, size=count, replace=False)
     lo, hi = magnitude_range
     magnitudes = gen.uniform(lo, hi, count) * scale
@@ -445,7 +444,9 @@ def contaminate(sample: Sample, spec: ContaminationSpec, rng: RngStream) -> Samp
     The sample size is unchanged; untouched entries keep their values.
     Index draws precede magnitude draws on the supplied stream.  This is
     the one entry whose count comes from its caller, so it is the one
-    that checks the count against the sample.
+    that checks the count against the sample.  A count of 0 takes the same
+    path as any other: it returns a new Sample of the same values and
+    leaves the stream's state as it was.
 
     Raises:
         CountTooLarge: spec.count exceeds half the sample size.
@@ -453,8 +454,6 @@ def contaminate(sample: Sample, spec: ContaminationSpec, rng: RngStream) -> Samp
     # as a Python int: a fixed-width numpy count would wrap when doubled
     if 2 * int(spec.count) > sample.n:
         raise CountTooLarge(f"cannot replace {spec.count} of {sample.n} values (limit n/2)")
-    if spec.count == 0:
-        return sample
     values = sample.values.copy()
     _replace(values, spec.count, spec.side, spec.magnitude_range, rng._gen,
              float(np.max(np.abs(values))))

@@ -43,7 +43,7 @@ from multiprocessing.util import Finalize
 
 import numpy as np
 
-from .core import _Workspace, _check_finite, _check_integer, _score_rows
+from .core import _Workspace, _check_finite, _check_integer, _check_size, _score_rows
 from .distributions import (
     ContaminationSpec,
     DistributionSpec,
@@ -70,6 +70,7 @@ __all__ = [
 
 DEFAULT_G_GRID = tuple(k / 10 for k in range(1, 16))
 DEFAULT_GCURVE_SDS = (1.0, 3.0)
+DEFAULT_GCURVE_LOC = 0.0
 
 # Magnitude multipliers (times the sample maximum) for the built-in
 # contaminated conditions.  The low-side window is chosen so that a handful
@@ -197,10 +198,10 @@ class ConditionSpec:
     """One Monte Carlo condition: distribution, size, reps, contamination.
 
     Raises InvalidParameter when built for an n or reps that is not an
-    integer, n below 2, reps below 1, and a plan whose count_max exceeds
-    n/2: a spec that may replace more than half of a sample is never
-    built, so whether a condition runs does not depend on the outlier
-    counts its replications draw.
+    integer, n below 2, reps below 1 (each `core._check_size`, n first),
+    and a plan whose count_max exceeds n/2: a spec that may replace more
+    than half of a sample is never built, so whether a condition runs
+    does not depend on the outlier counts its replications draw.
     """
 
     id: str
@@ -210,12 +211,8 @@ class ConditionSpec:
     contamination: ContaminationPlan | None = None
 
     def __post_init__(self):
-        _check_integer("n", self.n)
-        _check_integer("reps", self.reps)
-        if self.n < 2:
-            raise InvalidParameter("need n >= 2")
-        if self.reps < 1:
-            raise InvalidParameter("need reps >= 1")
+        _check_size("n", self.n, 2)
+        _check_size("reps", self.reps, 1)
         plan = self.contamination
         # as Python ints: a fixed-width numpy count would wrap when doubled
         if plan is not None and 2 * int(plan.count_max) > self.n:
@@ -413,11 +410,9 @@ def _map_ranges(fn, head: tuple, count: int, jobs: int) -> list:
     raise it; with one, the whole range runs in this process.
 
     Raises InvalidParameter before fn runs, for a jobs that is not an
-    integer or is below 1.
+    integer or is below 1 (`core._check_size`).
     """
-    _check_integer("jobs", jobs)
-    if jobs < 1:
-        raise InvalidParameter("need jobs >= 1")
+    _check_size("jobs", jobs, 1)
     workers = min(jobs, os.cpu_count() or 1, max(count, 1))
     size, extra = divmod(count, workers)
     cuts = [1 + k * size + min(k, extra) for k in range(workers + 1)]
@@ -518,7 +513,8 @@ def _gcurve_range(args) -> list[GCurvePoint]:
 
 
 def run_gcurve(g_grid=DEFAULT_G_GRID, sds=DEFAULT_GCURVE_SDS, n: int = 100_000,
-               base_seed: int = 0, loc: float = 0.0, jobs: int = 1) -> list[GCurvePoint]:
+               base_seed: int = 0, loc: float = DEFAULT_GCURVE_LOC,
+               jobs: int = 1) -> list[GCurvePoint]:
     """CS of g-distribution samples along a grid of g values.
 
     For each underlying sd, one standard normal sample Z of size n is drawn
@@ -529,19 +525,20 @@ def run_gcurve(g_grid=DEFAULT_G_GRID, sds=DEFAULT_GCURVE_SDS, n: int = 100_000,
     checked, before the first sample is drawn.  The sds are split between
     at most jobs workers by _map_ranges, one contiguous range each, as a
     condition's replications are; a sample does not depend on its range,
-    so output is identical to a serial run.
+    so output is identical to a serial run.  The defaults of g_grid, sds
+    and loc are the module's DEFAULT_G_GRID, DEFAULT_GCURVE_SDS and
+    DEFAULT_GCURVE_LOC, which the CLI also writes as the run's provenance.
 
     Raises InvalidParameter for a grid that does not strictly increase, a
     g below 0, an sd not above 0, a non-finite g, sd or loc, an n,
-    base_seed or jobs that is not an integer, n below 2, or jobs below 1.
+    base_seed or jobs that is not an integer, n below 2, or jobs below 1;
+    n is checked (`core._check_size`) before base_seed, and jobs last.
     """
     grid = list(g_grid)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidParameter("g grid must be strictly increasing")
-    _check_integer("n", n)
+    _check_size("n", n, 2)
     _check_integer("base_seed", base_seed)
-    if n < 2:
-        raise InvalidParameter("need n >= 2")
     rows = [(sd, [DistributionSpec.tukey_g(g, loc, sd) for g in grid]) for sd in sds]
     ranges = _map_ranges(_gcurve_range, (rows, n, base_seed), len(rows), jobs)
     return list(itertools.chain.from_iterable(ranges))

@@ -316,8 +316,11 @@ class TestContaminate:
 
     def test_zero_count_is_identity(self):
         s = self.lognormal(0)
-        out = contaminate(s, ContaminationSpec(0, "high"), RngStream(6, 100))
+        rng = RngStream(6, 100)
+        out = contaminate(s, ContaminationSpec(0, "high"), rng)
         assert np.array_equal(out.values, s.values)
+        # nothing is drawn: the stream is where a fresh one starts
+        assert rng._gen.bit_generator.state == RngStream(6, 100)._gen.bit_generator.state
 
     def test_high_side_single(self):
         s = self.lognormal(1)

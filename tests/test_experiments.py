@@ -608,12 +608,15 @@ def _send_run(spec, conn):
 
 
 class TestSharedPool:
-    def test_table1_builds_one_pool(self, shared_pool, built_pools):
+    def test_table1_builds_one_pool(self, shared_pool, built_pools, monkeypatch):
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
         got = run_table1(42, n=20, reps=50, jobs=2)
         assert len(built_pools) == 1
         assert got == run_table1(42, n=20, reps=50, jobs=1)
 
-    def test_calls_reuse_the_pool_and_serial_builds_none(self, shared_pool, built_pools):
+    def test_calls_reuse_the_pool_and_serial_builds_none(self, shared_pool, built_pools,
+                                                         monkeypatch):
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
         dist = DistributionSpec.normal(0.0, 1.0)
         serial = run_null(dist, 20, 60, 3, jobs=1)
         assert built_pools == []
@@ -641,7 +644,8 @@ class TestSharedPool:
         assert run_condition(spec, 13, jobs=4) == run_condition(spec, 13, jobs=1)
         assert built_pools == [] and shared_pool._procs == []
 
-    def test_killed_worker_does_not_fail_the_next_call(self, shared_pool):
+    def test_killed_worker_does_not_fail_the_next_call(self, shared_pool, monkeypatch):
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
         spec = small_spec(reps=80)
         before = {p.pid for p in multiprocessing.active_children()}
         serial = run_condition(spec, 5, jobs=1)
@@ -905,7 +909,7 @@ PARAMETER_CHECKS = {
     "tukey-g-inf": (lambda: DistributionSpec.tukey_g(INF), "g must be finite"),
     "tukey-g": (lambda: DistributionSpec.tukey_g(-0.1), "g must be >= 0"),
     "tukey-sd": (lambda: DistributionSpec.tukey_g(0.5, 0.0, 0.0), "underlying sd must be > 0"),
-    "spec-count": (lambda: ContaminationSpec(-1, "high"), "count must be >= 0"),
+    "spec-count": (lambda: ContaminationSpec(-1, "high"), "need count >= 0"),
     "spec-side": (lambda: ContaminationSpec(1, "sideways"),
                   "side must be one of ('high', 'low')"),
     "spec-range": (lambda: ContaminationSpec(1, "high", (3.0, 2.0)),
@@ -920,6 +924,8 @@ PARAMETER_CHECKS = {
     "condition-n": (lambda: ConditionSpec("c", DistributionSpec.cauchy(), 1, 10), "need n >= 2"),
     "condition-reps": (lambda: ConditionSpec("c", DistributionSpec.cauchy(), 10, 0),
                        "need reps >= 1"),
+    "condition-n-before-reps": (lambda: ConditionSpec("c", DistributionSpec.cauchy(), 1, 0.5),
+                                "need n >= 2"),
     "run-jobs": (lambda: run_condition(small_spec(), 1, jobs=0), "need jobs >= 1"),
     "condition-count": (lambda: ConditionSpec(
         "c", DistributionSpec.lognormal(1.0), 9, 5, ContaminationPlan("high")),
@@ -936,6 +942,8 @@ PARAMETER_CHECKS = {
     "gcurve-loc": (lambda: run_gcurve(n=100, loc=INF), "mu must be finite"),
     "gcurve-n": (lambda: run_gcurve(n=-5), "need n >= 2"),
     "gcurve-n-one": (lambda: run_gcurve(n=1), "need n >= 2"),
+    "gcurve-n-before-seed": (lambda: run_gcurve(n=1, base_seed=1.5), "need n >= 2"),
+    "gcurve-jobs": (lambda: run_gcurve(n=100, jobs=0), "need jobs >= 1"),
     "aggregate": (lambda: aggregate([]), "need at least one value"),
     "spec-count-float": (lambda: ContaminationSpec(1.0, "high"),
                          "count must be an integer, got 1.0"),
@@ -995,6 +1003,13 @@ class TestInvalidParameter:
                              ContaminationPlan("high", np.int64(1), np.int16(5)))
         assert run_condition(spec, np.int64(1), jobs=np.int64(1)) == \
             run_condition(small_spec(contaminated=True), 1)
+        # and each size check admits a numpy integer at its bound
+        least = ConditionSpec("least", DistributionSpec.cauchy(), np.int64(2), np.int32(1))
+        assert run_condition(least, 1, jobs=np.int16(1)) == \
+            run_condition(ConditionSpec("least", DistributionSpec.cauchy(), 2, 1), 1)
+        assert run_gcurve(sds=(1.0,), n=np.int64(2), jobs=np.int8(1)) == \
+            run_gcurve(sds=(1.0,), n=2)
+        assert ContaminationSpec(np.uint8(0), "high").count == 0
 
     def test_count_limit_checked_before_any_replication(self):
         # so the outcome does not depend on the counts the replications draw:

@@ -519,6 +519,21 @@ class TestLorenzCommand:
         assert text.startswith("<svg")
         assert "crimson" in text and "seagreen" in text
 
+    def test_every_file_is_opened_through_one_opener(self, tmp_path, monkeypatch):
+        # the TSV and the SVG alike are written with newline="", so no
+        # platform translates their line ends
+        path = write(tmp_path, "1\n1\n4\n")
+        tsv, svg = tmp_path / "grid.tsv", tmp_path / "curve.svg"
+        opened = []
+
+        def recording_open(file, mode="r", *args, **kwargs):
+            opened.append((str(file), mode, kwargs.get("newline")))
+            return open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", recording_open, raising=False)
+        assert main(["lorenz", path, "--out", str(tsv), "--svg", str(svg)]) == 0
+        assert sorted(opened) == sorted([(str(tsv), "w", ""), (str(svg), "w", "")])
+
     def test_tsv_holds_no_whole_column_as_python_numbers(self, tmp_path):
         # a float column as a list of Python floats alone is 32 B per row;
         # a writer holding every column so reads about 230 B a row (5e4
@@ -797,6 +812,8 @@ class TestExperimentCommand:
         assert grid == pytest.approx(experiments.DEFAULT_G_GRID, abs=1e-12, rel=0)
         assert tuple(map(float, meta["sds"].split(","))) == experiments.DEFAULT_GCURVE_SDS
         assert float(meta["loc"]) == inspect.signature(run_gcurve).parameters["loc"].default
+        # and the header keeps its bytes
+        assert {"# loc=0.0", "# g_grid=0.1..1.5 step 0.1", "# sds=1,3"} <= set(lines)
         rows = [l.split(",") for l in lines if not l.startswith("#")][1:]
         for sd in experiments.DEFAULT_GCURVE_SDS:
             g = [float(row[1]) for row in rows if float(row[2]) == sd]
