@@ -283,13 +283,23 @@ def _score_rows(block: np.ndarray, space: _Workspace | None = None) -> _Scores:
     sample builds no n-sized row beyond that scratch and nothing stays held
     after the call.
 
+    The kernel checks its own input: numpy sorts -inf first and +inf and
+    every NaN last, so a row holds a NaN or an infinity exactly when one
+    of its sorted ends does, and only those ends are read unless one is
+    bad.
+
     Raises:
+        NonFiniteValue: a row holds a NaN or an infinity (`_check_finite`
+            on the block: the first such row, its first such index and
+            value).
         FloatRangeError: a row's CS or b1 is not finite.
     """
     work = np.empty((3,) + block.shape) if space is None else space.work[:, :len(block)]
     x, q, p = work  # C order: `_xsum` sums along rows
     np.copyto(x, block)
     x.sort(axis=1)
+    if not np.isfinite(x[:, [0, -1]]).all():
+        _check_finite(block)
     n = x.shape[1]
     degenerate = x[:, 0] == x[:, -1]
     e, mean = _centre_rows(x, q)
@@ -450,7 +460,9 @@ def _float64(values: np.ndarray) -> np.ndarray:
 def _check_finite(block: np.ndarray) -> None:
     """Raise NonFiniteValue for the first row of a (k, n) block holding a
     NaN or infinity, with the index and value of that row's first one; the
-    one finite check of the package."""
+    one finite check of the package, run on data from outside it
+    (`validate_sample`, `aggregate`) and by the kernel, `_score_rows`, on
+    a block whose sorted ends it found not finite."""
     finite = np.isfinite(block)
     if not finite.all():
         row = int(np.argmin(finite.all(axis=1)))

@@ -18,10 +18,9 @@ seed.  It owns one generator and probes numpy's struct layout for it once.
 Per stream it writes the stream's state into the generator: straight into
 its memory where the probe succeeded, or through the public `state` setter
 where it failed.  It then draws into the stream's row of the block.  The
-family's transform runs once per block.  A contaminated block then puts
-the same generator in each row's contamination stream in turn, except in
-a row with a non-finite draw, which is left as drawn; contamination runs
-before the block's one finite check, which every block gets.  Every
+family's transform runs once per block.  Its `contaminate` puts the same
+generator in each row's contamination stream in turn; which stages a
+replication runs, and in what order, is `experiments`' to say.  Every
 state, and so every value drawn, is bit-identical to that of the stream
 built alone (O'Neill, "PCG: A Family of Simple Fast Space-Efficient
 Statistically Good Algorithms for Random Number Generation", 2014, for
@@ -38,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Sample, _check_finite, _check_integer, _check_size, validate_sample
+from .core import Sample, _check_integer, _check_size, validate_sample
 from .errors import CountTooLarge, InvalidParameter
 
 __all__ = [
@@ -363,11 +362,12 @@ def _tukey_g(z: np.ndarray, g: float) -> None:
         z /= g
 
 
-@np.errstate(over="ignore", invalid="ignore")  # the caller's finite check reports it
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite value is left as it is
 def _transform(values: np.ndarray, spec: DistributionSpec) -> None:
     """Map standard variates (uniforms for the Cauchy, standard normals
     otherwise) to the values of spec's family in place, any number of rows
-    at once."""
+    at once.  It checks nothing: a value beyond the float range becomes an
+    infinity, which the Sample's or the kernel's finite check reports."""
     if spec.kind == "cauchy":
         _cauchy(values)
         return
@@ -427,10 +427,10 @@ def _replace(values: np.ndarray, count: int, side: str, magnitude_range, gen,
     negated on the low side, drawing the indices and then the magnitudes
     from gen.  It checks nothing: the caller holds count to at most half
     of values (contaminate checks its spec's count, a ConditionSpec its
-    plan's count_max), and an outlier beyond the float range is left for
-    the caller's finite check, which runs after it.  A count of 0 draws
-    nothing and leaves gen's state as it was, so no caller needs a branch
-    of its own for it."""
+    plan's count_max), and an outlier beyond the float range is left as an
+    infinity, which the Sample's or the kernel's finite check reports.  A
+    count of 0 draws nothing and leaves gen's state as it was, so no caller
+    needs a branch of its own for it."""
     idx = gen.choice(values.size, size=count, replace=False)
     lo, hi = magnitude_range
     magnitudes = gen.uniform(lo, hi, count) * scale
@@ -468,36 +468,33 @@ def draw_sample(spec: DistributionSpec, rng: RngStream, n: int) -> Sample:
 
 
 class _BlockSampler:
-    """Draws Monte Carlo replications straight into the rows of a block.
+    """Draws Monte Carlo replications straight into the rows of a block,
+    and contaminates such a block on request.
 
-    `draw(states, cstates, out)` takes the `_stream_states` rows of the
-    block's streams, and of their contamination streams when the sampler
-    has a plan, not stream ids or a base seed.  With states =
-    _stream_states(base_seed, ids) and cstates = _stream_states(base_seed,
-    cids), row r of the block is bit-identical to draw_sample(dist,
-    RngStream(base_seed, ids[r]), n), contaminated, when a plan is given,
-    as `contaminate` would from RngStream(base_seed, cids[r]) after drawing
-    the outlier count from [plan.count_min, plan.count_max] on that stream.
-    `plan` is an experiments.ContaminationPlan, which checks itself when
-    built; its count_max is held to n/2 by the ConditionSpec that holds
-    it, not by the plan or the sampler, which does not check it again.
+    `draw(states, out)` takes the `_stream_states` rows of the block's
+    streams, not stream ids or a base seed: with states =
+    _stream_states(base_seed, ids), row r of the block is bit-identical to
+    draw_sample(dist, RngStream(base_seed, ids[r]), n).
+    `contaminate(plan, cstates, block)` then changes each row r as the
+    module's `contaminate` function would from RngStream(base_seed,
+    cids[r]), with cstates = _stream_states(base_seed, cids), after
+    drawing the outlier count from [plan.count_min, plan.count_max] on
+    that stream.  `plan` is an experiments.ContaminationPlan, which checks
+    itself when built; its count_max is held to n/2 by the ConditionSpec
+    that holds it, not by the plan or the sampler.  Neither method checks
+    that a value is finite.
 
     The sampler owns one Generator over one PCG64 (`gen`), probed once by
     `_state_memory`.  Per row `draw` only puts `gen` in the row's stream
     (`_seed_each`) and draws into the row; the family's transform runs once
-    per block.  A contaminated block then puts `gen` in each row's
-    contamination stream in turn: the block's draws are done by then, and
-    every seeding clears the buffered half-word, so no draw carries over
-    from one stream to the next.  A row with a non-finite draw is not
-    contaminated.  Contamination runs before the block's one finite check,
-    which reports the first row holding a NaN or an infinity, a bad draw
-    or an outlier beyond the float range, with the index and value the
-    one-row path reports.  Concurrent callers each build their own sampler.
+    per block.  `contaminate` puts `gen` in each row's contamination stream
+    in turn; every seeding clears the buffered half-word, so no draw
+    carries over from one stream to the next.  Concurrent callers each
+    build their own sampler.
     """
 
-    def __init__(self, dist: DistributionSpec, plan=None):
+    def __init__(self, dist: DistributionSpec):
         self.dist = dist
-        self.plan = plan
         # built on use, not at import: touching np.random loads
         # numpy.random, which numpy otherwise imports lazily
         self.gen = np.random.Generator(np.random.PCG64(0))
@@ -528,26 +525,22 @@ class _BlockSampler:
             flags[:] = clear
             yield
 
-    def draw(self, states, cstates, out: np.ndarray) -> np.ndarray:
+    def draw(self, states, out: np.ndarray) -> np.ndarray:
         """Draw the streams whose `states` rows are given into `out`, a
-        C-contiguous float64 array of shape (len(states), n), contaminated
-        from the streams of the `cstates` rows when the sampler has a plan
-        (cstates is None when it has none); returns out."""
+        C-contiguous float64 array of shape (len(states), n); returns out."""
         fill = self.gen.random if self.dist.kind == "cauchy" else self.gen.standard_normal
         for row, _ in zip(out, self._seed_each(states)):
             fill(out=row)
         _transform(out, self.dist)
-        if self.plan is not None:
-            self._contaminate(out, cstates)
-        _check_finite(out)
         return out
 
-    @np.errstate(over="ignore")  # draw's finite check reports an overflowing outlier
-    def _contaminate(self, block: np.ndarray, cstates) -> None:
+    @np.errstate(over="ignore")  # an outlier beyond the float range becomes inf
+    def contaminate(self, plan, cstates, block: np.ndarray) -> None:
         """Contaminate each row of block from its `cstates` row's stream, but
         not a row with a non-finite draw (its max|row| scale is not finite),
-        which keeps that draw for draw's finite check to report."""
-        plan, gen = self.plan, self.gen
+        which keeps that draw as it is, so that a finite check reports the
+        draw, as `draw_sample` would."""
+        gen = self.gen
         scales = np.max(np.abs(block), axis=1).tolist()
         for row, scale, _ in zip(block, scales, self._seed_each(cstates)):
             if math.isfinite(scale):

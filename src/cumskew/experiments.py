@@ -6,17 +6,23 @@ whether replications run serially or across a process pool, and across
 repeated invocations with the same base seed.  A condition's
 replications are split into one contiguous range per worker, and so are
 a g-curve's sds (`_map_ranges`).  A g-curve range draws each of its sds'
-one normal sample from a stream of its own and scores it at every grid
-point, in one `core._Workspace`.  A replication range is the one place
-where stream ids become PCG64 states: a batch of blocks at a time, it
-hashes the draw stream ids and, for a contaminated condition, the
-contamination stream ids (`_stream_ids`, which spells an id as
-`derive_stream_id` does), and computes each kind's states in one pass
-(`distributions._stream_states`).  Each block is drawn from its rows of
-both (`distributions._BlockSampler`, which takes states alone) and scored
-at once (`core._score_rows`), all in one `core._Workspace` per range: the
-kernel's memory, block size and L-weights are `core`'s, and this module
-builds no array for the kernel.
+one normal sample from a stream of its own, and at every grid point
+transforms a copy of it and scores that, in one `core._Workspace`.  A
+replication range is the one place where stream ids become PCG64 states:
+a batch of blocks at a time, it hashes the draw stream ids and, for a
+contaminated condition, the contamination stream ids (`_stream_ids`,
+which spells an id as `derive_stream_id` does), and computes each kind's
+states in one pass (`distributions._stream_states`).  This module owns
+the order of a block's stages: draw (`distributions._BlockSampler.draw`,
+which takes states alone), then contaminate, when the condition has a
+plan (the sampler's `contaminate`, which leaves a row with a non-finite
+draw as it is), then score (`core._score_rows`).  No stage before the
+kernel checks a value: the kernel reports the first row holding a NaN
+or an infinity, a bad draw or an outlier beyond the float range, with
+the index and value that the replication drawn alone would report.  All
+of it runs in one `core._Workspace` per range: the kernel's memory,
+block size and L-weights are `core`'s, and this module builds no array
+for the kernel.
 
 Runs with N > 1 workers, conditions and g-curves alike, split their
 ranges, one task each, between the calling process and the N - 1 worker
@@ -254,30 +260,32 @@ def _replicate_range(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     The PCG64 states of the replications' draw streams, and of their
     contamination streams when the condition has a plan, are computed for
     a batch of whole blocks at a time (about _SEED_REPS replications), one
-    pass per kind; no block seeds anything, and each block draws from its
-    rows of the batch.  Replications are drawn straight into the rows of
-    one `core._Workspace`, which sizes the blocks and holds the kernel's
-    scratch and L-weights, and each block is scored at once; a row's
-    draws and scores do not depend on its block or batch, so any split of
-    the range gives the same results.
+    pass per kind; no block seeds anything.  Each block runs three stages
+    in turn on its rows of the batch: it is drawn straight into the rows
+    of one `core._Workspace`, which sizes the blocks and holds the
+    kernel's scratch and L-weights; contaminated, when there is a plan;
+    and scored at once, the kernel checking that every value is finite.
+    A row's draws and scores do not depend on its block or batch, so any
+    split of the range gives the same results.
     """
     spec, base_seed, start, stop = args
     plan = spec.contamination
     space = _Workspace(spec.n, stop - start)
     rows = len(space.block)
     batch = rows * max(1, _SEED_REPS // rows)
-    sampler = _BlockSampler(spec.distribution, plan)
+    sampler = _BlockSampler(spec.distribution)
     cs, b1 = np.empty(stop - start), np.empty(stop - start)
     degenerate = np.empty(stop - start, dtype=bool)
     for first in range(start, stop, batch):
         reps = range(first, min(first + batch, stop))
         states = _stream_states(base_seed, _stream_ids(spec.id, reps))
-        cstates = None if plan is None else \
-            _stream_states(base_seed, _stream_ids(spec.id, reps, "contamination"))
+        if plan is not None:
+            cstates = _stream_states(base_seed, _stream_ids(spec.id, reps, "contamination"))
         for lo in range(0, len(reps), rows):
             part = slice(lo, lo + rows)
-            block = sampler.draw(states[part], None if plan is None else cstates[part],
-                                 space.block[:len(reps[part])])
+            block = sampler.draw(states[part], space.block[:len(reps[part])])
+            if plan is not None:
+                sampler.contaminate(plan, cstates[part], block)
             scores = _score_rows(block, space)
             done = slice(first - start + lo, first - start + lo + len(block))
             cs[done], b1[done], degenerate[done] = scores.cs, scores.b1, scores.degenerate
@@ -496,7 +504,8 @@ def _gcurve_range(args) -> list[GCurvePoint]:
 
     One one-row `core._Workspace` serves every sample, as in a
     replication range.  Each sd's Z is drawn once and copied into the
-    workspace's row at every grid point.
+    workspace's row at every grid point, which is transformed and scored;
+    the kernel reports a transformed value beyond the float range.
     """
     rows, n, base_seed, start, stop = args
     space = _Workspace(n, 1)
@@ -506,7 +515,6 @@ def _gcurve_range(args) -> list[GCurvePoint]:
         for spec in specs:
             np.copyto(space.block, z)
             _transform(space.block, spec)
-            _check_finite(space.block)
             cs = float(_score_rows(space.block, space).cs[0])
             points.append(GCurvePoint(g=float(spec.g), sd=float(sd), cs=cs, n=n))
     return points

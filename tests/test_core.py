@@ -651,6 +651,30 @@ class TestExtractionKernel:
                 == bits(whole, i, i + 1), i
 
 
+class TestOutlierLimits:
+    # one value x added to the symmetric 0, 1, ..., n-2: as x grows, CS rises
+    # toward its bound 1 - 2/n and b1 toward its own, (n - 2) / sqrt(n - 1)
+    @pytest.mark.parametrize("n, cs_limit, b1_limit", [
+        (10, 0.8, 8 / 3), (200, 0.99, 14.03584785916505)])
+    def test_one_outlier_drives_both_to_their_bounds(self, n, cs_limit, b1_limit):
+        assert cs_limit == 1 - 2 / n and b1_limit == (n - 2) / math.sqrt(n - 1)
+        cs_gaps, b1_gaps = [], []
+        for x in (1e3, 1e6, 1e9, 1e15):
+            values = np.append(np.arange(n - 1.0), x)
+            report = skew_report(validate_sample(values))
+            assert report.cs == pytest.approx(float(exact_cs(values)), abs=1e-15)
+            want = exact_b1(values)
+            assert abs(report.b1 - want) <= 1e-15 * max(1.0, abs(want))
+            cs_gaps.append(cs_limit - report.cs)
+            b1_gaps.append(b1_limit - report.b1)
+        for gaps in (cs_gaps, b1_gaps):
+            # strictly toward the bound, never past it; b1 rounds to its
+            # bound at x = 1e15, CS stays below its own
+            assert all(a > b or a == b == 0.0 for a, b in zip(gaps, gaps[1:])), gaps
+            assert gaps[-1] >= 0.0
+        assert 0.0 < cs_gaps[-1] < 1e-11
+
+
 def l_moments(values):
     """Hosking's unbiased sample L-moments l1, l2, l3 (JRSS B 52(1), 1990)
     in exact arithmetic, from the probability-weighted moments b_r."""

@@ -39,7 +39,7 @@ from cumskew import (
     table1_conditions,
 )
 from cumskew import distributions, experiments
-from cumskew.core import _BLOCK_VALUES, _score_rows
+from cumskew.core import _BLOCK_VALUES, _Workspace, _check_finite, _score_rows
 from cumskew.distributions import _BlockSampler, _stream_states
 
 
@@ -413,9 +413,10 @@ def assert_rows_drawn_as_alone(dist, n, side=None):
         side=side, count_min=0, count_max=n // 2, magnitude_range=(1.05, 20.0))
     ids = [derive_stream_id("rows", n, r) for r in range(13)]
     cids = [derive_stream_id("rows", n, r, "contamination") for r in range(13)]
-    sampler = _BlockSampler(dist, plan)
-    block = sampler.draw(_stream_states(base, ids),
-                         _stream_states(base, cids) if plan else None, np.empty((13, n)))
+    sampler = _BlockSampler(dist)
+    block = sampler.draw(_stream_states(base, ids), np.empty((13, n)))
+    if plan is not None:
+        sampler.contaminate(plan, _stream_states(base, cids), block)
     assert block.shape == (13, n)
     assert np.array_equal(block, drawn_alone(dist, n, base, ids, cids, plan))
     return sampler
@@ -458,19 +459,82 @@ class TestBlockSampler:
             sampler = assert_rows_drawn_as_alone(dist, 100, side)
             assert probed == [sampler.gen.bit_generator]
 
-    def test_plan_checked_as_contaminate_checks_it(self):
-        with pytest.raises(ValueError):
-            _BlockSampler(DistributionSpec.lognormal(1.0), ContaminationPlan(side="sideways"))
-        with pytest.raises(ValueError):
-            _BlockSampler(DistributionSpec.lognormal(1.0),
-                          ContaminationPlan(side="high", magnitude_range=(0.5, 2.0)))
-
     def test_plan_checks_itself_when_built(self):
         # so a bad plan fails where it is written, not later in a pool worker
         with pytest.raises(ValueError, match="side must be one of"):
             ContaminationPlan(side="sideways")
         with pytest.raises(ValueError, match="multipliers must exceed 1"):
             ContaminationPlan(side="high", magnitude_range=(0.5, 2.0))
+
+
+NON_FINITE = np.array([math.nan, -math.nan, math.inf, -math.inf])
+
+
+class TestKernelFiniteCheck:
+    # the kernel reads only the ends of its sorted rows: numpy sorts -inf
+    # first and +inf and NaN of either sign last
+
+    @pytest.mark.parametrize("n", SIMD_NS)
+    def test_raises_what_the_block_check_raises(self, n):
+        assert np.signbit(NON_FINITE).tolist() == [False, True, False, True]
+        rng = np.random.default_rng([31, n])
+        for _ in range(40):
+            rows = int(rng.integers(1, 6))
+            block = rng.standard_normal((rows, n))
+            spots = rng.choice(block.size, size=int(rng.integers(1, min(4, block.size) + 1)),
+                               replace=False)
+            block.flat[spots] = rng.choice(NON_FINITE, size=len(spots))
+            with pytest.raises(NonFiniteValue) as want:
+                _check_finite(block)
+            for space in (None, _Workspace(n, rows)):
+                with pytest.raises(NonFiniteValue) as got:
+                    _score_rows(block, space)
+                assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("value", NON_FINITE.tolist())
+    def test_constant_non_finite_rows_raise(self, value):
+        for n in SIMD_NS:
+            block = np.ones((3, n))
+            block[1] = value
+            with pytest.raises(NonFiniteValue) as got:
+                _score_rows(block)
+            assert str(got.value) == f"non-finite value {value} at index 0"
+
+
+def lognormal_l_moments(sigma):
+    """lambda2 and tau3 of the lognormal with log-sd sigma (Hosking, JRSS B
+    52(1), 1990): lambda2 = exp(sigma^2/2) erf(sigma/2), and tau3 =
+    6 pi^(-1/2) (integral from 0 to sigma/2 of erf(x/sqrt 3) exp(-x^2) dx)
+    / erf(sigma/2), by 60-point Gauss-Legendre quadrature."""
+    half = sigma / 2
+    nodes, weights = np.polynomial.legendre.leggauss(60)
+    xs = (half / 2 * (nodes + 1)).tolist()
+    integral = half / 2 * math.fsum(w * math.erf(x / math.sqrt(3)) * math.exp(-x * x)
+                                    for x, w in zip(xs, weights.tolist()))
+    return math.exp(sigma ** 2 / 2) * math.erf(half), \
+        6 / math.sqrt(math.pi) * integral / math.erf(half)
+
+
+class TestTheory:
+    # E[l2] = lambda2 and E[l3] = lambda3 = tau3 lambda2 exactly at every n
+    # for Hosking's unbiased sample L-moments, which the kernel's a and c
+    # weights give; CS = (1 - 2/n) l3 / l2 is a ratio, biased at O(1/n),
+    # so it is not compared with theory here
+    @pytest.mark.parametrize("spec", table1_conditions()[:4], ids=lambda spec: spec.id)
+    def test_clean_conditions_have_the_lognormal_l_moments(self, spec):
+        n, reps = spec.n, spec.reps
+        lam2, tau3 = lognormal_l_moments(spec.distribution.sigma)
+        assert tau3 == pytest.approx({0.2: 0.09750, 0.5: 0.24094, 1.0: 0.46246,
+                                      2.0: 0.79091}[spec.distribution.sigma], abs=5e-6)
+        rows = _BlockSampler(spec.distribution).draw(
+            _stream_states(42, experiments._stream_ids(spec.id, range(1, reps + 1))),
+            np.empty((reps, n)))
+        rows.sort(axis=1)
+        space = _Workspace(n, 1)
+        for l, want in ((rows @ space.a / (n * (n - 1)), lam2),
+                        (rows @ space.c / (n * (n - 1) * (n - 2)), tau3 * lam2)):
+            se = l.std(ddof=1) / math.sqrt(reps)
+            assert abs(l.mean() - want) <= 4 * se
 
 
 def first_error_drawn_alone(spec, base):
@@ -694,6 +758,38 @@ class TestSharedPool:
             "os.cpu_count = lambda: 4\n"
             "spec = ConditionSpec('exit', DistributionSpec.normal(), 20, 90)\n"
             "assert run_condition(spec, 3, jobs=3) == run_condition(spec, 3, jobs=1)\n")
+        proc = subprocess.Popen([sys.executable, "-c", code], start_new_session=True)
+        try:
+            assert proc.wait(timeout=60) == 0
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+
+    def test_killed_worker_is_replaced_under_spawn(self):
+        # a spawned worker is no fork of the caller: it gets its pipe end by
+        # pickling and imports the package afresh, yet a dead one is found,
+        # reaped and replaced as under fork
+        code = (
+            "import multiprocessing, os, signal\n"
+            "from cumskew import ConditionSpec, DistributionSpec, experiments, run_condition\n"
+            "multiprocessing.set_start_method('spawn')\n"
+            "os.cpu_count = lambda: 2\n"
+            "spec = ConditionSpec('spawn', DistributionSpec.normal(), 20, 80)\n"
+            "serial = run_condition(spec, 5, jobs=1)\n"
+            "assert run_condition(spec, 5, jobs=2) == serial\n"
+            "(worker,) = experiments._POOL._procs\n"
+            "os.kill(worker.pid, signal.SIGKILL)\n"
+            "os.waitid(os.P_PID, worker.pid, os.WEXITED | os.WNOWAIT)\n"
+            "assert run_condition(spec, 5, jobs=2) == serial\n"
+            "(rebuilt,) = experiments._POOL._procs\n"
+            "assert rebuilt.pid != worker.pid and rebuilt.is_alive()\n"
+            "try:\n"
+            "    os.waitpid(worker.pid, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    pass  # reaped as the pool was rebuilt\n"
+            "else:\n"
+            "    raise AssertionError('the dead worker was not reaped')\n")
         proc = subprocess.Popen([sys.executable, "-c", code], start_new_session=True)
         try:
             assert proc.wait(timeout=60) == 0
