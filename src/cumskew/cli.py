@@ -10,7 +10,7 @@ import argparse
 import sys
 from contextlib import contextmanager
 
-from .core import _lorenz, skew_report, weight_vector
+from .core import _lorenz, skew_report
 from .errors import CumskewError, InvalidParameter
 from .io import (
     format_sig,
@@ -137,16 +137,14 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_lorenz(args) -> int:
+    """Write the sample's Lorenz grid as TSV (`write_rows_tsv`), and with
+    --svg as a picture too (`lorenz_svg`): the classical curve when the
+    total is positive, else the canonical one."""
     sample = parse_csv(args.path, args.column)
-    # the classical curve when the total is positive, else the canonical one
     grid = _lorenz(sample, classical=None)
     del sample  # the grid holds its own rows
-    columns = {"i": range(1, grid.n), "p": grid.p, "q": grid.q, "d": grid.d,
-               "w": weight_vector(grid.n)}
     with _output(args.out) as fh:
-        # the curve's end points (0,0) and (1,1) have no weight
-        write_rows_tsv(fh, columns, first=(0, 0.0, 0.0, 0.0, ""),
-                       last=(grid.n, 1.0, 1.0, 0.0, ""))
+        write_rows_tsv(fh, grid)
     if args.svg:
         with _output(args.svg) as fh:
             lorenz_svg(grid, fh)

@@ -132,9 +132,14 @@ def _xsum(p: np.ndarray, bound: float, q: np.ndarray,
     return high
 
 
-# The L-weights are written this many at a time, so that no temporary of
-# the writer grows with n.
-_WEIGHT_CHUNK = 8192
+# Blocks of samples are scored about this many values at a time (256 KB of
+# float64): large enough to amortise numpy's per-call overhead, small enough
+# for the block's temporaries to stay in cache.  At n=100 on a 2-CPU x86
+# host, blocks of 256-512 rows scored about twice as fast per row as blocks
+# of 2048-4096 rows.  Every other pass over a long row (the L-weights'
+# writer here, `experiments._squares`) works this many values at a time
+# too, so that no temporary of it grows with n.
+_BLOCK_VALUES = 32_768
 
 
 def _write_l_weights(out: np.ndarray, cubic: bool) -> np.ndarray:
@@ -144,12 +149,12 @@ def _write_l_weights(out: np.ndarray, cubic: bool) -> np.ndarray:
     n(n-1)(n-2) l3 = sum_j c_j x_(j) with c_j = 6(j-1)(j-n) + (n-1)(n-2);
     |a_j| < n and |c_j| <= (n-1)(n-2).
 
-    A chunk of _WEIGHT_CHUNK values at a time: a by one arange, then c
-    from it in place (`_l3_weights`).  The weights are exact integers, so
-    the same bits whatever the chunk."""
+    _BLOCK_VALUES weights at a time: a by one arange, then c from it in
+    place (`_l3_weights`).  The weights are exact integers, so the same
+    bits whatever the run."""
     n = len(out)
-    for lo in range(0, n, _WEIGHT_CHUNK):
-        w = out[lo:lo + _WEIGHT_CHUNK]
+    for lo in range(0, n, _BLOCK_VALUES):
+        w = out[lo:lo + _BLOCK_VALUES]
         first = 2.0 * lo + 1.0 - n
         w[...] = np.arange(first, first + 2.0 * len(w) - 1.0, 2.0)
         if cubic:
@@ -169,22 +174,15 @@ def _l3_weights(a: np.ndarray, n: int) -> np.ndarray:
     return a
 
 
-# Blocks of samples are scored about this many values at a time (256 KB of
-# float64): large enough to amortise numpy's per-call overhead, small enough
-# for the block's temporaries to stay in cache.  At n=100 on a 2-CPU x86
-# host, blocks of 256-512 rows scored about twice as fast per row as blocks
-# of 2048-4096 rows.
-_BLOCK_VALUES = 32_768
-
-
 class _Workspace:
     """The memory `_score_rows` reuses across the blocks of many samples of
     one size n, up to `most` samples a block: `block`, the (rows, n) rows a
     caller fills with each block, rows = min(most, _BLOCK_VALUES // n) and
     one at least; `work`, the kernel's sorted copy and two scratch blocks,
-    (3, rows, n); and `a` and `c`, the read-only L-weights
-    (`_write_l_weights`), written once for every block.  Each block of
-    rows is C-contiguous, as is every run of its leading rows."""
+    (3, rows, n); and `a` and `c`, the read-only L-weights, written once
+    for every block by `_write_l_weights`, _BLOCK_VALUES at a time, the
+    bound that sizes the blocks.  Each block of rows is C-contiguous, as
+    is every run of its leading rows."""
 
     def __init__(self, n: int, most: int):
         space = np.empty((4, max(1, min(_BLOCK_VALUES // n, most)), n))
@@ -411,12 +409,29 @@ def validate_sample(raw) -> Sample:
             as a huge int or a long double (first index reported).
         NonFiniteValue: a NaN or infinity is present (first index reported).
     """
+    values = _real_row(raw, copy=True)
+    if values.size < 2:
+        raise EmptyOrTooSmall(f"need at least 2 observations, got {values.size}")
+    _check_finite(values[None, :])
+    return Sample(values=_readonly(values))
+
+
+def _real_row(raw, copy: bool) -> np.ndarray:
+    """raw as a 1-D float64 array, by the data rules of `validate_sample`
+    (masked arrays, dtypes, items, shape), which `experiments.aggregate`
+    shares: a new array, or with copy False raw itself where it is a
+    float64 array already.
+
+    Raises NonNumericData, NotOneDimensional or FloatRangeError as
+    `validate_sample` documents.
+    """
     ma = sys.modules.get("numpy.ma")  # loaded lazily: unloaded, raw is not masked
     if ma is not None and isinstance(raw, ma.MaskedArray):
         raise NonNumericData("masked arrays are not accepted; fill or drop "
                              "the masked values first")
     try:
-        values = np.array(raw)  # a copy, so converting it below never copies twice
+        # with copy, a copy, so converting it below never copies twice
+        values = (np.array if copy else np.asarray)(raw)
     except ValueError as exc:  # numpy's "inhomogeneous shape"
         raise NotOneDimensional("expected 1-D data, got ragged nested sequences") from exc
     if values.dtype.kind not in "iufO":
@@ -424,10 +439,7 @@ def validate_sample(raw) -> Sample:
     values = _float64(values)
     if values.ndim != 1:
         raise NotOneDimensional(f"expected 1-D data, got shape {values.shape}")
-    if values.size < 2:
-        raise EmptyOrTooSmall(f"need at least 2 observations, got {values.size}")
-    _check_finite(values[None, :])
-    return Sample(values=_readonly(values))
+    return values
 
 
 def _float64(values: np.ndarray) -> np.ndarray:
@@ -475,6 +487,20 @@ def _check_integer(name: str, value) -> None:
     numbers.Integral, such as a numpy integer, that is not a bool."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise InvalidParameter(f"{name} must be an integer, got {value!r}")
+
+
+def _check_real(name: str, value) -> None:
+    """Raise InvalidParameter unless the parameter `name` is a finite real
+    number: a numbers.Real, such as an int, a Fraction or a numpy float,
+    that is not a bool and lies within the float range."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise InvalidParameter(f"{name} must be a real number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int or a fraction beyond the float range
+        finite = False
+    if not finite:
+        raise InvalidParameter(f"{name} must be finite")
 
 
 def _check_size(name: str, value, least: int) -> None:

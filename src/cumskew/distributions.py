@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Sample, _check_integer, _check_size, validate_sample
+from .core import Sample, _check_integer, _check_real, _check_size, validate_sample
 from .errors import CountTooLarge, InvalidParameter
 
 __all__ = [
@@ -280,7 +280,8 @@ class DistributionSpec:
     mu is the location (normal mean, underlying mean for tukey_g), sigma
     the scale or shape (normal sd, lognormal log-sd, underlying sd for
     tukey_g), and g the tail parameter of the g-distribution.  The Cauchy
-    is fixed at standard location/scale.
+    is fixed at standard location/scale.  Each of mu, sigma and g must be a
+    finite real number (`core._check_real`), and is held as a float.
     """
 
     kind: str
@@ -292,8 +293,9 @@ class DistributionSpec:
         if self.kind not in DISTRIBUTION_KINDS:
             raise InvalidParameter(f"unknown distribution kind {self.kind!r}")
         for name in ("mu", "sigma", "g"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidParameter(f"{name} must be finite")
+            _check_real(name, getattr(self, name))
+            # numpy scales a float64 row in place by a float, not a Fraction
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.kind == "normal" and self.sigma < 0:
             raise InvalidParameter("normal sd must be >= 0")
         if self.kind == "lognormal" and self.sigma <= 0:
@@ -329,7 +331,8 @@ class ContaminationSpec:
     Replacements are u * max|sample| with u ~ U(lo, hi) on the high side,
     and the negated value on the low side; as lo > 1, high outliers exceed
     the sample maximum and low ones fall below its minimum, whatever the
-    signs of the data (a sample of zeros stays zero).
+    signs of the data (a sample of zeros stays zero).  The magnitude range
+    is a tuple or list of two finite real numbers (`core._check_real`).
     """
 
     count: int
@@ -340,7 +343,12 @@ class ContaminationSpec:
         _check_size("count", self.count, 0)
         if self.side not in CONTAMINATION_SIDES:
             raise InvalidParameter(f"side must be one of {CONTAMINATION_SIDES}")
-        lo, hi = self.magnitude_range
+        pair = self.magnitude_range
+        if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+            raise InvalidParameter(f"magnitude range must be a pair (lo, hi), got {pair!r}")
+        for end, value in zip(("lo", "hi"), pair):
+            _check_real(f"magnitude range {end}", value)
+        lo, hi = pair
         if not lo <= hi:
             raise InvalidParameter("magnitude range must satisfy lo <= hi")
         if lo <= 1.0:

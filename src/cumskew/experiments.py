@@ -49,7 +49,8 @@ from multiprocessing.util import Finalize
 
 import numpy as np
 
-from .core import _Workspace, _check_finite, _check_integer, _check_size, _score_rows
+from .core import (_BLOCK_VALUES, _Workspace, _check_finite, _check_integer, _check_size,
+                   _real_row, _score_rows)
 from .distributions import (
     ContaminationSpec,
     DistributionSpec,
@@ -58,7 +59,7 @@ from .distributions import (
     _stream_states,
     _transform,
 )
-from .errors import FloatRangeError, InvalidParameter
+from .errors import FloatRangeError, InvalidParameter, NonNumericData
 
 __all__ = [
     "ContaminationPlan",
@@ -85,11 +86,6 @@ DEFAULT_GCURVE_LOC = 0.0
 # CS follows them toward its lower bound.
 TABLE1_HIGH_MAGNITUDES = (10.0, 20.0)
 TABLE1_LOW_MAGNITUDES = (1.05, 1.5)
-
-# aggregate squares the deviations about this many values at a time: a
-# fixed bound on its temporaries, and one numpy call per 2,000-replication
-# column.
-_SQUARE_VALUES = 4096
 
 # Stream states are computed for about this many replications at a time,
 # in whole blocks: enough to spread the seeding hash's numpy calls over
@@ -128,23 +124,36 @@ def _stream_ids(condition_id, reps, *tail) -> np.ndarray:
 
 def aggregate(values) -> tuple[float, float]:
     """Mean and standard error (sd / sqrt(count), ddof 1; zero for count 1)
-    of real numbers, each taken as a float.
+    of real numbers.
 
-    Both sums are math.fsum over the values in order: the mean's over a
-    float64 array read through a memoryview, one Python float at a time,
-    and the variance's over the squared deviations (_squares).  Any
-    iterable that is not an array is first read into one, so the values
-    are never held as a list.
+    An array is taken by `validate_sample`'s data rules (`core._real_row`),
+    and a float64 one is not copied.  Any other iterable is first read
+    into a float64 array, each item taken as a float, so the values are
+    never held as a list.  Both sums are math.fsum over the values in
+    order: the mean's over the array read through a memoryview, one
+    Python float at a time, and the variance's over the squared
+    deviations (_squares).
 
     Raises:
+        NonNumericData: an array of another dtype than integer, float or
+            object (booleans, strings, complex numbers, dates), an item
+            of an object array that is not a real number, a masked array,
+            or an item of an iterable that float() cannot convert (None
+            is converted, to a NaN).
+        NotOneDimensional: the array is not 1-D.
         InvalidParameter: there are no values.
         NonFiniteValue: a value is a NaN or infinity (first index reported).
-        FloatRangeError: the mean or the variance is outside the float
-            range, as for [1e200, -1e200].
+        FloatRangeError: a value lies beyond the float range, or the mean
+            or the variance is outside it, as for [1e200, -1e200].
     """
     if not isinstance(values, np.ndarray):
-        values = np.fromiter(values, float)
-    vals = np.ascontiguousarray(values, dtype=float)
+        try:
+            values = np.fromiter(values, float)
+        except OverflowError:  # an int beyond the float range
+            raise FloatRangeError("a value lies beyond the float range") from None
+        except (TypeError, ValueError) as exc:
+            raise NonNumericData(f"expected real numbers: {exc}") from None
+    vals = np.ascontiguousarray(_real_row(values, copy=False))
     count = len(vals)
     if count < 1:
         raise InvalidParameter("need at least one value")
@@ -163,14 +172,16 @@ def aggregate(values) -> tuple[float, float]:
 
 def _squares(vals: np.ndarray, mean: float):
     """(v - mean) ** 2 of every finite value in order, with the bits of
-    Python's square, in runs of _SQUARE_VALUES at a time: the same
-    subtraction, then C pow on |d| (float_power on float64), as
-    float.__pow__ does for an even exponent.  A square beyond the float
-    range is inf, where Python's raises OverflowError."""
-    for lo in range(0, len(vals), _SQUARE_VALUES):
+    Python's square, in runs of `core._BLOCK_VALUES`, the package's one
+    bound on a pass over a long row: the same subtraction, then C pow on
+    |d| (float_power on float64), as float.__pow__ does for an even
+    exponent.  A square beyond the float range is inf, where Python's
+    raises OverflowError.  math.fsum is correctly rounded, so the runs'
+    length changes no sum."""
+    for lo in range(0, len(vals), _BLOCK_VALUES):
         # aggregate reports a square beyond the float range
         with np.errstate(over="ignore"):
-            d = vals[lo:lo + _SQUARE_VALUES] - mean
+            d = vals[lo:lo + _BLOCK_VALUES] - mean
             np.abs(d, out=d)
             np.float_power(d, 2.0, out=d)
         yield memoryview(d)
@@ -537,16 +548,18 @@ def run_gcurve(g_grid=DEFAULT_G_GRID, sds=DEFAULT_GCURVE_SDS, n: int = 100_000,
     and loc are the module's DEFAULT_G_GRID, DEFAULT_GCURVE_SDS and
     DEFAULT_GCURVE_LOC, which the CLI also writes as the run's provenance.
 
-    Raises InvalidParameter for a grid that does not strictly increase, a
-    g below 0, an sd not above 0, a non-finite g, sd or loc, an n,
-    base_seed or jobs that is not an integer, n below 2, or jobs below 1;
-    n is checked (`core._check_size`) before base_seed, and jobs last.
+    Raises InvalidParameter for a g, sd or loc that is not a finite real
+    number, a g below 0, an sd not above 0, a grid that does not strictly
+    increase, an n, base_seed or jobs that is not an integer, n below 2, or
+    jobs below 1, in that order: every spec is built, each g and loc
+    checked even when sds is empty, before the grid's order; then n is
+    checked (`core._check_size`), then base_seed, and jobs last.
     """
-    grid = list(g_grid)
+    grid = [DistributionSpec.tukey_g(g, loc).g for g in g_grid]  # each g and loc checked
+    rows = [(sd, [DistributionSpec.tukey_g(g, loc, sd) for g in grid]) for sd in sds]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidParameter("g grid must be strictly increasing")
     _check_size("n", n, 2)
     _check_integer("base_seed", base_seed)
-    rows = [(sd, [DistributionSpec.tukey_g(g, loc, sd) for g in grid]) for sd in sds]
     ranges = _map_ranges(_gcurve_range, (rows, n, base_seed), len(rows), jobs)
     return list(itertools.chain.from_iterable(ranges))

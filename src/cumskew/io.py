@@ -15,7 +15,7 @@ from itertools import chain
 
 import numpy as np
 
-from .core import Sample, validate_sample
+from .core import LorenzGrid, Sample, validate_sample, weight_vector
 from .errors import ColumnNotFound, EmptyOrTooSmall, ParseError
 
 __all__ = [
@@ -27,6 +27,11 @@ __all__ = [
     "write_rows_json",
     "write_rows_tsv",
 ]
+
+# Grid rows formatted per write, by both text writers of a Lorenz grid (this
+# module's TSV, `svg.lorenz_svg`): about 120 KB of text, and about 400 KB
+# of memory while a block is formatted.
+_GRID_ROWS = 1024
 
 
 def _resolve_index(first_row: list[str], column) -> tuple[int, bool]:
@@ -226,28 +231,20 @@ def write_rows_json(fh, rows: list[dict], meta: dict | None = None) -> None:
     fh.write("\n")
 
 
-def write_rows_tsv(fh, columns: dict, first, last) -> None:
-    """Plot-ready TSV headed by the column names: the row `first`, one row
-    per position of the equal-length columns, then the row `last`.
+def write_rows_tsv(fh, grid: LorenzGrid) -> None:
+    """The plot-ready TSV of a Lorenz grid: the header `i p q d w`, the
+    curve's end point (0, 0), the grid's n - 1 rows (index i, p, q, d and
+    the weight (2i - n) * 3 / n from `weight_vector`), then the end point
+    (1, 1); the end points have no weight, so their w cell is empty.
 
-    The columns are sequences or arrays of ints and floats.  They are
-    converted to Python numbers a few thousand rows at a time, one slice
-    of each column, and each row goes through one `%r` template, which
-    gives a float's shortest round-trip text; so no whole column is ever
-    held as Python numbers.  The cells of `first` and `last` are written
-    by `format_number`.
-
-    Raises:
-        ValueError: the columns differ in length.
+    Each row goes through one `%r` template, which gives a float's
+    shortest round-trip text, _GRID_ROWS rows at a time: one slice of
+    each column is converted to Python numbers per write, so no whole
+    column is ever held as Python numbers.
     """
-    cols = list(columns.values())
-    size = len(cols[0])
-    if any(len(col) != size for col in cols):
-        raise ValueError("columns differ in length")
-    template = "\t".join(["%r"] * len(cols)) + "\n"
-    fh.write("\t".join(columns) + "\n")
-    fh.write("\t".join(map(format_number, first)) + "\n")
-    for start in range(0, size, 4096):
-        part = [np.asarray(col[start:start + 4096]).tolist() for col in cols]
-        fh.write("".join(map(template.__mod__, zip(*part))))
-    fh.write("\t".join(map(format_number, last)) + "\n")
+    cols = grid.p, grid.q, grid.d, weight_vector(grid.n)
+    fh.write("i\tp\tq\td\tw\n0\t0.0\t0.0\t0.0\t\n")
+    for lo in range(0, grid.n - 1, _GRID_ROWS):
+        part = [col[lo:lo + _GRID_ROWS].tolist() for col in cols]
+        fh.write("".join(map("%r\t%r\t%r\t%r\t%r\n".__mod__, zip(range(lo + 1, grid.n), *part))))
+    fh.write(f"{grid.n}\t1.0\t1.0\t0.0\t\n")

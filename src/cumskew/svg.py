@@ -6,14 +6,11 @@ from __future__ import annotations
 import numpy as np
 
 from .core import LorenzGrid
+from .io import _GRID_ROWS
 
 SIZE = 600
 MARGIN = 60
 GAP_COLORS = {"neg": "crimson", "pos": "seagreen", "zero": "silver"}
-
-# grid points formatted per write: about 120 KB of text, and about 400 KB
-# of memory while a block is formatted
-_BLOCK = 1024
 
 
 def _x(v):
@@ -34,12 +31,13 @@ def lorenz_svg(grid: LorenzGrid, fh) -> None:
     the rounded i/n is below, at or above 1/2 exactly when 2i is below, at
     or above n, for any n below 2**53.
 
-    The gap segments and the polyline's points are written _BLOCK grid
-    points at a time: pixel coordinates are computed for one slice of
-    the grid by `_x` and `_y`, giving the doubles the scalar calls give,
-    and each segment and vertex is formatted by one template.  So no
-    per-point list, and no whole document, is ever held; a caller that
-    wants the document as a string passes an `io.StringIO`.
+    The gap segments and the polyline's points are written
+    `io._GRID_ROWS` grid points at a time, as the TSV's rows are: pixel
+    coordinates are computed for one slice of the grid by `_x` and `_y`,
+    giving the doubles the scalar calls give, and each segment and vertex
+    is formatted by one template.  So no per-point list, and no whole
+    document, is ever held; a caller that wants the document as a string
+    passes an `io.StringIO`.
     """
     fh.write(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
@@ -52,8 +50,8 @@ def lorenz_svg(grid: LorenzGrid, fh) -> None:
     colors = np.array(list(GAP_COLORS.values()), dtype=object)  # neg, pos, zero
     segment = ('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="%s" '
                'stroke-width="1" stroke-dasharray="4 3"/>\n')
-    for start in range(0, len(grid.p), _BLOCK):
-        part = slice(start, start + _BLOCK)
+    for start in range(0, len(grid.p), _GRID_ROWS):
+        part = slice(start, start + _GRID_ROWS)
         p = grid.p[part]
         x = _x(p).tolist()
         color = colors[np.where(p < 0.5, 0, np.where(p > 0.5, 1, 2))]
@@ -61,8 +59,8 @@ def lorenz_svg(grid: LorenzGrid, fh) -> None:
             x, _y(p).tolist(), x, _y(grid.q[part]).tolist(), color))))
     # the polyline runs from (0,0) through every grid point to (1,1)
     fh.write('<polyline points="%.2f,%.2f' % (_x(0.0), _y(0.0)))
-    for start in range(0, len(grid.p), _BLOCK):
-        part = slice(start, start + _BLOCK)
+    for start in range(0, len(grid.p), _GRID_ROWS):
+        part = slice(start, start + _GRID_ROWS)
         fh.write("".join(map(" %.2f,%.2f".__mod__, zip(
             _x(grid.p[part]).tolist(), _y(grid.q[part]).tolist()))))
     fh.write(' %.2f,%.2f" fill="none" stroke="#222" stroke-width="2"/>\n'

@@ -30,7 +30,6 @@ from cumskew import (
 )
 from cumskew.core import (
     _BLOCK_VALUES,
-    _WEIGHT_CHUNK,
     _l3_weights,
     _score_rows,
     _Workspace,
@@ -293,16 +292,16 @@ class TestWeightVector:
 
 class TestLWeights:
     def test_equal_the_direct_expression_bit_for_bit(self):
-        # sizes about the chunk cover a row written in one chunk and in many
-        for n in [*range(2, 3001), _WEIGHT_CHUNK - 1, _WEIGHT_CHUNK, _WEIGHT_CHUNK + 1,
-                  3 * _WEIGHT_CHUNK + 7, 2**20 + 1, 1_000_003]:
+        # sizes about _BLOCK_VALUES cover a row written in one run and in many
+        for n in [*range(2, 3001), _BLOCK_VALUES - 1, _BLOCK_VALUES, _BLOCK_VALUES + 1,
+                  3 * _BLOCK_VALUES + 7, 2**20 + 1, 1_000_003]:
             j = np.arange(1.0, n + 1)
             a, c = (_write_l_weights(np.empty(n), cubic) for cubic in (False, True))
             assert a.tobytes() == (2 * j - n - 1).tobytes(), n
             assert c.tobytes() == (6 * (j - 1) * (j - n) + (n - 1) * (n - 2)).tobytes(), n
 
     def test_rows_for_many_samples_are_the_written_ones_read_only(self):
-        n = 3 * _WEIGHT_CHUNK + 7
+        n = 3 * _BLOCK_VALUES + 7
         space = _Workspace(n, 1)
         for cubic, row in enumerate((space.a, space.c)):
             assert not row.flags.writeable
@@ -319,7 +318,7 @@ class TestLWeights:
 
     def test_a_report_peaks_at_its_workspace_and_holds_nothing(self):
         # the kernel's workspace is 24 B a value; the weights are written
-        # into its scratch a chunk at a time, and nothing stays held
+        # into its scratch _BLOCK_VALUES at a time, and nothing stays held
         n = 200_000
         sample = validate_sample(np.random.default_rng(4).lognormal(size=n))
         skew_report(validate_sample([1.0, 2.0, 4.0]))

@@ -10,6 +10,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from fractions import Fraction
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -25,6 +26,8 @@ from cumskew import (
     FloatRangeError,
     InvalidParameter,
     NonFiniteValue,
+    NonNumericData,
+    NotOneDimensional,
     RngStream,
     aggregate,
     contaminate,
@@ -107,6 +110,50 @@ class TestAggregate:
             with pytest.raises(error) as info:
                 aggregate(given)
             assert getattr(info.value, "index", None) == index
+
+    @pytest.mark.parametrize("values, error", [
+        # arrays by validate_sample's rules
+        pytest.param(np.ones((2, 2)), NotOneDimensional, id="2-d"),
+        pytest.param(np.array(3.0), NotOneDimensional, id="0-d"),
+        pytest.param(np.array(["1.5"]), NonNumericData, id="str-array"),
+        pytest.param(np.array([True, False]), NonNumericData, id="bool-array"),
+        pytest.param(np.array([1j, 2.0]), NonNumericData, id="complex-array"),
+        pytest.param(np.array(["2020-01-01"], dtype="datetime64[D]"), NonNumericData,
+                     id="date-array"),
+        pytest.param(np.array([1.0, None], dtype=object), NonNumericData, id="object-none"),
+        pytest.param(np.array([1.0, 10**400], dtype=object), FloatRangeError, id="object-huge"),
+        pytest.param(np.ma.array([1.0, 2.0], mask=[False, True]), NonNumericData, id="masked"),
+        # an iterable's items that float() cannot convert
+        pytest.param(["a", "b"], NonNumericData, id="strings"),
+        pytest.param([1j], NonNumericData, id="complex"),
+        pytest.param([[1.0, 2.0]], NonNumericData, id="nested"),
+        pytest.param(None, NonNumericData, id="none"),
+        pytest.param(2.0, NonNumericData, id="scalar"),
+        pytest.param([1.0, 10**400], FloatRangeError, id="huge-int"),
+    ])
+    def test_data_that_are_not_real_numbers_raise_typed_errors(self, values, error):
+        with pytest.raises(error):
+            aggregate(values)
+
+    def test_real_arrays_and_iterables_give_the_bits_of_their_floats(self):
+        want = aggregate([1.0, 2.0, 4.0])
+        assert aggregate(np.array([1, 2, 4])) == aggregate(np.array([1, 2, 4], np.float32)) \
+            == aggregate(np.array([Fraction(1), 2, 4.0], dtype=object)) \
+            == aggregate([True, 2, "4"]) == want  # an iterable's items taken as floats
+
+    def test_a_float64_array_is_not_copied(self):
+        values = np.random.default_rng(6).normal(size=200_000)
+        aggregate(values[:10])
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            aggregate(values)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        # a copy alone would take 8 B a value, 1.6 MB; the squares hold
+        # about two runs of _BLOCK_VALUES at a time
+        assert peak <= 3 * 8 * _BLOCK_VALUES, peak
 
     def test_run_condition_holds_no_per_replication_lists(self, monkeypatch):
         # a list of 2e5 Python floats alone takes 32 B a replication; the
@@ -515,6 +562,37 @@ def lognormal_l_moments(sigma):
         6 / math.sqrt(math.pi) * integral / math.erf(half)
 
 
+def tukey_g_l_moments(g, sd):
+    """lambda2 and tau3 of (exp(g sd Z) - 1) / g, Z standard normal: with
+    u = Phi(Z), which X = x(Z) increases with, lambda_r = E[x(Z) P*_(r-1)(u)]
+    (Hosking, JRSS B 52(1), 1990), P*_1(u) = 2u - 1 and P*_2(u) = 6u^2 -
+    6u + 1, by 160-point Gauss-Hermite quadrature (probabilists' weight)."""
+    nodes, weights = np.polynomial.hermite_e.hermegauss(160)
+    terms2, terms3 = [], []
+    for z, w in zip(nodes.tolist(), (weights / math.sqrt(2 * math.pi)).tolist()):
+        x = math.expm1(g * sd * z) / g
+        u = (1 + math.erf(z / math.sqrt(2))) / 2
+        terms2.append(w * x * (2 * u - 1))
+        terms3.append(w * x * (6 * u * u - 6 * u + 1))
+    lam2 = math.fsum(terms2)
+    return lam2, math.fsum(terms3) / lam2
+
+
+def assert_l_moments_within_4_se(dist, condition_id, lam2, tau3, n=200, reps=10_000):
+    """The means of l2 and l3 over reps samples of dist at seed 42, drawn
+    as the harness draws condition_id's replications, lie within 4 SE of
+    lambda2 and lambda3 = tau3 lambda2."""
+    rows = _BlockSampler(dist).draw(
+        _stream_states(42, experiments._stream_ids(condition_id, range(1, reps + 1))),
+        np.empty((reps, n)))
+    rows.sort(axis=1)
+    space = _Workspace(n, 1)
+    for l, want in ((rows @ space.a / (n * (n - 1)), lam2),
+                    (rows @ space.c / (n * (n - 1) * (n - 2)), tau3 * lam2)):
+        se = l.std(ddof=1) / math.sqrt(reps)
+        assert abs(l.mean() - want) <= 4 * se, (l.mean() - want) / se
+
+
 class TestTheory:
     # E[l2] = lambda2 and E[l3] = lambda3 = tau3 lambda2 exactly at every n
     # for Hosking's unbiased sample L-moments, which the kernel's a and c
@@ -522,19 +600,28 @@ class TestTheory:
     # so it is not compared with theory here
     @pytest.mark.parametrize("spec", table1_conditions()[:4], ids=lambda spec: spec.id)
     def test_clean_conditions_have_the_lognormal_l_moments(self, spec):
-        n, reps = spec.n, spec.reps
         lam2, tau3 = lognormal_l_moments(spec.distribution.sigma)
         assert tau3 == pytest.approx({0.2: 0.09750, 0.5: 0.24094, 1.0: 0.46246,
                                       2.0: 0.79091}[spec.distribution.sigma], abs=5e-6)
-        rows = _BlockSampler(spec.distribution).draw(
-            _stream_states(42, experiments._stream_ids(spec.id, range(1, reps + 1))),
-            np.empty((reps, n)))
-        rows.sort(axis=1)
-        space = _Workspace(n, 1)
-        for l, want in ((rows @ space.a / (n * (n - 1)), lam2),
-                        (rows @ space.c / (n * (n - 1) * (n - 2)), tau3 * lam2)):
-            se = l.std(ddof=1) / math.sqrt(reps)
-            assert abs(l.mean() - want) <= 4 * se
+        assert_l_moments_within_4_se(spec.distribution, spec.id, lam2, tau3,
+                                     spec.n, spec.reps)
+
+    @pytest.mark.parametrize("g, sd, tau3", [(0.2, 1.0, 0.09750), (0.8, 1.0, 0.37732),
+                                             (1.5, 1.0, 0.64881), (0.5, 3.0, 0.64881)])
+    def test_tukey_g_has_its_quadrature_l_moments(self, g, sd, tau3):
+        lam2, got = tukey_g_l_moments(g, sd)
+        assert got == pytest.approx(tau3, abs=5e-6)
+        assert_l_moments_within_4_se(DistributionSpec.tukey_g(g, 0.0, sd),
+                                     f"tukey-g g={g} sd={sd}", lam2, got)
+
+    def test_tukey_g_l_skewness_depends_on_g_times_sd_alone(self):
+        # (exp(g sd Z) - 1) / g is an affine map of the lognormal exp(sigma Z)
+        # with sigma = g sd, and L-skewness is affine invariant
+        lam2, tau3 = tukey_g_l_moments(1.5, 1.0)
+        assert tukey_g_l_moments(0.5, 3.0) == pytest.approx((3 * lam2, tau3), rel=1e-13)
+        ln_lam2, ln_tau3 = lognormal_l_moments(0.2)
+        assert tukey_g_l_moments(0.2, 1.0) == pytest.approx((ln_lam2 / 0.2, ln_tau3),
+                                                             rel=1e-13)
 
 
 def first_error_drawn_alone(spec, base):
@@ -1082,6 +1169,42 @@ PARAMETER_CHECKS = {
     "rng-seed-float": (lambda: RngStream(1.5, 2), "base_seed must be an integer, got 1.5"),
     "rng-stream-float": (lambda: RngStream(1, 2.7), "stream_id must be an integer, got 2.7"),
     "rng-stream-bool": (lambda: RngStream(1, False), "stream_id must be an integer, got False"),
+    # each bound a finite real number, the range a pair
+    "spec-range-hi-inf": (lambda: ContaminationSpec(1, "high", (2.0, INF)),
+                          "magnitude range hi must be finite"),
+    "spec-range-both-inf": (lambda: ContaminationSpec(1, "high", (INF, INF)),
+                            "magnitude range lo must be finite"),
+    "spec-range-one": (lambda: ContaminationSpec(1, "high", (2.0,)),
+                       "magnitude range must be a pair (lo, hi), got (2.0,)"),
+    "spec-range-three": (lambda: ContaminationSpec(1, "high", (2.0, 3.0, 4.0)),
+                         "magnitude range must be a pair (lo, hi), got (2.0, 3.0, 4.0)"),
+    "spec-range-none": (lambda: ContaminationSpec(1, "high", None),
+                        "magnitude range must be a pair (lo, hi), got None"),
+    "spec-range-text": (lambda: ContaminationSpec(1, "high", ("a", "b")),
+                        "magnitude range lo must be a real number, got 'a'"),
+    "spec-range-bool": (lambda: ContaminationSpec(1, "high", (2.0, True)),
+                        "magnitude range hi must be a real number, got True"),
+    "spec-range-huge": (lambda: ContaminationSpec(1, "high", (2, 10**400)),
+                        "magnitude range hi must be finite"),
+    "plan-range-inf": (lambda: ContaminationPlan("high", 1, 2, (2.0, INF)),
+                       "magnitude range hi must be finite"),
+    # mu, sigma and g are finite real numbers
+    "normal-mu-text": (lambda: DistributionSpec.normal(mu="1"),
+                       "mu must be a real number, got '1'"),
+    "normal-mu-bool": (lambda: DistributionSpec.normal(mu=True),
+                       "mu must be a real number, got True"),
+    "normal-mu-huge": (lambda: DistributionSpec.normal(mu=10**400), "mu must be finite"),
+    "lognormal-none": (lambda: DistributionSpec.lognormal(None),
+                       "sigma must be a real number, got None"),
+    "tukey-g-complex": (lambda: DistributionSpec.tukey_g(0.5j),
+                        "g must be a real number, got 0.5j"),
+    "gcurve-sd-text": (lambda: run_gcurve(sds=("1",), n=100),
+                       "sigma must be a real number, got '1'"),
+    "gcurve-g-text": (lambda: run_gcurve(g_grid=(1, "a"), n=100),
+                      "g must be a real number, got 'a'"),
+    "gcurve-g-text-no-sds": (lambda: run_gcurve(g_grid=(1, "a"), sds=(), n=100),
+                             "g must be a real number, got 'a'"),
+    "gcurve-loc-no-sds": (lambda: run_gcurve(sds=(), n=100, loc=NAN), "mu must be finite"),
 }
 
 
@@ -1106,6 +1229,17 @@ class TestInvalidParameter:
         assert run_gcurve(sds=(1.0,), n=np.int64(2), jobs=np.int8(1)) == \
             run_gcurve(sds=(1.0,), n=2)
         assert ContaminationSpec(np.uint8(0), "high").count == 0
+
+    def test_real_numbers_are_held_as_floats_and_run(self):
+        # a Fraction, an int and a numpy float give the run of their floats
+        dist = DistributionSpec.normal(Fraction(1, 4), np.float32(0.5))
+        assert (dist.mu, dist.sigma, dist.g) == (0.25, 0.5, 0.0)
+        assert all(type(v) is float for v in (dist.mu, dist.sigma, dist.g))
+        plan = ContaminationPlan("high", 1, 2, (Fraction(3, 2), 2))
+        spec = ConditionSpec("real", dist, 30, 50, plan)
+        want = ConditionSpec("real", DistributionSpec.normal(0.25, 0.5), 30, 50,
+                             ContaminationPlan("high", 1, 2, (1.5, 2.0)))
+        assert run_condition(spec, 3) == run_condition(want, 3)
 
     def test_count_limit_checked_before_any_replication(self):
         # so the outcome does not depend on the counts the replications draw:

@@ -606,21 +606,19 @@ class TestLorenzSvg:
 
 class TestWriteRowsTsv:
     def test_array_columns_write_python_numbers(self):
-        # three slices of rows; a numpy 2 scalar would print as np.float64(...)
-        p = np.linspace(0.0, 1.0, 10_001)
+        # ten slices of rows, the last one short; a numpy 2 scalar would
+        # print as np.float64(...)
+        grid = raw_lorenz_grid(validate_sample(np.random.default_rng(8).lognormal(size=10_002)))
         fh = StringIO()
-        io.write_rows_tsv(fh, {"i": range(10_001), "p": p}, first=(0, 0.0), last=(1, 1.0))
+        io.write_rows_tsv(fh, grid)
         lines = fh.getvalue().splitlines()
-        want = [f"{i}\t{v!r}" for i, v in enumerate(p.tolist())]
-        assert len(lines) == 10_004
-        assert [(i, a) for i, (a, b) in enumerate(zip(lines[2:-1], want)) if a != b] == []
-
-    def test_columns_of_unequal_length_are_refused(self):
-        fh = StringIO()
-        with pytest.raises(ValueError, match="columns differ in length"):
-            io.write_rows_tsv(fh, {"a": np.zeros(5000), "b": np.zeros(4999)},
-                              first=(0, 0), last=(1, 1))
-        assert fh.getvalue() == ""
+        want = ["i\tp\tq\td\tw", "0\t0.0\t0.0\t0.0\t"]
+        want += [f"{i}\t{p!r}\t{q!r}\t{d!r}\t{w!r}" for i, p, q, d, w in zip(
+            range(1, 10_002), grid.p.tolist(), grid.q.tolist(), grid.d.tolist(),
+            weight_vector(10_002).tolist())]
+        want.append("10002\t1.0\t1.0\t0.0\t")
+        assert len(lines) == len(want) == 10_004
+        assert [(i, a) for i, (a, b) in enumerate(zip(lines, want)) if a != b] == []
 
 
 class TestGoldenOutputs:
