@@ -21,8 +21,8 @@ extraction sums, split as the kernel's row sums are (below).
 `lorenz_grid` reports the gaps in the data's units and `raw_lorenz_grid`
 as shares of the mean.  A grid builds every row it needs and keeps only
 its own p, q and d, so a dropped grid leaves nothing held.  The module
-keeps no cache: a single sample's L-weights (below) are written into the
-kernel's scratch.
+keeps no cache: a single sample's L-weights (below) are written, leaf by
+leaf, into the kernel's scratch.
 
 CS and Gini need only sums of the gaps, and both sums are linear in the
 order statistics.  Exchanging the sums over i and j gives, with e_j the
@@ -49,7 +49,8 @@ single-sample functions are its one-row case.  The kernel's memory is this
 module's alone: a caller that scores many blocks at one n builds one
 `_Workspace`, which sizes the blocks, holds the rows the caller fills and
 the kernel's scratch, and carries the L-weights, written once; a lone
-sample gets fresh scratch.  Each row is first scaled by
+sample gets fresh scratch, its sorted copy and two rows of at most
+`_BLOCK_VALUES` columns.  Each row is first scaled by
 the power of two that brings its largest magnitude into [0.5, 1); the
 scaling is exact, so it changes no result in the normal float range, and it
 keeps b1's moments and the mean from overflowing or underflowing at the
@@ -64,14 +65,23 @@ they add exactly in any order, and the remainders p - q are exact and
 small enough for a plain sum (a plain cumsum for the grid's running sums,
 with bound 2 on the scaled deviations): beyond the final rounding, the
 error is of order n**2 * 2**-106 times the largest summand, as if the sum
-ran in twice the working precision.  A row's results depend on its own row alone: the high parts
-add exactly, and the remainders are added by numpy's sum along each
-C-contiguous row, in an order set by n alone (no BLAS, whose blocking can
-depend on the block's shape).
+ran in twice the working precision.
+
+A row's results depend on its own row alone, in an order set by n alone:
+the high parts add exactly in any order, and the remainders are added by
+numpy's pairwise sum along each row (no BLAS, whose blocking can depend on
+the block's shape), taken leaf by leaf down numpy's own tree.  numpy sums
+a run of m > 128 values as its first m // 2 - (m // 2) % 8 values plus
+the rest, each halved again, so `_xsum` cuts each row at those points
+into leaves of at most `_BLOCK_VALUES` columns, forms and splits each
+leaf's summands in scratch of that size, sums the leaf with numpy and adds
+the leaf sums left + right up the tree: numpy's sum of the whole row, bit
+for bit.  A Monte Carlo block (n at most `_BLOCK_VALUES`) is one leaf.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import sys
@@ -111,51 +121,133 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _xsum(p: np.ndarray, bound: float, q: np.ndarray,
-          op=np.add.reduce) -> np.ndarray:
-    """Row sums of a C-contiguous (k, n) block p by error-free extraction,
-    or with op=np.add.accumulate its running sums along each row.
-
-    With sigma the power of two above 2 * n * bound, where bound >= max|p|,
-    the high parts q = (sigma + p) - sigma are exact multiples of
-    2**-53 * sigma whose sums, and so whose partial sums, stay below sigma,
-    so they add exactly in any order; the remainders p - q are exact too,
-    and tiny, and are added by a plain `op`.  q is scratch of p's shape;
-    p is left as it is.
-    """
-    sigma = math.ldexp(1.0, math.frexp(2.0 * p.shape[1] * bound)[1])
-    np.add(p, sigma, out=q)
-    q -= sigma
-    high = op(q, axis=1)
-    np.subtract(p, q, out=q)
-    high += op(q, axis=1)
-    return high
-
-
 # Blocks of samples are scored about this many values at a time (256 KB of
 # float64): large enough to amortise numpy's per-call overhead, small enough
 # for the block's temporaries to stay in cache.  At n=100 on a 2-CPU x86
 # host, blocks of 256-512 rows scored about twice as fast per row as blocks
-# of 2048-4096 rows.  Every other pass over a long row (the L-weights'
-# writer here, `experiments._squares`) works this many values at a time
-# too, so that no temporary of it grows with n.
+# of 2048-4096 rows.  Every other pass over a long row (the leaves of the
+# kernel's sums, the L-weights' writer, `experiments._squares`) works at
+# most this many values at a time too, so that no temporary of it grows
+# with n.
 _BLOCK_VALUES = 32_768
 
 
-def _write_l_weights(out: np.ndarray, cubic: bool) -> np.ndarray:
-    """Write into the 1-D row out of length n, and return it, the integer
-    weights of the sorted sample, j = 1..n:
+def _sigma(n: int, bound: float) -> float:
+    """The power of two above 2 * n * bound: with bound >= max|p| over n
+    summands p, the high parts q = (sigma + p) - sigma are exact multiples
+    of 2**-53 * sigma whose sums, and so whose partial sums, stay below
+    sigma, so they add exactly in any order; the remainders p - q are
+    exact too, and tiny."""
+    return math.ldexp(1.0, math.frexp(2.0 * n * bound)[1])
+
+
+def _pairwise(lo: int, hi: int, leaf) -> tuple:
+    """The sums leaf(lo', hi') returns, a tuple of arrays, over the leaves
+    of numpy's pairwise summation tree on columns lo..hi, combined as numpy
+    combines them.
+
+    numpy's sum of a contiguous run of m > 128 values is the sum of its
+    first h = m // 2 - (m // 2) % 8 values plus the sum of the rest, each
+    summed the same way, so a run cut at those points into leaves of at
+    most _BLOCK_VALUES columns, each summed by numpy, its sums added left +
+    right at every node above the leaves, has numpy's sum of the whole run,
+    bit for bit.  A run of at most _BLOCK_VALUES columns is one leaf."""
+    m = hi - lo
+    if m <= _BLOCK_VALUES:
+        return leaf(lo, hi)
+    h = m // 2 - m // 2 % 8
+    left, right = _pairwise(lo, lo + h, leaf), _pairwise(lo + h, hi, leaf)
+    return tuple(a + b for a, b in zip(left, right))
+
+
+def _xsum(x: np.ndarray, bound: float, q: np.ndarray,
+          p: np.ndarray | None = None, form=None) -> np.ndarray:
+    """Row sums of the summands of a (k, n) block x by error-free
+    extraction (`_sigma`), with bound >= their largest magnitude: x itself
+    or, with form, form(xs, ps, lo), the summands of the columns
+    xs = x[:, lo:lo + m], which it may write into ps = p[:, :m].
+
+    Each leaf of numpy's tree (`_pairwise`), at most _BLOCK_VALUES
+    columns, has its summands formed and split in the scratch p and q, of
+    min(n, _BLOCK_VALUES) columns; its high parts are summed exactly and
+    its remainders by numpy along each row.  The leaves' high sums add
+    exactly in any order and their remainder sums are combined up the
+    tree, so each row's sum is that of one numpy sum over the whole row,
+    in an order set by n alone.  x is left as it is.
+    """
+    sigma = _sigma(x.shape[1], bound)
+
+    def leaf(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        xs, t = x[:, lo:hi], q[:, :hi - lo]
+        s = xs if form is None else form(xs, p[:, :hi - lo], lo)
+        np.add(s, sigma, out=t)
+        t -= sigma
+        high = np.add.reduce(t, axis=1)
+        np.subtract(s, t, out=t)
+        return high, np.add.reduce(t, axis=1)
+
+    high, low = _pairwise(0, x.shape[1], leaf)
+    high += low
+    return high
+
+
+def _running_sums(p: np.ndarray, bound: float, q: np.ndarray) -> np.ndarray:
+    """Running sums along each row of a (k, n) block p by the same
+    extraction (`_sigma`), returned in q, scratch of p's shape: the high
+    parts' prefix sums are exact, and the remainders get a plain running
+    sum, accumulated in place in p, which is overwritten."""
+    sigma = _sigma(p.shape[1], bound)
+    np.add(p, sigma, out=q)
+    q -= sigma
+    p -= q
+    np.add.accumulate(q, axis=1, out=q)
+    q += np.add.accumulate(p, axis=1, out=p)
+    return q
+
+
+def _squares(xs: np.ndarray, ps: np.ndarray, lo: int) -> np.ndarray:
+    return np.multiply(xs, xs, out=ps)
+
+
+def _cubes(xs: np.ndarray, ps: np.ndarray, lo: int) -> np.ndarray:
+    ps = _squares(xs, ps, lo)
+    ps *= xs
+    return ps
+
+
+def _weighted(n: int, cubic: bool, held: np.ndarray | None):
+    """The form (`_xsum`) of the L-sum summands a_j x_j or, with cubic,
+    c_j x_j of rows of n sorted values: the weights read from held, a
+    workspace's row, or, without one, written leaf by leaf into the
+    summands' own scratch (`_write_l_weights` from the leaf's offset), so
+    that a lone sample builds no n-sized weight row."""
+    def form(xs: np.ndarray, ps: np.ndarray, lo: int) -> np.ndarray:
+        if held is not None:
+            return np.multiply(xs, held[lo:lo + xs.shape[1]], out=ps)
+        w = _write_l_weights(ps[0], cubic, lo, n)
+        if len(ps) > 1:  # the other rows first, while w holds the weights
+            np.multiply(xs[1:], w, out=ps[1:])
+        w *= xs[0]
+        return ps
+    return form
+
+
+def _write_l_weights(out: np.ndarray, cubic: bool, start: int = 0,
+                     n: int | None = None) -> np.ndarray:
+    """Write into the 1-D row out, and return it, the integer weights
+    j = start + 1 .. start + len(out) of a sorted sample of n (len(out) by
+    default):
     n(n-1) l2 = sum_j a_j x_(j) with a_j = 2j - n - 1, or with cubic,
     n(n-1)(n-2) l3 = sum_j c_j x_(j) with c_j = 6(j-1)(j-n) + (n-1)(n-2);
     |a_j| < n and |c_j| <= (n-1)(n-2).
 
     _BLOCK_VALUES weights at a time: a by one arange, then c from it in
     place (`_l3_weights`).  The weights are exact integers, so the same
-    bits whatever the run."""
-    n = len(out)
-    for lo in range(0, n, _BLOCK_VALUES):
+    bits whatever the run and wherever it starts."""
+    n = len(out) if n is None else n
+    for lo in range(0, len(out), _BLOCK_VALUES):
         w = out[lo:lo + _BLOCK_VALUES]
-        first = 2.0 * lo + 1.0 - n
+        first = 2.0 * (start + lo) + 1.0 - n
         w[...] = np.arange(first, first + 2.0 * len(w) - 1.0, 2.0)
         if cubic:
             _l3_weights(w, n)
@@ -174,19 +266,31 @@ def _l3_weights(a: np.ndarray, n: int) -> np.ndarray:
     return a
 
 
+def _kernel_rows(rows: int, n: int, held: int) -> list[np.ndarray]:
+    """`held` (rows, n) blocks for a caller, then the kernel's sorted copy
+    x, (rows, n), and its scratch q and p, (rows, min(n, _BLOCK_VALUES)),
+    in this order in one allocation, each C-contiguous: the same rows in
+    two allocations ran the Monte Carlo ranges about 6% slower on a 2-CPU
+    x86 host."""
+    wide = rows * (held + 1) * n
+    space = np.empty(wide + 2 * rows * min(n, _BLOCK_VALUES))
+    return [*space[:wide].reshape(held + 1, rows, n), *space[wide:].reshape(2, rows, -1)]
+
+
 class _Workspace:
     """The memory `_score_rows` reuses across the blocks of many samples of
     one size n, up to `most` samples a block: `block`, the (rows, n) rows a
     caller fills with each block, rows = min(most, _BLOCK_VALUES // n) and
-    one at least; `work`, the kernel's sorted copy and two scratch blocks,
-    (3, rows, n); and `a` and `c`, the read-only L-weights, written once
-    for every block by `_write_l_weights`, _BLOCK_VALUES at a time, the
-    bound that sizes the blocks.  Each block of rows is C-contiguous, as
-    is every run of its leading rows."""
+    one at least; `x`, the kernel's (rows, n) sorted copy; `q` and `p`,
+    its two (rows, min(n, _BLOCK_VALUES)) scratch blocks, in which `_xsum`
+    forms and splits each leaf's summands (`_kernel_rows`); and `a` and `c`, the read-only
+    L-weights, written once for every block by `_write_l_weights`,
+    _BLOCK_VALUES at a time, the bound that sizes the blocks.  Each block
+    of rows is C-contiguous, as is every run of its leading rows."""
 
     def __init__(self, n: int, most: int):
-        space = np.empty((4, max(1, min(_BLOCK_VALUES // n, most)), n))
-        self.block, self.work = space[0], space[1:]
+        rows = max(1, min(_BLOCK_VALUES // n, most))
+        self.block, self.x, self.q, self.p = _kernel_rows(rows, n, 1)
         self.a, self.c = (_readonly(_write_l_weights(np.empty(n), cubic))
                           for cubic in (False, True))
 
@@ -194,7 +298,8 @@ class _Workspace:
 def _centre_rows(x: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scale each sorted row of x in place by 2**-e, with e per row chosen
     by frexp so that the largest magnitude lies in [0.5, 1), and subtract
-    its mean; return e and the scaled means.  q is scratch."""
+    its mean; return e and the scaled means.  q is `_xsum`'s scratch, of
+    at least min(n, _BLOCK_VALUES) columns."""
     _, e = np.frexp(np.maximum(-x[:, 0], x[:, -1]))
     np.ldexp(x, -e[:, None], out=x)
     mean = _xsum(x, 1.0, q) / x.shape[1]
@@ -213,7 +318,8 @@ def _signed_means(values: np.ndarray, mean: np.ndarray,
     scaling a row that spans more than the float range flushes its smallest
     values to zero, which decide the mean when the rest cancel ([-1e308,
     1e308, 1e-300] has a scaled mean of 0).  Such rows are summed again,
-    each part correctly rounded by math.fsum, with what the scaling flushed;
+    each part correctly rounded by math.fsum, with what the scaling flushed
+    (`_total`);
     the sign of that total, a nonzero sum of doubles being at least 5e-324,
     is the row's, and the total, scaled and then divided by n, its mean:
     divided first, a mean that is subnormal in the data's units would lose
@@ -224,14 +330,26 @@ def _signed_means(values: np.ndarray, mean: np.ndarray,
     positive = mean > 0.0
     small = np.abs(mean) < values.shape[1] * 2.0 ** -45
     if small.any():
-        rows, es = values[small], e[small, None]
-        scaled = np.ldexp(rows, -es)
-        flushed = rows - np.ldexp(scaled, es)
-        totals = np.array([math.ldexp(math.fsum(s), k) + math.fsum(f)
-                           for s, f, k in zip(scaled, flushed, e[small].tolist())])
+        totals = np.array([_total(values[i], k) for i, k in
+                           zip(np.flatnonzero(small).tolist(), e[small].tolist())])
         positive[small] = totals > 0.0
-        mean[small] = np.ldexp(totals, -e[small]) / rows.shape[1]
+        mean[small] = np.ldexp(totals, -e[small]) / values.shape[1]
     return positive, mean
+
+
+def _total(row: np.ndarray, k: int) -> float:
+    """The total of a row that its scaling by 2**-k (`_centre_rows`) may
+    flush in part: the sum of its scaled values, scaled back, plus the sum
+    of what the scaling flushed, each correctly rounded by one math.fsum
+    fed _BLOCK_VALUES values at a time, so that no temporary grows with
+    the row."""
+    def parts(flushed: bool):
+        for lo in range(0, len(row), _BLOCK_VALUES):
+            chunk = row[lo:lo + _BLOCK_VALUES]
+            scaled = np.ldexp(chunk, -k)
+            yield memoryview(chunk - np.ldexp(scaled, k) if flushed else scaled)
+    return math.ldexp(math.fsum(itertools.chain.from_iterable(parts(False))), k) \
+        + math.fsum(itertools.chain.from_iterable(parts(True)))
 
 
 def _gini(l2_sum: np.ndarray, n: int, positive: np.ndarray, mean: np.ndarray,
@@ -273,13 +391,14 @@ def _score_rows(block: np.ndarray, space: _Workspace | None = None) -> _Scores:
 
     A caller that scores many blocks at one n passes one `_Workspace` to
     all of them, of at least k rows, so that no call allocates, and
-    page-faults on, n-sized temporaries or weights; a block of fewer rows
-    than the workspace uses the leading rows of its scratch.  `block` may
-    be the workspace's own rows, which the kernel only reads.  Without a
-    workspace each call allocates its own scratch and writes a, then c,
-    into its free scratch row just before each L-sum, so that a lone
-    sample builds no n-sized row beyond that scratch and nothing stays held
-    after the call.
+    page-faults on, its scratch or weights; a block of fewer rows than the
+    workspace uses the leading rows of its scratch.  `block` may be the
+    workspace's own rows, which the kernel only reads.  Without a
+    workspace each call allocates its own (`_kernel_rows`): the sorted
+    copy and two blocks of min(n, _BLOCK_VALUES) columns, in which the
+    L-sums write a, then c, leaf by leaf (`_weighted`), so that a lone
+    sample builds no n-sized row beyond its sorted copy and nothing stays
+    held after the call.
 
     The kernel checks its own input: numpy sorts -inf first and +inf and
     every NaN last, so a row holds a NaN or an infinity exactly when one
@@ -292,13 +411,15 @@ def _score_rows(block: np.ndarray, space: _Workspace | None = None) -> _Scores:
             value).
         FloatRangeError: a row's CS or b1 is not finite.
     """
-    work = np.empty((3,) + block.shape) if space is None else space.work[:, :len(block)]
-    x, q, p = work  # C order: `_xsum` sums along rows
-    np.copyto(x, block)
+    k, n = block.shape
+    if space is None:
+        (x, q, p), a, c = _kernel_rows(k, n, 0), None, None
+    else:
+        x, p, q, a, c = space.x[:k], space.p[:k], space.q[:k], space.a, space.c
+    np.copyto(x, block)  # C order: `_xsum` sums along rows
     x.sort(axis=1)
     if not np.isfinite(x[:, [0, -1]]).all():
         _check_finite(block)
-    n = x.shape[1]
     degenerate = x[:, 0] == x[:, -1]
     e, mean = _centre_rows(x, q)
     # x now holds the scaled deviations, |dev| <= 2.  The moments are
@@ -307,16 +428,11 @@ def _score_rows(block: np.ndarray, space: _Workspace | None = None) -> _Scores:
     # s_k = sum(dev**k) / n, m2 = s2 - r**2 and m3 = s3 - 3 r s2 + 2 r**3.
     # Without it b1 drifts when the mean dwarfs the spread.
     r = _xsum(x, 2.0, q) / n
-    np.multiply(x, x, out=p)
-    s2 = _xsum(p, 4.0, q) / n
-    p *= x
-    s3 = _xsum(p, 8.0, q) / n
-    # without a workspace, each row is written into q, free until its L-sum
-    a = _write_l_weights(q[0], False) if space is None else space.a
-    l2 = _xsum(np.multiply(x, a, out=p), 2.0 * n, q)
-    c = _write_l_weights(q[0], True) if space is None else space.c
-    l3 = _xsum(np.multiply(x, c, out=p), 2.0 * (n - 1) * (n - 2), q)
-    del work, x, p, q, a, c  # frees a workspace this call allocated
+    s2 = _xsum(x, 4.0, q, p, _squares) / n
+    s3 = _xsum(x, 8.0, q, p, _cubes) / n
+    l2 = _xsum(x, 2.0 * n, q, p, _weighted(n, False, a))
+    l3 = _xsum(x, 2.0 * (n - 1) * (n - 2), q, p, _weighted(n, True, c))
+    del x, p, q  # frees the scratch this call allocated
     m2 = s2 - r * r
     m3 = s3 - 3.0 * r * s2 + 2.0 * (r * r * r)
     degenerate |= m2 == 0.0
@@ -393,14 +509,14 @@ def validate_sample(raw) -> Sample:
         A Sample wrapping a read-only float64 copy of the data.
 
     Raises:
-        NonNumericData: the data are not real numbers: strings, bytes,
-            booleans, complex numbers, dates or time spans (judged by the
-            dtype numpy gives them, so a list mixing booleans with numbers
-            passes as numbers, and a complex value with a zero imaginary
-            part is still complex), an item of an object array that is not
-            a real number (None, a string, a bool; a set, a dict or a
-            generator is one such item), or a masked array, whose mask
-            would otherwise be dropped.
+        NonNumericData: the data are not real numbers: a str, bytes or
+            bytearray, strings, bytes, booleans, complex numbers, dates or
+            time spans (judged by the dtype numpy gives them, so a list
+            mixing booleans with numbers passes as numbers, and a complex
+            value with a zero imaginary part is still complex), an item of
+            an object array that is not a real number (None, a string, a
+            bool; a set, a dict or a generator is one such item), or a
+            masked array, whose mask would otherwise be dropped.
         NotOneDimensional: the data are a scalar, have more than one
             dimension, or are ragged nested sequences such as [[1, 2], [3]]
             or [1, [2, 3]].
@@ -425,6 +541,7 @@ def _real_row(raw, copy: bool) -> np.ndarray:
     Raises NonNumericData, NotOneDimensional or FloatRangeError as
     `validate_sample` documents.
     """
+    _check_not_text(raw)
     ma = sys.modules.get("numpy.ma")  # loaded lazily: unloaded, raw is not masked
     if ma is not None and isinstance(raw, ma.MaskedArray):
         raise NonNumericData("masked arrays are not accepted; fill or drop "
@@ -456,9 +573,7 @@ def _float64(values: np.ndarray) -> np.ndarray:
     floats = np.empty(values.size)
     with np.errstate(over="ignore"):  # a value beyond the float range raises below
         for i, item in enumerate(values.flat):
-            if isinstance(item, bool) or not isinstance(item, numbers.Real):
-                raise NonNumericData(f"expected real numbers, got "
-                                     f"{type(item).__name__} at index {i}")
+            _check_item(i, item)
             try:
                 floats[i] = item
                 beyond = np.isinf(floats[i]) and not np.isinf(item)
@@ -467,6 +582,32 @@ def _float64(values: np.ndarray) -> np.ndarray:
             if beyond:
                 raise FloatRangeError(f"value at index {i} lies beyond the float range")
     return floats.reshape(values.shape)
+
+
+def _check_not_text(raw) -> None:
+    """Raise NonNumericData if the data raw are text, a str, bytes or
+    bytearray, which numpy would read as one string or as byte values and
+    an iteration as characters or byte values."""
+    if isinstance(raw, (str, bytes, bytearray)):
+        raise NonNumericData(f"expected real numbers, got {type(raw).__name__}")
+
+
+def _check_item(i: int, item) -> None:
+    """Raise NonNumericData unless the item at index i of the data is a real
+    number, a numbers.Real other than a bool; the one item rule of
+    `validate_sample`'s object arrays and `experiments.aggregate`'s
+    iterables."""
+    if isinstance(item, bool) or not isinstance(item, numbers.Real):
+        raise NonNumericData(f"expected real numbers, got {type(item).__name__} at index {i}")
+
+
+def _real_items(raw):
+    """The items of the iterable raw, one at a time, each checked by
+    `_check_item`; raw itself may not be text (`_check_not_text`)."""
+    _check_not_text(raw)
+    for i, item in enumerate(raw):
+        _check_item(i, item)
+        yield item
 
 
 def _check_finite(block: np.ndarray) -> None:
@@ -520,19 +661,17 @@ def _lorenz(sample: Sample, classical: bool | None) -> LorenzGrid:
     (`_signed_means`): classical when it is positive, canonical otherwise."""
     x = np.sort(sample.values)[None, :]
     n = x.shape[1]
-    q = np.empty_like(x)
+    p, q = np.empty((2, 1, min(n, _BLOCK_VALUES)))
     e, mean = _centre_rows(x, q)
     positive, mean = _signed_means(sample.values[None, :], mean, e)
     if classical is None:
         classical = bool(positive[0])
     elif classical and not positive[0]:
         raise NonPositiveTotal("classical Lorenz curve needs a positive total")
-    a = _write_l_weights(np.empty(n), False)[None, :]
-    a *= x
-    g = float(_gini(_xsum(a, 2.0 * n, q), n, positive, mean, e)[0])
-    del a  # each buffer is freed once used, keeping large samples' peak down
-    sums = _xsum(x, 2.0, q, np.add.accumulate)
-    del q
+    l2 = _xsum(x, 2.0 * n, q, p, _weighted(n, False, None))
+    g = float(_gini(l2, n, positive, mean, e)[0])
+    del p, q  # each buffer is freed once used, keeping large samples' peak down
+    sums = _running_sums(x, 2.0, np.empty_like(x))  # x is scratch from here
     # n * g_i = i * r - C_i, from the running sums C of the deviations and
     # their own mean r = C_n / n; the ranks i then become the grid's p = i/n
     p = np.arange(1.0, n)

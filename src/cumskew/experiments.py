@@ -50,7 +50,7 @@ from multiprocessing.util import Finalize
 import numpy as np
 
 from .core import (_BLOCK_VALUES, _Workspace, _check_finite, _check_integer, _check_size,
-                   _real_row, _score_rows)
+                   _real_items, _real_row, _score_rows)
 from .distributions import (
     ContaminationSpec,
     DistributionSpec,
@@ -128,18 +128,20 @@ def aggregate(values) -> tuple[float, float]:
 
     An array is taken by `validate_sample`'s data rules (`core._real_row`),
     and a float64 one is not copied.  Any other iterable is first read
-    into a float64 array, each item taken as a float, so the values are
-    never held as a list.  Both sums are math.fsum over the values in
+    into a float64 array, each item checked as an object array's items are
+    (`core._real_items`) and taken as a float, so the values are never
+    held as a list.  Both sums are math.fsum over the values in
     order: the mean's over the array read through a memoryview, one
     Python float at a time, and the variance's over the squared
     deviations (_squares).
 
     Raises:
-        NonNumericData: an array of another dtype than integer, float or
-            object (booleans, strings, complex numbers, dates), an item
-            of an object array that is not a real number, a masked array,
-            or an item of an iterable that float() cannot convert (None
-            is converted, to a NaN).
+        NonNumericData: text (a str, bytes or bytearray), an array of
+            another dtype than integer, float or object (booleans,
+            strings, complex numbers, dates), an item of an object array or
+            of an iterable that is not a real number (None, a string, a
+            bool, a list), a masked array, or an argument that is not
+            iterable.
         NotOneDimensional: the array is not 1-D.
         InvalidParameter: there are no values.
         NonFiniteValue: a value is a NaN or infinity (first index reported).
@@ -148,10 +150,12 @@ def aggregate(values) -> tuple[float, float]:
     """
     if not isinstance(values, np.ndarray):
         try:
-            values = np.fromiter(values, float)
+            values = np.fromiter(_real_items(values), float)
         except OverflowError:  # an int beyond the float range
             raise FloatRangeError("a value lies beyond the float range") from None
-        except (TypeError, ValueError) as exc:
+        except NonNumericData:
+            raise
+        except (TypeError, ValueError) as exc:  # not iterable
             raise NonNumericData(f"expected real numbers: {exc}") from None
     vals = np.ascontiguousarray(_real_row(values, copy=False))
     count = len(vals)

@@ -3,9 +3,12 @@ streamed to a text file."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import LorenzGrid
+from .errors import FloatRangeError
 from .io import _GRID_ROWS
 
 SIZE = 600
@@ -38,7 +41,15 @@ def lorenz_svg(grid: LorenzGrid, fh) -> None:
     is formatted by one template.  So no per-point list, and no whole
     document, is ever held; a caller that wants the document as a string
     passes an `io.StringIO`.
+
+    Raises:
+        FloatRangeError: a point's pixel coordinate is beyond the float
+            range, as for a canonical curve whose gaps, in the data's
+            units, exceed about 1e305; nothing is written.
     """
+    # the coordinates are linear in q, so they are finite if its ends' are
+    if not all(math.isfinite(_y(float(v))) for v in (grid.q.min(), grid.q.max())):
+        raise FloatRangeError("the Lorenz curve cannot be drawn within the float range")
     fh.write(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
         f'viewBox="0 0 {SIZE} {SIZE}">\n'

@@ -40,6 +40,7 @@ from cumskew import (
     run_table1,
     skew_report,
     table1_conditions,
+    validate_sample,
 )
 from cumskew import distributions, experiments
 from cumskew.core import _BLOCK_VALUES, _Workspace, _check_finite, _score_rows
@@ -139,7 +140,22 @@ class TestAggregate:
         want = aggregate([1.0, 2.0, 4.0])
         assert aggregate(np.array([1, 2, 4])) == aggregate(np.array([1, 2, 4], np.float32)) \
             == aggregate(np.array([Fraction(1), 2, 4.0], dtype=object)) \
-            == aggregate([True, 2, "4"]) == want  # an iterable's items taken as floats
+            == aggregate([1, np.float32(2), Fraction(4)]) == want  # items taken as floats
+
+    @pytest.mark.parametrize("values", ["12", b"12", bytearray(b"12"), [1.0, "2"], [None, 1.0]],
+                             ids=["str", "bytes", "bytearray", "str-item", "none-item"])
+    def test_text_and_items_that_are_not_real_numbers_raise_as_in_validate_sample(self, values):
+        # once read as characters, byte values and float("2") (means 1.5,
+        # 49.5, 49.5 and 1.5) and None as a NaN (NonFiniteValue)
+        for check in (aggregate, validate_sample):
+            with pytest.raises(NonNumericData):
+                check(values)
+
+    @pytest.mark.parametrize("values", [[True, 2.0], iter([1.0, None]), iter("12")],
+                             ids=["bool-item", "none-in-iterator", "characters"])
+    def test_an_iterables_items_are_checked_as_an_object_arrays(self, values):
+        with pytest.raises(NonNumericData, match="at index"):
+            aggregate(values)
 
     def test_a_float64_array_is_not_copied(self):
         values = np.random.default_rng(6).normal(size=200_000)

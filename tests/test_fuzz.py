@@ -5,11 +5,18 @@ another exception (RuntimeWarnings are errors under the suite's filters).
 The inputs are the awkward ones: ragged and nested lists, every dtype
 numpy offers for numbers and some it offers for other things, object
 arrays mixing Fractions, None, bools and ints beyond the float range,
-masked, 0-d and 2-D arrays, and sampler parameters that are not finite
-real numbers or not pairs.
+masked, 0-d and 2-D arrays, sampler parameters that are not finite real
+numbers or not pairs, and CSV files for the CLI's `compute` and `lorenz
+--svg`: text in and out of UTF-8, byte-order marks, quotes, blank lines,
+headers, NULs, long lines, underscores, hex floats and non-finite tokens.
+The CLI exits 0, or 1 or 2 with one `cumskew:` line on stderr.
 """
 
+import io
 import math
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 from hypothesis import given, settings
@@ -32,6 +39,7 @@ from cumskew import (
     skew_report,
     validate_sample,
 )
+from cumskew.cli import main
 
 DTYPES = [np.dtype(name) for name in (
     "int8", "int16", "int32", "int64", "uint8", "uint16", "uint32", "uint64",
@@ -178,3 +186,53 @@ def test_aggregate_is_finite_or_raises_a_typed_error(values):
     except CumskewError:
         return
     assert finite(mean, se) and se >= 0.0
+
+
+# cells the CSV readers treat specially, or that float() and numpy read
+# differently
+CELLS = ["1", "-2.5", "3e2", "0x1.8p1", "1_000", "inf", "-inf", "+inf", "nan", "-nan",
+         "Infinity", "1e400", "-1e-400", "5e-324", '"4.5"', '"1,5"', '"', '"a\nb"', "value",
+         " 7 ", "\u0661\u0662", "\u00e9", "\x00", "", " ", "1" * 5000, ",".join(["2"] * 500)]
+RAW = [b"\xff", b"\xc3", b"\x80abc", b"\xef\xbb\xbf", b"\x00", b"\xed\xa0\x80"]
+
+numbers = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr), st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(['"4.5"', " 7 ", "1_000", "5e-324", "1e308", ""])).map(str.encode)
+junk = st.one_of(
+    st.lists(st.one_of(st.sampled_from(CELLS), st.floats().map(repr),
+                       st.integers(-10**30, 10**30).map(str), st.text(max_size=5)),
+             max_size=3).map(lambda cells: ",".join(cells).encode("utf-8", "surrogatepass")),
+    st.sampled_from(RAW))
+
+
+@st.composite
+def csv_files(draw):
+    """File bytes: an optional byte-order mark, then lines of numbers with
+    up to two other lines of cells or raw bytes among them (a header, if
+    first), joined by one kind of line end, with or without a last."""
+    rows = draw(st.lists(numbers, max_size=12))
+    for at, line in draw(st.lists(st.tuples(st.integers(0, 12), junk), max_size=2)):
+        rows.insert(at, line)
+    end = draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    return draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + end.join(rows) \
+        + draw(st.sampled_from([b"", end]))
+
+
+@given(csv_files(), st.sampled_from([[], ["--column", "1"], ["--column", "value"]]))
+@settings(deadline=None, max_examples=150)
+def test_the_cli_exits_cleanly_on_any_file(data, column):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        for argv in (["compute", path], ["lorenz", path, "--out", os.devnull,
+                                         "--svg", os.path.join(tmp, "curve.svg")]):
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main(argv + column)
+            text = err.getvalue()
+            if code == 0:
+                assert text == ""
+            else:
+                assert code in (1, 2), code
+                assert text.startswith("cumskew: ") and text.index("\n") == len(text) - 1, text

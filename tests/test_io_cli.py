@@ -511,6 +511,19 @@ class TestLorenzCommand:
         assert main(["lorenz", path]) == 1
         assert capsys.readouterr().err.startswith("cumskew:")
 
+    def test_svg_beyond_the_float_range_exits_1(self, tmp_path, capsys):
+        # a negative total: the canonical gaps, in the data's units, are
+        # about 7e305, and their pixel coordinates overflow; the SVG once
+        # held -inf coordinates
+        path = write(tmp_path, "0.0\n-1.4980776123852632e+306\n")
+        svg = tmp_path / "curve.svg"
+        assert main(["lorenz", path, "--out", os.devnull, "--svg", str(svg)]) == 1
+        assert capsys.readouterr().err == \
+            "cumskew: the Lorenz curve cannot be drawn within the float range\n"
+        assert svg.read_text() == ""
+        assert main(["lorenz", write(tmp_path, "0.0\n-1e305\n"), "--out", os.devnull,
+                     "--svg", str(svg)]) == 0
+
     def test_svg_emitted(self, tmp_path, capsys):
         path = write(tmp_path, "1\n1\n4\n")
         svg = tmp_path / "curve.svg"
